@@ -27,6 +27,7 @@ use crate::engine::signature_of;
 #[cfg(test)]
 use crate::RuntimeError;
 use crate::{ExecMode, Majic, RuntimeResult, Value};
+use majic_repo::NO_SESSION;
 use majic_runtime::{Complex, Matrix};
 use majic_types::Type;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -186,7 +187,12 @@ fn run_mode(case: &DiffCase, mode: ExecMode, label: &'static str) -> ModeRun {
     } else {
         session
             .repository()
-            .lookup(&case.entry, &signature_of(&case.args))
+            .lookup_ns(
+                &case.entry,
+                session.namespace(&case.entry),
+                NO_SESSION,
+                &signature_of(&case.args),
+            )
             .map(|v| v.output_types.clone())
     };
     ModeRun(
@@ -250,7 +256,12 @@ fn run_warm(case: &DiffCase) -> ModeRun {
         let printed = b.take_printed();
         let output_types = b
             .repository()
-            .lookup(&case.entry, &signature_of(&case.args))
+            .lookup_ns(
+                &case.entry,
+                b.namespace(&case.entry),
+                NO_SESSION,
+                &signature_of(&case.args),
+            )
             .map(|v| v.output_types.clone());
         ModeRun(
             ModeOutcome {

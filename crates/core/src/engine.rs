@@ -351,22 +351,20 @@ impl Majic {
         m
     }
 
-    /// A fresh session with fully specified options.
-    pub fn with_options(options: EngineOptions) -> Majic {
-        Majic(CompilerService::with_options(options).session())
-    }
-
-    /// A fluent builder: pick the switches by name, get a ready
-    /// session.
+    /// A fresh session with fully specified options. `MAJIC_TIER` is
+    /// *not* consulted — this is the explicit-configuration path
+    /// ([`Majic::new`] is the environment-sensitive one).
     ///
     /// ```
-    /// use majic::{ExecMode, Majic, Platform};
+    /// use majic::{EngineOptions, ExecMode, Majic, Platform};
     ///
-    /// let mut session = Majic::builder()
-    ///     .mode(ExecMode::Jit)
-    ///     .platform(Platform::Mips)
-    ///     .threads(Some(1))
-    ///     .build();
+    /// let mut session = Majic::with_options(
+    ///     EngineOptions::builder()
+    ///         .mode(ExecMode::Jit)
+    ///         .platform(Platform::Mips)
+    ///         .threads(Some(1))
+    ///         .build(),
+    /// );
     /// session.load_source("function y = sq(x)\ny = x * x;\n").unwrap();
     /// assert_eq!(
     ///     session.call("sq", &[4.0f64.into()], 1).unwrap()[0]
@@ -375,89 +373,14 @@ impl Majic {
     ///     16.0
     /// );
     /// ```
-    pub fn builder() -> MajicBuilder {
-        MajicBuilder {
-            opts: EngineOptions::builder(),
-        }
+    pub fn with_options(options: EngineOptions) -> Majic {
+        Majic(CompilerService::with_options(options).session())
     }
 
     /// The service behind this facade (background handle, audit flag,
     /// cache lifecycle, more sessions).
     pub fn service(&self) -> &CompilerService {
         self.0.service()
-    }
-
-    /// Turn the *process-wide* compilation audit log on or off.
-    #[deprecated(
-        note = "audit enablement is per service now: use `CompilerService::set_audit` or \
-                `Session::set_audit_enabled`"
-    )]
-    pub fn set_audit(on: bool) {
-        majic_trace::audit::set_enabled(on);
-    }
-}
-
-/// Builder returned by [`Majic::builder`]: the [`EngineOptionsBuilder`]
-/// switches plus a [`MajicBuilder::build`] that starts the session.
-#[derive(Clone, Copy, Debug)]
-pub struct MajicBuilder {
-    opts: EngineOptionsBuilder,
-}
-
-impl MajicBuilder {
-    /// Set the execution mode.
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.opts = self.opts.mode(mode);
-        self
-    }
-
-    /// Set the type-inference switches.
-    pub fn infer(mut self, infer: InferOptions) -> Self {
-        self.opts = self.opts.infer(infer);
-        self
-    }
-
-    /// Set the register-allocation mode.
-    pub fn regalloc(mut self, regalloc: RegAllocMode) -> Self {
-        self.opts = self.opts.regalloc(regalloc);
-        self
-    }
-
-    /// Enable or disable array oversizing on resizes.
-    pub fn oversize(mut self, oversize: bool) -> Self {
-        self.opts = self.opts.oversize(oversize);
-        self
-    }
-
-    /// Enable or disable function inlining.
-    pub fn inline(mut self, inline: bool) -> Self {
-        self.opts = self.opts.inline(inline);
-        self
-    }
-
-    /// Set the simulated platform.
-    pub fn platform(mut self, platform: Platform) -> Self {
-        self.opts = self.opts.platform(platform);
-        self
-    }
-
-    /// Set the tiered-recompilation knobs.
-    pub fn tier(mut self, tier: TierOptions) -> Self {
-        self.opts = self.opts.tier(tier);
-        self
-    }
-
-    /// Set the data-parallel kernel thread count.
-    pub fn threads(mut self, threads: Option<usize>) -> Self {
-        self.opts = self.opts.threads(threads);
-        self
-    }
-
-    /// Start the session. `MAJIC_TIER` is *not* consulted — the builder
-    /// is the explicit-configuration path ([`Majic::new`] is the
-    /// environment-sensitive one).
-    pub fn build(self) -> Majic {
-        Majic::with_options(self.opts.build())
     }
 }
 
@@ -590,11 +513,9 @@ struct RepoOracle<'a> {
 
 impl CalleeOracle for RepoOracle<'_> {
     fn call_types(&self, name: &str, args: &[Type], _nargout: usize) -> Option<Vec<Type>> {
-        let sig = Signature::new(args.to_vec());
-        match self.hashes.get(name) {
-            Some(&ns) => self.repo.call_types_ns(name, ns, &sig),
-            None => self.repo.call_types(name, &sig),
-        }
+        let ns = *self.hashes.get(name)?;
+        self.repo
+            .call_types_ns(name, ns, &Signature::new(args.to_vec()))
     }
 }
 

@@ -74,13 +74,13 @@ mod spec;
 
 pub use diff::{DiffCase, DiffReport, Divergence, DivergenceKind, ModeOutcome};
 pub use engine::{
-    CacheReport, EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, Majic, MajicBuilder,
-    PhaseTimes, Platform, TierOptions,
+    CacheReport, EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, Majic, PhaseTimes,
+    Platform, TierOptions,
 };
 pub use majic_repo::cache::{LoadReport, RepoCache};
 pub use majic_repo::{RepoStats, Tier};
 pub use service::{Background, BackgroundStats, CompilerService, Session};
-pub use spec::{SpecConfig, SpecRecord, SpecStats, SpecWorkerPool, DEFAULT_RECORD_CAPACITY};
+pub use spec::{SpecConfig, SpecStats, SpecWorkerPool};
 
 pub use majic_infer::InferOptions;
 pub use majic_runtime::{Matrix, RuntimeError, RuntimeResult, Value};

@@ -196,12 +196,6 @@ impl CompilerService {
         &self.state.repo
     }
 
-    /// A shareable handle to the repository (e.g. for external monitors
-    /// or tests observing background publishes).
-    pub fn repository_handle(&self) -> Arc<Repository> {
-        Arc::clone(&self.state.repo)
-    }
-
     /// Turn the compilation audit log on or off *for this service*.
     ///
     /// The flight recorder in `majic-trace` is process-global, so
@@ -499,8 +493,10 @@ impl Session {
         self.id
     }
 
-    /// This session's repository namespace for `name`.
-    fn ns(&self, name: &str) -> u64 {
+    /// This session's repository namespace for `name`: the closure hash
+    /// of its loaded source, or [`DEFAULT_NS`] for a name it never
+    /// loaded. Pass it to the `*_ns` methods of [`Session::repository`].
+    pub fn namespace(&self, name: &str) -> u64 {
         self.hashes.get(name).copied().unwrap_or(DEFAULT_NS)
     }
 
@@ -513,7 +509,7 @@ impl Session {
         JobSpec {
             name: name.to_owned(),
             sig,
-            ns: self.ns(name),
+            ns: self.namespace(name),
             session: self.id,
             registry: Arc::clone(&self.registry),
             known: Arc::clone(&self.known),
@@ -776,7 +772,7 @@ impl Session {
     /// Best-effort: a rejected enqueue releases the dedup key so a
     /// later hot call can retry.
     fn promote(&mut self, name: String, sig: Signature) {
-        let key = (name.clone(), self.ns(&name), sig.to_string());
+        let key = (name.clone(), self.namespace(&name), sig.to_string());
         {
             let mut promoted = self
                 .service
@@ -812,7 +808,7 @@ impl Session {
     /// Handle over the service's background pools; see
     /// [`CompilerService::background`].
     pub fn background(&self) -> Background<'_> {
-        self.service.state_background()
+        self.service.background()
     }
 
     /// Speculatively compile every registered function ahead of time
@@ -865,7 +861,7 @@ impl Session {
                 self.service
                     .state
                     .repo
-                    .insert_ns(&name, self.ns(&name), self.id, version);
+                    .insert_ns(&name, self.namespace(&name), self.id, version);
             }
         }
         // Speculative compilation happens before the program runs: it is
@@ -914,70 +910,6 @@ impl Session {
             pool.submit(self.job_spec(name, None));
         }
         *self.service.state.spec.lock().expect("spec slot poisoned") = Some(pool);
-    }
-
-    /// Block until the background speculation pool (if any) has drained
-    /// its queue.
-    #[deprecated(note = "use `background().wait()`, which also covers the tier pool")]
-    pub fn spec_wait(&self) {
-        if let Some(pool) = self.service.state.spec_pool() {
-            pool.wait_idle();
-        }
-    }
-
-    /// Statistics of the background speculation pool, when one is
-    /// running.
-    #[deprecated(note = "use `background().stats().spec`")]
-    pub fn spec_stats(&self) -> Option<SpecStats> {
-        self.service.state.spec_pool().map(|p| p.stats())
-    }
-
-    /// Shut the background speculation pool down (drain, join) and
-    /// return its final statistics. No-op returning `None` when no pool
-    /// is running.
-    #[deprecated(note = "use `background().finish()`, which also covers the tier pool")]
-    pub fn finish_speculation(&mut self) -> Option<SpecStats> {
-        let pool = self
-            .service
-            .state
-            .spec
-            .lock()
-            .expect("spec slot poisoned")
-            .take()?;
-        pool.shutdown();
-        Some(pool.stats())
-    }
-
-    /// Block until the tier-1 recompilation pool (if any) has drained
-    /// its queue.
-    #[deprecated(note = "use `background().wait()`, which also covers the speculation pool")]
-    pub fn tier_wait(&self) {
-        if let Some(pool) = self.service.state.tier_pool() {
-            pool.wait_idle();
-        }
-    }
-
-    /// Statistics of the tier-1 recompilation pool, when promotion has
-    /// started one.
-    #[deprecated(note = "use `background().stats().tier`")]
-    pub fn tier_stats(&self) -> Option<SpecStats> {
-        self.service.state.tier_pool().map(|p| p.stats())
-    }
-
-    /// Shut the tier-1 recompilation pool down (drain, join) and return
-    /// its final statistics. No-op returning `None` when no promotion
-    /// ever happened.
-    #[deprecated(note = "use `background().finish()`, which also covers the speculation pool")]
-    pub fn finish_tiering(&mut self) -> Option<SpecStats> {
-        let pool = self
-            .service
-            .state
-            .tier
-            .lock()
-            .expect("tier slot poisoned")
-            .take()?;
-        pool.shutdown();
-        Some(pool.stats())
     }
 
     /// Attach a persistent repository cache at `path` and load whatever
@@ -1169,12 +1101,6 @@ impl Session {
         &self.service.state.repo
     }
 
-    /// A shareable handle to the repository (e.g. for external monitors
-    /// or tests observing background publishes).
-    pub fn repository_handle(&self) -> Arc<Repository> {
-        Arc::clone(&self.service.state.repo)
-    }
-
     /// Zero the cumulative phase timers.
     pub fn reset_times(&mut self) {
         self.times = PhaseTimes::default();
@@ -1199,18 +1125,6 @@ impl Session {
         majic_trace::export::write_chrome_trace(path.as_ref())
     }
 
-    /// Turn the compilation audit log on or off for this session's
-    /// service. Convenience for
-    /// [`CompilerService::set_audit`]`(on)`.
-    pub fn set_audit_enabled(&self, on: bool) {
-        self.service.set_audit(on);
-    }
-
-    /// Whether this session's service requested audit recording.
-    pub fn audit_enabled(&self) -> bool {
-        self.service.audit_enabled()
-    }
-
     /// Why does `name` run the way it does? Returns every retained
     /// compilation record and session event for the function, plus a
     /// rendered report ([`Explanation::report`]) answering: what
@@ -1218,7 +1132,7 @@ impl Session {
     /// why, what the inliner did at each call site, how the generated
     /// code is shaped, and how the persistent cache treated it.
     ///
-    /// Requires auditing to be on ([`Session::set_audit_enabled`] or
+    /// Requires auditing to be on ([`CompilerService::set_audit`] or
     /// `MAJIC_EXPLAIN`) *before* the compilations of interest run;
     /// otherwise the explanation is empty.
     ///
@@ -1226,7 +1140,7 @@ impl Session {
     /// use majic::Majic;
     ///
     /// let mut session = Majic::new();
-    /// session.set_audit_enabled(true);
+    /// session.service().set_audit(true);
     /// session.load_source("function y = cube(x)\ny = x * x * x;\n").unwrap();
     /// session.call("cube", &[2.0f64.into()], 1).unwrap();
     /// let why = session.explain("cube");
@@ -1250,12 +1164,6 @@ impl Session {
     /// the bounded rings overflowed.
     pub fn explain_stats(&self) -> String {
         majic_trace::audit::render_report(&majic_trace::audit::snapshot())
-    }
-}
-
-impl CompilerService {
-    fn state_background(&self) -> Background<'_> {
-        Background { state: &self.state }
     }
 }
 
@@ -1348,20 +1256,20 @@ mod tests {
     fn closure_hash_changes_ripple_to_callers() {
         let mut s = CompilerService::new().session();
         s.load_source(src_a()).unwrap();
-        let h_helper = s.ns("helper");
-        let h_outer = s.ns("outer");
+        let h_helper = s.namespace("helper");
+        let h_outer = s.namespace("outer");
         assert_ne!(h_helper, DEFAULT_NS);
         assert_ne!(h_outer, DEFAULT_NS);
         // Redefining the callee moves BOTH namespaces.
         s.load_source("function y = helper(x)\ny = x + 2;\n")
             .unwrap();
-        assert_ne!(s.ns("helper"), h_helper);
-        assert_ne!(s.ns("outer"), h_outer);
+        assert_ne!(s.namespace("helper"), h_helper);
+        assert_ne!(s.namespace("outer"), h_outer);
         // Reloading identical source moves neither.
-        let h2_helper = s.ns("helper");
+        let h2_helper = s.namespace("helper");
         s.load_source("function y = helper(x)\ny = x + 2;\n")
             .unwrap();
-        assert_eq!(s.ns("helper"), h2_helper);
+        assert_eq!(s.namespace("helper"), h2_helper);
     }
 
     #[test]

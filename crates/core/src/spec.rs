@@ -47,10 +47,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Default bound on the number of per-job [`SpecRecord`]s retained
-/// (aggregate counters stay exact regardless).
-pub const DEFAULT_RECORD_CAPACITY: usize = 1024;
-
 /// Worker-pool configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SpecConfig {
@@ -61,11 +57,6 @@ pub struct SpecConfig {
     /// Bounded queue capacity; when full, enqueues are rejected rather
     /// than blocking the session (speculation is best-effort).
     pub queue_capacity: usize,
-    /// Ring-buffer bound on retained per-job [`SpecRecord`]s: once this
-    /// many records exist the oldest is dropped for each new one.
-    /// Aggregate counters and totals remain exact either way. Clamped
-    /// to at least 1.
-    pub record_capacity: usize,
 }
 
 impl Default for SpecConfig {
@@ -73,7 +64,6 @@ impl Default for SpecConfig {
         SpecConfig {
             workers: 2,
             queue_capacity: 256,
-            record_capacity: DEFAULT_RECORD_CAPACITY,
         }
     }
 }
@@ -122,35 +112,11 @@ struct Job {
     enqueued: Instant,
 }
 
-/// Outcome record for one speculative compilation.
-#[derive(Clone, Debug)]
-pub struct SpecRecord {
-    /// Function name.
-    pub name: String,
-    /// Time the job sat in the queue before a worker picked it up.
-    pub queue_wait: Duration,
-    /// Compilation time (inference + codegen) spent by the worker.
-    pub compile: Duration,
-    /// Publish timestamp, relative to pool start; `None` when nothing
-    /// was published (the pipeline failed, or the compile went stale).
-    pub published_at: Option<Duration>,
-    /// The compile succeeded but was dropped because the function was
-    /// redefined while the job was in flight.
-    pub stale: bool,
-}
-
-/// Aggregate observability for a pool's lifetime.
-///
-/// `records` is a bounded ring (see [`SpecConfig::record_capacity`]):
-/// it keeps the most recent completions only, while the counters and
-/// `*_total` aggregates cover *every* job exactly.
-#[derive(Clone, Debug)]
+/// Aggregate observability for a pool's lifetime. Every counter is
+/// exact; per-job detail (trigger, queue wait, compile time, outcome)
+/// lives in the compilation audit log.
+#[derive(Clone, Debug, Default)]
 pub struct SpecStats {
-    /// Per-job records, in completion order (most recent
-    /// `record_capacity` retained).
-    pub records: VecDeque<SpecRecord>,
-    /// Ring capacity in effect for `records`.
-    pub record_capacity: usize,
     /// Jobs accepted into the queue.
     pub enqueued: u64,
     /// Versions published into the repository.
@@ -162,95 +128,16 @@ pub struct SpecStats {
     pub stale: u64,
     /// Enqueues rejected because the queue was full or closed.
     pub rejected: u64,
-    /// Exact queue-wait total across all completed jobs (including any
-    /// whose records the ring has dropped).
+    /// Exact queue-wait total across all completed jobs.
     pub queue_wait_total: Duration,
     /// Exact compile-time total across all completed jobs.
     pub compile_total: Duration,
 }
 
-impl Default for SpecStats {
-    fn default() -> Self {
-        SpecStats {
-            records: VecDeque::new(),
-            record_capacity: DEFAULT_RECORD_CAPACITY,
-            enqueued: 0,
-            published: 0,
-            failed: 0,
-            stale: 0,
-            rejected: 0,
-            queue_wait_total: Duration::ZERO,
-            compile_total: Duration::ZERO,
-        }
-    }
-}
-
 impl SpecStats {
-    /// Total queue-wait across all completed jobs (exact even when the
-    /// record ring has dropped old entries).
-    pub fn total_queue_wait(&self) -> Duration {
-        self.queue_wait_total
-    }
-
-    /// Total background compile time across all completed jobs (exact
-    /// even when the record ring has dropped old entries).
-    pub fn total_compile(&self) -> Duration {
-        self.compile_total
-    }
-
     /// Jobs that ran to completion (published, failed, or stale).
     pub fn completed(&self) -> u64 {
         self.published + self.failed + self.stale
-    }
-
-    /// Completed jobs whose per-job records the ring has dropped.
-    pub fn dropped_records(&self) -> u64 {
-        self.completed().saturating_sub(self.records.len() as u64)
-    }
-
-    /// Append a record, evicting the oldest once the ring is full.
-    /// Aggregates are updated unconditionally.
-    fn push_record(&mut self, r: SpecRecord) {
-        self.queue_wait_total += r.queue_wait;
-        self.compile_total += r.compile;
-        while self.records.len() >= self.record_capacity.max(1) {
-            self.records.pop_front();
-        }
-        self.records.push_back(r);
-    }
-
-    /// Human-readable one-line-per-job report.
-    pub fn render_report(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "spec workers: {} enqueued, {} published, {} failed, {} stale, {} rejected",
-            self.enqueued, self.published, self.failed, self.stale, self.rejected
-        );
-        if self.dropped_records() > 0 {
-            let _ = writeln!(
-                out,
-                "  (showing last {} of {} jobs; totals remain exact)",
-                self.records.len(),
-                self.completed()
-            );
-        }
-        for r in &self.records {
-            let _ = writeln!(
-                out,
-                "  {:<12} wait {:>9.1?}  compile {:>9.1?}  {}",
-                r.name,
-                r.queue_wait,
-                r.compile,
-                match (r.published_at, r.stale) {
-                    (Some(at), _) => format!("published at +{at:.1?}"),
-                    (None, true) => "stale (source redefined)".to_owned(),
-                    (None, false) => "failed".to_owned(),
-                }
-            );
-        }
-        out
     }
 }
 
@@ -273,7 +160,6 @@ struct PoolShared {
     capacity: usize,
     repo: Arc<Repository>,
     stats: Mutex<SpecStats>,
-    started: Instant,
 }
 
 /// A pool of background speculative-compilation workers.
@@ -296,11 +182,7 @@ impl SpecWorkerPool {
             idle: Condvar::new(),
             capacity: cfg.queue_capacity.max(1),
             repo,
-            stats: Mutex::new(SpecStats {
-                record_capacity: cfg.record_capacity.max(1),
-                ..SpecStats::default()
-            }),
-            started: Instant::now(),
+            stats: Mutex::new(SpecStats::default()),
         });
         let handles = (0..cfg.workers)
             .map(|i| {
@@ -530,7 +412,7 @@ fn worker_loop(shared: &PoolShared) {
             (Err(_), Some(s)) => s.to_string(),
             (Err(_), None) => "(speculative)".to_owned(),
         };
-        let (published_at, stale, outcome) = match compiled {
+        let (published, stale, outcome) = match compiled {
             Ok(version) => {
                 let quality = crate::engine::quality_name(version.quality);
                 if shared.repo.insert_if_current_ns(
@@ -540,14 +422,10 @@ fn worker_loop(shared: &PoolShared) {
                     job.session,
                     version,
                 ) {
-                    (
-                        Some(shared.started.elapsed()),
-                        false,
-                        format!("published ({quality})"),
-                    )
+                    (true, false, format!("published ({quality})"))
                 } else {
                     (
-                        None,
+                        false,
                         true,
                         "dropped: source redefined while compiling".to_owned(),
                     )
@@ -555,7 +433,7 @@ fn worker_loop(shared: &PoolShared) {
             }
             // Failures (globals etc.) leave no speculative version;
             // those calls interpret or JIT later.
-            Err(e) => (None, false, format!("failed: {e}")),
+            Err(e) => (false, false, format!("failed: {e}")),
         };
         majic_trace::audit::commit(
             || signature,
@@ -567,20 +445,15 @@ fn worker_loop(shared: &PoolShared) {
 
         {
             let mut stats = shared.stats.lock().expect("spec stats poisoned");
-            if published_at.is_some() {
+            if published {
                 stats.published += 1;
             } else if stale {
                 stats.stale += 1;
             } else {
                 stats.failed += 1;
             }
-            stats.push_record(SpecRecord {
-                name: job.name,
-                queue_wait,
-                compile,
-                published_at,
-                stale,
-            });
+            stats.queue_wait_total += queue_wait;
+            stats.compile_total += compile;
         }
 
         let mut q = shared.queue.lock().expect("spec queue poisoned");

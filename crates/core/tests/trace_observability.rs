@@ -1,5 +1,5 @@
 //! Observability acceptance at the engine level: dispatch counters,
-//! background-worker span attribution, and the bounded SpecStats ring.
+//! background-worker span attribution and per-worker trace tracks.
 
 use majic::{ExecMode, Majic, SpecConfig, Value};
 use std::sync::Mutex;
@@ -88,38 +88,4 @@ fn spec_workers_trace_on_their_own_threads() {
     // Worker spans never inherit the main thread's stack.
     assert!(worker_events.iter().all(|e| !e.path.starts_with("call;")));
     majic_trace::reset();
-}
-
-/// The per-job record ring is bounded while aggregates stay exact.
-#[test]
-fn spec_records_are_ring_bounded() {
-    let _g = LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut m = Majic::with_mode(ExecMode::Spec);
-    let src: String = (0..10)
-        .map(|i| format!("function y = r{i}(x)\ny = x * {i};\n"))
-        .collect();
-    m.load_source(&src).unwrap();
-    m.speculate_background_with(SpecConfig {
-        workers: 2,
-        record_capacity: 4,
-        ..SpecConfig::default()
-    });
-    m.background().wait();
-    let stats = m.background().finish().spec.unwrap();
-
-    assert_eq!(stats.enqueued, 10);
-    assert_eq!(stats.completed(), 10);
-    assert_eq!(stats.records.len(), 4, "ring keeps only the newest 4");
-    assert_eq!(stats.dropped_records(), 6);
-    // Aggregates cover all ten jobs, not just the surviving records.
-    let ring_compile: std::time::Duration = stats.records.iter().map(|r| r.compile).sum();
-    assert!(stats.total_compile() >= ring_compile);
-    assert!(stats.total_queue_wait() >= std::time::Duration::ZERO);
-    let report = stats.render_report();
-    assert!(
-        report.contains("showing last 4 of 10"),
-        "report notes the drop:\n{report}"
-    );
 }

@@ -25,10 +25,8 @@
 //! (closure) hash, so two sessions that loaded identical source share
 //! one namespace (and each other's compiled versions), while a session
 //! that redefined `f` (or any function `f` reaches) lands in a different
-//! namespace and can never be answered with its neighbor's code. The
-//! namespace-less methods ([`Repository::insert`], [`Repository::lookup`],
-//! …) remain for single-tenant use and diagnostics: they write to
-//! [`DEFAULT_NS`] and read across *all* namespaces.
+//! namespace and can never be answered with its neighbor's code.
+//! Single-tenant callers (tests, tools) use [`DEFAULT_NS`].
 //!
 //! # Concurrency
 //!
@@ -67,19 +65,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-/// The namespace the namespace-less compatibility methods write to.
-/// Engine sessions use the function's closure hash instead.
+/// The namespace of functions outside any session's closure-hash table
+/// (tests, tools). Engine sessions use the function's closure hash.
 pub const DEFAULT_NS: u64 = 0;
 
 /// The session id recorded for versions inserted outside any session
-/// (the namespace-less compatibility methods, tests, tools). Lookups
-/// attributed to this id never count as shared hits.
+/// (tests, tools). Lookups attributed to this id never count as shared
+/// hits.
 pub const NO_SESSION: u64 = 0;
 
 /// Locator and lifecycle statistics of a [`Repository`].
 ///
-/// All counts are since creation or the last [`Repository::clear`],
-/// except the `*_versions` fields, which are the repository's *current*
+/// All counts are since creation, except the `*_versions` fields, which are the repository's *current*
 /// per-tier population at the moment [`Repository::stats`] ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepoStats {
@@ -203,8 +200,7 @@ struct Stored {
 /// they start and publish through
 /// [`Repository::insert_if_current_ns`], which rejects the version if
 /// the source changed while the compile was in flight. Generations only
-/// ever grow — [`Repository::clear`] drops versions but keeps them, so
-/// an in-flight publish can never resurrect stale code.
+/// ever grow, so an in-flight publish can never resurrect stale code.
 #[derive(Debug, Default)]
 struct NsEntry {
     versions: Vec<Stored>,
@@ -215,6 +211,16 @@ struct NsEntry {
 struct Shard {
     /// `function name → namespace key → versions + generation`.
     functions: HashMap<String, HashMap<u64, NsEntry>>,
+}
+
+impl Shard {
+    /// The invalidation generation of `(name, ns)` (0 if never seen).
+    fn generation(&self, name: &str, ns: u64) -> u64 {
+        self.functions
+            .get(name)
+            .and_then(|e| e.get(&ns))
+            .map_or(0, |e| e.generation)
+    }
 }
 
 /// The repository: compiled versions per function name and namespace,
@@ -233,8 +239,6 @@ pub struct Repository {
     tier0_hits: AtomicU64,
     /// Hits answered by a tier-1 version.
     tier1_hits: AtomicU64,
-    /// Total compile time across all inserted versions, in nanoseconds.
-    compile_nanos: AtomicU64,
 }
 
 impl Default for Repository {
@@ -285,7 +289,6 @@ impl Repository {
             invalidations: AtomicU64::new(0),
             tier0_hits: AtomicU64::new(0),
             tier1_hits: AtomicU64::new(0),
-            compile_nanos: AtomicU64::new(0),
         }
     }
 
@@ -293,23 +296,16 @@ impl Repository {
         &self.shards[shard_index(name)]
     }
 
-    fn count_insert(&self, version: &CompiledVersion) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.compile_nanos
-            .fetch_add(version.compile_time.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Register a compiled version in [`DEFAULT_NS`] with no session
-    /// attribution (single-tenant compatibility path).
-    pub fn insert(&self, name: &str, version: CompiledVersion) {
-        self.insert_ns(name, DEFAULT_NS, NO_SESSION, version);
-    }
-
     /// Register a compiled version in namespace `ns`, attributed to
     /// `session` (use [`NO_SESSION`] outside any session).
     pub fn insert_ns(&self, name: &str, ns: u64, session: u64, version: CompiledVersion) {
-        self.count_insert(&version);
         let mut shard = self.shard(name).write().expect("repository shard poisoned");
+        self.push(&mut shard, name, ns, session, version);
+    }
+
+    /// Append `version` to `(name, ns)` in an already write-locked shard.
+    fn push(&self, shard: &mut Shard, name: &str, ns: u64, session: u64, version: CompiledVersion) {
+        self.inserts.fetch_add(1, Ordering::Relaxed);
         shard
             .functions
             .entry(name.to_owned())
@@ -323,29 +319,15 @@ impl Repository {
             });
     }
 
-    /// The current invalidation generation of `name` in [`DEFAULT_NS`]
-    /// (0 until the first [`Repository::invalidate`]).
-    pub fn generation(&self, name: &str) -> u64 {
-        self.generation_ns(name, DEFAULT_NS)
-    }
-
     /// The current invalidation generation of `(name, ns)` (0 until the
     /// first invalidation). A compile that starts now and publishes
     /// through [`Repository::insert_if_current_ns`] with this value is
     /// guaranteed to be dropped if the source changes in between.
     pub fn generation_ns(&self, name: &str, ns: u64) -> u64 {
-        let shard = self.shard(name).read().expect("repository shard poisoned");
-        shard
-            .functions
-            .get(name)
-            .and_then(|e| e.get(&ns))
-            .map_or(0, |e| e.generation)
-    }
-
-    /// [`Repository::insert_if_current_ns`] against [`DEFAULT_NS`] with
-    /// no session attribution.
-    pub fn insert_if_current(&self, name: &str, generation: u64, version: CompiledVersion) -> bool {
-        self.insert_if_current_ns(name, DEFAULT_NS, generation, NO_SESSION, version)
+        self.shard(name)
+            .read()
+            .expect("repository shard poisoned")
+            .generation(name, ns)
     }
 
     /// Register `version` only if `(name, ns)`'s invalidation generation
@@ -370,26 +352,10 @@ impl Repository {
         version: CompiledVersion,
     ) -> bool {
         let mut shard = self.shard(name).write().expect("repository shard poisoned");
-        let current = shard
-            .functions
-            .get(name)
-            .and_then(|e| e.get(&ns))
-            .map_or(0, |e| e.generation);
-        if current != generation {
+        if shard.generation(name, ns) != generation {
             return false;
         }
-        self.count_insert(&version);
-        shard
-            .functions
-            .entry(name.to_owned())
-            .or_default()
-            .entry(ns)
-            .or_default()
-            .versions
-            .push(Stored {
-                version: Arc::new(version),
-                inserted_by: session,
-            });
+        self.push(&mut shard, name, ns, session, version);
         true
     }
 
@@ -440,10 +406,13 @@ impl Repository {
         }
     }
 
-    /// The function locator across *all* namespaces of `name`: find the
-    /// best safe version for an invocation, or `None` (triggering a JIT
-    /// compilation). Single-tenant compatibility path — engine sessions
-    /// dispatch through [`Repository::lookup_ns`].
+    /// The function locator within one namespace, attributed to
+    /// `session`: find the best safe version for an invocation, or
+    /// `None` (triggering a JIT compilation). Only versions in `ns` are
+    /// candidates — a session can never be answered with code compiled
+    /// from source it did not load. A hit on a version a *different*
+    /// session inserted counts as a shared hit
+    /// ([`RepoStats::shared_hits`]).
     ///
     /// Among safe candidates the locator prefers the highest [`Tier`]
     /// (optimized code wins over naive code whenever both admit the
@@ -457,25 +426,6 @@ impl Repository {
     /// Returns a shared handle (versions live behind `Arc`s, so a hit
     /// clones one pointer, never the signature or output types) and the
     /// shard lock is released before the code runs.
-    pub fn lookup(&self, name: &str, actuals: &Signature) -> Option<Arc<CompiledVersion>> {
-        let found = {
-            let shard = self.shard(name).read().expect("repository shard poisoned");
-            shard.functions.get(name).and_then(|namespaces| {
-                best(namespaces.values().flat_map(|e| e.versions.iter()), actuals)
-                    .map(|s| Arc::clone(&s.version))
-            })
-        };
-        self.record_lookup(name, actuals, found.as_ref(), false);
-        found
-    }
-
-    /// The function locator within one namespace, attributed to
-    /// `session`: the dispatch path of a multi-session service. Same
-    /// preference order as [`Repository::lookup`], but only versions in
-    /// `ns` are candidates — a session can never be answered with code
-    /// compiled from source it did not load. A hit on a version a
-    /// *different* session inserted counts as a shared hit
-    /// ([`RepoStats::shared_hits`]).
     pub fn lookup_ns(
         &self,
         name: &str,
@@ -502,20 +452,6 @@ impl Repository {
         found
     }
 
-    /// Inference oracle across all namespaces: output types of the best
-    /// version admitting the given argument types.
-    pub fn call_types(&self, name: &str, args: &Signature) -> Option<Vec<Type>> {
-        let shard = self.shard(name).read().expect("repository shard poisoned");
-        shard.functions.get(name).and_then(|namespaces| {
-            namespaces
-                .values()
-                .flat_map(|e| e.versions.iter())
-                .filter(|s| s.version.signature.admits(args))
-                .min_by_key(|s| s.version.signature.distance(args).unwrap_or(u64::MAX))
-                .map(|s| s.version.output_types.clone())
-        })
-    }
-
     /// Inference oracle within one namespace (the multi-session path:
     /// a callee's output types must come from the *caller's* view of the
     /// callee, never from a neighbor's redefinition).
@@ -532,14 +468,6 @@ impl Repository {
                     .min_by_key(|s| s.version.signature.distance(args).unwrap_or(u64::MAX))
                     .map(|s| s.version.output_types.clone())
             })
-    }
-
-    /// Number of compiled versions of `name` across all namespaces.
-    pub fn version_count(&self, name: &str) -> usize {
-        let shard = self.shard(name).read().expect("repository shard poisoned");
-        shard.functions.get(name).map_or(0, |namespaces| {
-            namespaces.values().map(|e| e.versions.len()).sum()
-        })
     }
 
     /// Number of compiled versions of `name` in namespace `ns`.
@@ -603,35 +531,6 @@ impl Repository {
         counts
     }
 
-    /// Number of `insert` calls since creation (or the last `clear`).
-    pub fn insert_count(&self) -> u64 {
-        self.inserts.load(Ordering::Relaxed)
-    }
-
-    /// Drop every version of `name` in *every* namespace (source changed
-    /// — the repository "triggers recompilations when the source code
-    /// changes") and bump each namespace's invalidation generation, so
-    /// in-flight background compiles of the old source are rejected at
-    /// publish time ([`Repository::insert_if_current_ns`]).
-    pub fn invalidate(&self, name: &str) {
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        majic_trace::audit::session_event("repo.invalidate", || {
-            (
-                name.to_owned(),
-                "source changed: every compiled version dropped".to_owned(),
-            )
-        });
-        let mut shard = self.shard(name).write().expect("repository shard poisoned");
-        let namespaces = shard.functions.entry(name.to_owned()).or_default();
-        // Bump the default namespace even if nothing was ever inserted
-        // there: `generation(name)` must grow on every invalidation.
-        namespaces.entry(DEFAULT_NS).or_default();
-        for e in namespaces.values_mut() {
-            e.versions.clear();
-            e.generation += 1;
-        }
-    }
-
     /// Drop every version of `name` in namespace `ns` only, and bump
     /// that namespace's generation. This is the multi-session
     /// redefinition path: when the *last* session using `(name, ns)`
@@ -656,48 +555,6 @@ impl Repository {
             .or_default();
         e.versions.clear();
         e.generation += 1;
-    }
-
-    /// Drop every version in every namespace (generations are preserved
-    /// — dropping code is not a source change, and an in-flight publish
-    /// for unchanged source is still valid).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut shard = s.write().expect("repository shard poisoned");
-            for namespaces in shard.functions.values_mut() {
-                for e in namespaces.values_mut() {
-                    e.versions.clear();
-                }
-            }
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.shared_hits.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.tier0_hits.store(0, Ordering::Relaxed);
-        self.tier1_hits.store(0, Ordering::Relaxed);
-        self.compile_nanos.store(0, Ordering::Relaxed);
-    }
-
-    /// Total compile time recorded across all inserted versions.
-    pub fn total_compile_time(&self) -> Duration {
-        Duration::from_nanos(self.compile_nanos.load(Ordering::Relaxed))
-    }
-
-    /// A point-in-time snapshot of every compiled version, grouped by
-    /// function (namespaces merged) and sorted by name (so serialized
-    /// caches are deterministic). Shards are locked one at a time;
-    /// concurrent inserts may or may not appear.
-    pub fn entries(&self) -> Vec<(String, Vec<CompiledVersion>)> {
-        let mut all: Vec<(String, Vec<CompiledVersion>)> = Vec::new();
-        for (name, _, versions) in self.entries_ns() {
-            match all.last_mut() {
-                Some((last, vs)) if *last == name => vs.extend(versions),
-                _ => all.push((name, versions)),
-            }
-        }
-        all
     }
 
     /// A point-in-time snapshot of every compiled version with its
@@ -774,16 +631,22 @@ mod tests {
     #[test]
     fn lookup_requires_safety() {
         let repo = Repository::new();
-        repo.insert(
+        repo.insert_ns(
             "poly",
+            DEFAULT_NS,
+            NO_SESSION,
             version(vec![Type::scalar(Intrinsic::Int)], CodeQuality::Jit),
         );
         // Integer invocation: safe.
         let ok = Signature::new(vec![Type::constant(3.0)]);
-        assert!(repo.lookup("poly", &ok).is_some());
+        assert!(repo
+            .lookup_ns("poly", DEFAULT_NS, NO_SESSION, &ok)
+            .is_some());
         // Real invocation: 3.5 is not ⊑ int scalar.
         let bad = Signature::new(vec![Type::constant(3.5)]);
-        assert!(repo.lookup("poly", &bad).is_none());
+        assert!(repo
+            .lookup_ns("poly", DEFAULT_NS, NO_SESSION, &bad)
+            .is_none());
         let stats = repo.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.inserts, 1);
@@ -793,15 +656,19 @@ mod tests {
     fn stats_track_lifecycle() {
         let repo = Repository::new();
         assert_eq!(repo.stats(), RepoStats::default());
-        repo.insert("f", version(vec![], CodeQuality::Jit));
-        repo.invalidate("f");
-        repo.invalidate("g"); // counting is per trigger, not per removal
+        repo.insert_ns(
+            "f",
+            DEFAULT_NS,
+            NO_SESSION,
+            version(vec![], CodeQuality::Jit),
+        );
+        repo.invalidate_ns("f", DEFAULT_NS);
+        repo.invalidate_ns("g", DEFAULT_NS); // counting is per trigger, not per removal
         let s = repo.stats();
         assert_eq!(s.inserts, 1);
         assert_eq!(s.invalidations, 2);
         assert_eq!(s.hit_rate(), 0.0);
-        repo.clear();
-        assert_eq!(repo.stats(), RepoStats::default());
+        assert_eq!(Repository::new().stats(), RepoStats::default());
     }
 
     #[test]
@@ -810,23 +677,31 @@ mod tests {
         // int-scalar version over the real-scalar and complex-anything
         // versions.
         let repo = Repository::new();
-        repo.insert(
+        repo.insert_ns(
             "poly",
+            DEFAULT_NS,
+            NO_SESSION,
             version(
                 vec![Type::top().with_intrinsic(Intrinsic::Complex)],
                 CodeQuality::Jit,
             ),
         );
-        repo.insert(
+        repo.insert_ns(
             "poly",
+            DEFAULT_NS,
+            NO_SESSION,
             version(vec![Type::scalar(Intrinsic::Real)], CodeQuality::Jit),
         );
-        repo.insert(
+        repo.insert_ns(
             "poly",
+            DEFAULT_NS,
+            NO_SESSION,
             version(vec![Type::scalar(Intrinsic::Int)], CodeQuality::Jit),
         );
         let inv = Signature::new(vec![Type::constant(3.0)]);
-        let found = repo.lookup("poly", &inv).unwrap();
+        let found = repo
+            .lookup_ns("poly", DEFAULT_NS, NO_SESSION, &inv)
+            .unwrap();
         assert_eq!(
             found.signature,
             Signature::new(vec![Type::scalar(Intrinsic::Int)])
@@ -836,17 +711,23 @@ mod tests {
     #[test]
     fn quality_breaks_ties() {
         let repo = Repository::new();
-        repo.insert(
+        repo.insert_ns(
             "f",
+            DEFAULT_NS,
+            NO_SESSION,
             version(vec![Type::scalar(Intrinsic::Real)], CodeQuality::Jit),
         );
-        repo.insert(
+        repo.insert_ns(
             "f",
+            DEFAULT_NS,
+            NO_SESSION,
             version(vec![Type::scalar(Intrinsic::Real)], CodeQuality::Optimized),
         );
         let inv = Signature::new(vec![Type::scalar(Intrinsic::Real)]);
         assert_eq!(
-            repo.lookup("f", &inv).unwrap().quality,
+            repo.lookup_ns("f", DEFAULT_NS, NO_SESSION, &inv)
+                .unwrap()
+                .quality,
             CodeQuality::Optimized
         );
     }
@@ -854,21 +735,28 @@ mod tests {
     #[test]
     fn arity_mismatch_never_matches() {
         let repo = Repository::new();
-        repo.insert(
+        repo.insert_ns(
             "f",
+            DEFAULT_NS,
+            NO_SESSION,
             version(vec![Type::scalar(Intrinsic::Real)], CodeQuality::Jit),
         );
         let inv = Signature::new(vec![]);
-        assert!(repo.lookup("f", &inv).is_none());
+        assert!(repo.lookup_ns("f", DEFAULT_NS, NO_SESSION, &inv).is_none());
     }
 
     #[test]
     fn invalidation_forgets_versions() {
         let repo = Repository::new();
-        repo.insert("f", version(vec![], CodeQuality::Jit));
-        assert_eq!(repo.version_count("f"), 1);
-        repo.invalidate("f");
-        assert_eq!(repo.version_count("f"), 0);
+        repo.insert_ns(
+            "f",
+            DEFAULT_NS,
+            NO_SESSION,
+            version(vec![], CodeQuality::Jit),
+        );
+        assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 1);
+        repo.invalidate_ns("f", DEFAULT_NS);
+        assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 0);
     }
 
     #[test]
@@ -879,12 +767,18 @@ mod tests {
         // be dropped — old-source code outranking fresh tier-0 compiles
         // would silently change results.
         let repo = Repository::new();
-        assert_eq!(repo.generation("f"), 0);
-        let gen = repo.generation("f");
-        repo.invalidate("f"); // source changed mid-compile
-        assert_eq!(repo.generation("f"), 1);
-        assert!(!repo.insert_if_current("f", gen, version(vec![], CodeQuality::Optimized)));
-        assert_eq!(repo.version_count("f"), 0);
+        assert_eq!(repo.generation_ns("f", DEFAULT_NS), 0);
+        let gen = repo.generation_ns("f", DEFAULT_NS);
+        repo.invalidate_ns("f", DEFAULT_NS); // source changed mid-compile
+        assert_eq!(repo.generation_ns("f", DEFAULT_NS), 1);
+        assert!(!repo.insert_if_current_ns(
+            "f",
+            DEFAULT_NS,
+            gen,
+            NO_SESSION,
+            version(vec![], CodeQuality::Optimized)
+        ));
+        assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 0);
         assert_eq!(
             repo.stats().inserts,
             0,
@@ -892,24 +786,16 @@ mod tests {
         );
 
         // A publish whose generation is still current lands normally.
-        let gen = repo.generation("f");
-        assert!(repo.insert_if_current("f", gen, version(vec![], CodeQuality::Optimized)));
-        assert_eq!(repo.version_count("f"), 1);
+        let gen = repo.generation_ns("f", DEFAULT_NS);
+        assert!(repo.insert_if_current_ns(
+            "f",
+            DEFAULT_NS,
+            gen,
+            NO_SESSION,
+            version(vec![], CodeQuality::Optimized)
+        ));
+        assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 1);
         assert_eq!(repo.stats().inserts, 1);
-    }
-
-    #[test]
-    fn generations_survive_clear() {
-        // `clear` drops code but is not a source change: generations
-        // are monotonic so an in-flight publish for unchanged source
-        // stays valid, and one for redefined source stays invalid.
-        let repo = Repository::new();
-        repo.invalidate("f");
-        let stale = 0;
-        repo.clear();
-        assert_eq!(repo.generation("f"), 1);
-        assert!(!repo.insert_if_current("f", stale, version(vec![], CodeQuality::Jit)));
-        assert!(repo.insert_if_current("f", 1, version(vec![], CodeQuality::Jit)));
     }
 
     #[test]
@@ -917,13 +803,13 @@ mod tests {
         let repo = Repository::new();
         let mut v = version(vec![Type::scalar(Intrinsic::Int)], CodeQuality::Jit);
         v.output_types = vec![Type::scalar(Intrinsic::Real)];
-        repo.insert("f", v);
+        repo.insert_ns("f", DEFAULT_NS, NO_SESSION, v);
         let args = Signature::new(vec![Type::constant(1.0)]);
         assert_eq!(
-            repo.call_types("f", &args),
+            repo.call_types_ns("f", DEFAULT_NS, &args),
             Some(vec![Type::scalar(Intrinsic::Real)])
         );
-        assert_eq!(repo.call_types("g", &args), None);
+        assert_eq!(repo.call_types_ns("g", DEFAULT_NS, &args), None);
     }
 
     #[test]
@@ -933,8 +819,10 @@ mod tests {
             let repo = Arc::clone(&repo);
             std::thread::spawn(move || {
                 for _ in 0..100 {
-                    repo.insert(
+                    repo.insert_ns(
                         "t",
+                        DEFAULT_NS,
+                        NO_SESSION,
                         version(vec![Type::scalar(Intrinsic::Int)], CodeQuality::Jit),
                     );
                 }
@@ -942,18 +830,17 @@ mod tests {
         };
         let inv = Signature::new(vec![Type::constant(1.0)]);
         for _ in 0..100 {
-            let _ = repo.lookup("t", &inv);
+            let _ = repo.lookup_ns("t", DEFAULT_NS, NO_SESSION, &inv);
         }
         writer.join().unwrap();
-        assert_eq!(repo.version_count("t"), 100);
-        assert_eq!(repo.insert_count(), 100);
+        assert_eq!(repo.version_count_ns("t", DEFAULT_NS), 100);
+        assert_eq!(repo.stats().inserts, 100);
     }
 
     #[test]
     fn namespaces_isolate_dispatch() {
         // Two sessions, two definitions of `f` (namespaces 10 and 20):
-        // each session's lookup must only ever see its own namespace,
-        // while the namespace-less diagnostics see both.
+        // each session's lookup must only ever see its own namespace.
         let repo = Repository::new();
         let sig = vec![Type::scalar(Intrinsic::Real)];
         repo.insert_ns("f", 10, 1, version(sig.clone(), CodeQuality::Jit));
@@ -964,13 +851,9 @@ mod tests {
         let b = repo.lookup_ns("f", 20, 2, &inv).expect("ns 20 version");
         assert_eq!(b.quality, CodeQuality::Optimized);
         assert!(repo.lookup_ns("f", 30, 3, &inv).is_none(), "unknown ns hit");
-        assert_eq!(repo.version_count("f"), 2);
+        assert_eq!(repo.total_versions(), 2);
         assert_eq!(repo.version_count_ns("f", 10), 1);
-        // The namespace-less locator still finds the best across both.
-        assert_eq!(
-            repo.lookup("f", &inv).unwrap().quality,
-            CodeQuality::Optimized
-        );
+        assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 0);
     }
 
     #[test]
@@ -986,7 +869,7 @@ mod tests {
         repo.lookup_ns("f", 10, 2, &inv).unwrap();
         assert_eq!(repo.stats().shared_hits, 1);
         // Unattributed lookups never count.
-        repo.lookup("f", &inv).unwrap();
+        repo.lookup_ns("f", 10, NO_SESSION, &inv).unwrap();
         repo.lookup_ns("f", 10, NO_SESSION, &inv).unwrap();
         let s = repo.stats();
         assert_eq!(s.shared_hits, 1);
@@ -1032,10 +915,6 @@ mod tests {
         let entries = repo.entries_ns();
         let keys: Vec<(String, u64)> = entries.iter().map(|(n, ns, _)| (n.clone(), *ns)).collect();
         assert_eq!(keys, vec![("a".to_owned(), 7), ("a".to_owned(), 9)]);
-        // The merged view folds namespaces per name.
-        let merged = repo.entries();
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].0, "a");
-        assert_eq!(merged[0].1.len(), 2);
+        assert!(entries.iter().all(|(_, _, vs)| vs.len() == 1));
     }
 }

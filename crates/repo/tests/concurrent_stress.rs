@@ -3,7 +3,7 @@
 //! repository loses no versions, keeps locator statistics monotonically
 //! non-decreasing, and never hands a reader an unsafe version.
 
-use majic_repo::{CodeQuality, CompiledVersion, Repository};
+use majic_repo::{CodeQuality, CompiledVersion, Repository, DEFAULT_NS, NO_SESSION};
 use majic_types::{Intrinsic, Range, Signature, Type};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,8 +47,10 @@ fn readers_never_block_out_lost_inserts() {
                 for i in 0..INSERTS_PER_WRITER {
                     let k = (w * INSERTS_PER_WRITER + i) as f64;
                     let name = NAMES[i % NAMES.len()];
-                    repo.insert(
+                    repo.insert_ns(
                         name,
+                        DEFAULT_NS,
+                        NO_SESSION,
                         CompiledVersion {
                             signature: sig(k),
                             code: dummy_code(),
@@ -76,7 +78,9 @@ fn readers_never_block_out_lost_inserts() {
                 while !stop.load(Ordering::Relaxed) {
                     let k = ((r * 37 + i) % (WRITERS * INSERTS_PER_WRITER)) as f64;
                     let actuals = sig(k);
-                    if let Some(hit) = repo.lookup(NAMES[i % NAMES.len()], &actuals) {
+                    if let Some(hit) =
+                        repo.lookup_ns(NAMES[i % NAMES.len()], DEFAULT_NS, NO_SESSION, &actuals)
+                    {
                         assert!(
                             hit.signature.admits(&actuals),
                             "reader observed an unsafe hit"
@@ -102,7 +106,7 @@ fn readers_never_block_out_lost_inserts() {
     }
 
     // No lost versions: every insert is present.
-    assert_eq!(repo.insert_count(), (WRITERS * INSERTS_PER_WRITER) as u64);
+    assert_eq!(repo.stats().inserts, (WRITERS * INSERTS_PER_WRITER) as u64);
     assert_eq!(repo.total_versions(), WRITERS * INSERTS_PER_WRITER);
     // And every version is individually findable by its own signature.
     for w in 0..WRITERS {
@@ -110,7 +114,8 @@ fn readers_never_block_out_lost_inserts() {
             let k = (w * INSERTS_PER_WRITER + i) as f64;
             let name = NAMES[i % NAMES.len()];
             assert!(
-                repo.lookup(name, &sig(k)).is_some(),
+                repo.lookup_ns(name, DEFAULT_NS, NO_SESSION, &sig(k))
+                    .is_some(),
                 "version {k} of {name} was lost"
             );
         }

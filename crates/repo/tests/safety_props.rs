@@ -3,7 +3,7 @@
 //! per-parameter subtype condition `Qi ⊑ Ti`, and among safe candidates
 //! the locator must prefer minimal Manhattan distance.
 
-use majic_repo::{CodeQuality, CompiledVersion, Repository};
+use majic_repo::{CodeQuality, CompiledVersion, Repository, DEFAULT_NS, NO_SESSION};
 use majic_testkit::{forall, Rng};
 use majic_types::{Dim, Intrinsic, Shape, Signature, Type};
 use std::sync::Arc;
@@ -88,10 +88,15 @@ fn lookup_hit_implies_subtype_per_parameter() {
             } else {
                 arity
             };
-            repo.insert("f", version(arb_signature(rng, v_arity), CodeQuality::Jit));
+            repo.insert_ns(
+                "f",
+                DEFAULT_NS,
+                NO_SESSION,
+                version(arb_signature(rng, v_arity), CodeQuality::Jit),
+            );
         }
         let actuals = arb_signature(rng, arity);
-        if let Some(hit) = repo.lookup("f", &actuals) {
+        if let Some(hit) = repo.lookup_ns("f", DEFAULT_NS, NO_SESSION, &actuals) {
             assert_eq!(hit.signature.params().len(), actuals.params().len());
             for (q, t) in actuals.params().iter().zip(hit.signature.params()) {
                 assert!(
@@ -119,7 +124,7 @@ fn lookup_prefers_minimal_manhattan_distance() {
         for _ in 0..n_versions {
             let sig = arb_signature(rng, arity);
             versions.push(sig.clone());
-            repo.insert("f", version(sig, CodeQuality::Jit));
+            repo.insert_ns("f", DEFAULT_NS, NO_SESSION, version(sig, CodeQuality::Jit));
         }
         let actuals = arb_signature(rng, arity);
         let best_admitting = versions
@@ -127,7 +132,10 @@ fn lookup_prefers_minimal_manhattan_distance() {
             .filter(|s| s.admits(&actuals))
             .filter_map(|s| s.distance(&actuals))
             .min();
-        match (repo.lookup("f", &actuals), best_admitting) {
+        match (
+            repo.lookup_ns("f", DEFAULT_NS, NO_SESSION, &actuals),
+            best_admitting,
+        ) {
             (Some(hit), Some(best)) => {
                 assert_eq!(
                     hit.signature.distance(&actuals),
@@ -152,12 +160,27 @@ fn quality_tie_break_holds_under_random_signatures() {
         let repo = Repository::new();
         let arity = 1 + rng.below(3);
         let sig = arb_signature(rng, arity);
-        repo.insert("f", version(sig.clone(), CodeQuality::Jit));
-        repo.insert("f", version(sig.clone(), CodeQuality::Optimized));
-        repo.insert("f", version(sig.clone(), CodeQuality::Generic));
+        repo.insert_ns(
+            "f",
+            DEFAULT_NS,
+            NO_SESSION,
+            version(sig.clone(), CodeQuality::Jit),
+        );
+        repo.insert_ns(
+            "f",
+            DEFAULT_NS,
+            NO_SESSION,
+            version(sig.clone(), CodeQuality::Optimized),
+        );
+        repo.insert_ns(
+            "f",
+            DEFAULT_NS,
+            NO_SESSION,
+            version(sig.clone(), CodeQuality::Generic),
+        );
         // Invoke with the signature itself: it always admits itself
         // (subtyping is reflexive), distance 0 for all three.
-        if let Some(hit) = repo.lookup("f", &sig) {
+        if let Some(hit) = repo.lookup_ns("f", DEFAULT_NS, NO_SESSION, &sig) {
             assert_eq!(hit.quality, CodeQuality::Optimized);
         } else {
             // Bottom-typed parameters admit themselves too, so a miss
@@ -173,13 +196,21 @@ fn stats_count_every_lookup() {
     forall("repo/stats_accounting", 64, |rng| {
         let repo = Repository::new();
         for _ in 0..rng.below(4) {
-            repo.insert("f", version(arb_signature(rng, 1), CodeQuality::Jit));
+            repo.insert_ns(
+                "f",
+                DEFAULT_NS,
+                NO_SESSION,
+                version(arb_signature(rng, 1), CodeQuality::Jit),
+            );
         }
         let (mut hits, mut misses) = (0u64, 0u64);
         for _ in 0..20 {
             let arity = rng.below(2);
             let actuals = arb_signature(rng, arity);
-            if repo.lookup("f", &actuals).is_some() {
+            if repo
+                .lookup_ns("f", DEFAULT_NS, NO_SESSION, &actuals)
+                .is_some()
+            {
                 hits += 1;
             } else {
                 misses += 1;

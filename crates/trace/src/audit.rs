@@ -772,11 +772,26 @@ pub fn audit_json(snap: &AuditSnapshot) -> String {
 mod tests {
     use super::*;
 
+    /// The audit switch is process-global and the test harness runs
+    /// tests in parallel: a sibling turning recording on between
+    /// `set_enabled(false)` and `begin` would make the "must not run"
+    /// closures of `disabled_scope_records_nothing` panic. Every test
+    /// that flips the switch (or the service refcount, which also turns
+    /// recording on) holds this lock.
+    static SWITCH: Mutex<()> = Mutex::new(());
+
+    fn lock_switch() -> std::sync::MutexGuard<'static, ()> {
+        SWITCH
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Serialize a full lifecycle through the thread-local scratch and
     /// check the published record. Audit state is process-global, so the
     /// test uses unique function names instead of resetting.
     #[test]
     fn scope_lifecycle_publishes_record() {
+        let _switch = lock_switch();
         set_enabled(true);
         begin("audit_test_fn");
         widening(|| Widening {
@@ -825,6 +840,7 @@ mod tests {
 
     #[test]
     fn disabled_scope_records_nothing() {
+        let _switch = lock_switch();
         set_enabled(false);
         begin("audit_test_disabled");
         widening(|| panic!("closure must not run when disabled"));
@@ -841,6 +857,7 @@ mod tests {
 
     #[test]
     fn commit_without_scope_is_noop() {
+        let _switch = lock_switch();
         set_enabled(true);
         // A begin() skipped while disabled leaves no scope; the commit
         // closures must not be evaluated against a phantom record.
@@ -857,6 +874,7 @@ mod tests {
 
     #[test]
     fn session_events_filter_by_function_and_include_session_wide() {
+        let _switch = lock_switch();
         set_enabled(true);
         session_event("cache.reject.fingerprint", || {
             (String::new(), "built by majic-0.0.0".into())
@@ -879,6 +897,7 @@ mod tests {
 
     #[test]
     fn per_record_caps_count_truncation() {
+        let _switch = lock_switch();
         set_enabled(true);
         begin("audit_test_caps");
         for i in 0..(MAX_NOTES_PER_RECORD + 5) {
@@ -899,6 +918,7 @@ mod tests {
     fn service_refcount_saturates_at_zero() {
         // Nothing else in this test binary touches the service count,
         // so it starts at zero here.
+        let _switch = lock_switch();
         assert_eq!(ENABLED_SERVICES.load(Ordering::Relaxed), 0);
         release_service(); // stray release must not wrap to usize::MAX
         assert_eq!(ENABLED_SERVICES.load(Ordering::Relaxed), 0);
@@ -912,6 +932,7 @@ mod tests {
 
     #[test]
     fn session_attribution_renders_and_serializes() {
+        let _switch = lock_switch();
         set_enabled(true);
         begin("audit_test_session");
         session_id(7);
@@ -937,6 +958,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_structurally() {
+        let _switch = lock_switch();
         set_enabled(true);
         begin("audit_test_json");
         widening(|| Widening {

@@ -30,7 +30,9 @@ fn main() {
     println!("poly(2.5) = {}", out[0]);
     println!(
         "repository now holds {} versions of poly",
-        session.repository().version_count("poly")
+        session
+            .repository()
+            .version_count_ns("poly", session.namespace("poly"))
     );
 
     // Compare the interpreter against the JIT on a scalar loop.

@@ -20,7 +20,7 @@ fn main() {
     // interactive consumer `\explain` and `\stats` read from, and the
     // flight recorder is bounded + cheap enough to leave recording.
     let mut session = Majic::with_mode(ExecMode::Jit);
-    session.set_audit_enabled(true);
+    session.service().set_audit(true);
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     println!("MaJIC interactive session — .help for commands");

@@ -43,7 +43,7 @@ impl Drop for TempDir {
 
 fn jit() -> Majic {
     let m = Majic::with_mode(ExecMode::Jit);
-    m.set_audit_enabled(true);
+    m.service().set_audit(true);
     m
 }
 

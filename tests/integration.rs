@@ -193,10 +193,13 @@ fn repository_reuses_compiled_code() {
     let mut m = Majic::with_mode(ExecMode::Jit);
     m.load_source("function y = f(x)\ny = x + 1;\n").unwrap();
     m.call("f", &[Value::scalar(1.0)], 1).unwrap();
-    let after_first = m.repository().version_count("f");
+    let after_first = m.repository().version_count_ns("f", m.namespace("f"));
     // Same signature: the locator must hit.
     m.call("f", &[Value::scalar(1.0)], 1).unwrap();
-    assert_eq!(m.repository().version_count("f"), after_first);
+    assert_eq!(
+        m.repository().version_count_ns("f", m.namespace("f")),
+        after_first
+    );
     assert!(m.repository().stats().hits >= 1);
 }
 
@@ -215,7 +218,7 @@ fn repository_specializes_per_signature() {
         }
         other => panic!("expected complex, got {other:?}"),
     }
-    assert!(m.repository().version_count("g") >= 2);
+    assert!(m.repository().version_count_ns("g", m.namespace("g")) >= 2);
 }
 
 #[test]
@@ -226,9 +229,9 @@ fn signature_widening_caps_recursive_explosion() {
     m.load_source(src).unwrap();
     m.call("fib", &[Value::scalar(18.0)], 1).unwrap();
     assert!(
-        m.repository().version_count("fib") <= 4,
+        m.repository().version_count_ns("fib", m.namespace("fib")) <= 4,
         "widening must cap versions, got {}",
-        m.repository().version_count("fib")
+        m.repository().version_count_ns("fib", m.namespace("fib"))
     );
 }
 
@@ -242,7 +245,11 @@ fn spec_mode_falls_back_to_jit_on_bad_guess() {
     let mut m = Majic::with_mode(ExecMode::Spec);
     m.load_source(src).unwrap();
     m.speculate_all();
-    assert_eq!(m.repository().version_count("total"), 1);
+    assert_eq!(
+        m.repository()
+            .version_count_ns("total", m.namespace("total")),
+        1
+    );
     let out = m.call("total", &[Value::scalar(10.0)], 1).unwrap();
     assert_eq!(scalar(&out[0]), 55.0);
     // 1:n with a matrix n uses only the first element — exercised via
@@ -251,7 +258,11 @@ fn spec_mode_falls_back_to_jit_on_bad_guess() {
     let out = m.call("total", &[mat], 1).unwrap();
     assert_eq!(scalar(&out[0]), 10.0);
     // The miss must have JIT-compiled an extra version.
-    assert!(m.repository().version_count("total") >= 2);
+    assert!(
+        m.repository()
+            .version_count_ns("total", m.namespace("total"))
+            >= 2
+    );
 }
 
 #[test]
@@ -260,7 +271,7 @@ fn eval_defers_calls_to_the_repository() {
     m.load_source("function y = sq(x)\ny = x * x;\n").unwrap();
     m.eval("a = sq(7);").unwrap();
     assert_eq!(scalar(m.var("a").unwrap()), 49.0);
-    assert!(m.repository().version_count("sq") >= 1);
+    assert!(m.repository().version_count_ns("sq", m.namespace("sq")) >= 1);
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! Concurrent-session semantics of the shared [`CompilerService`]:
 //! cross-session code sharing, session-local redefinition, bitwise
 //! parity with solo sessions under interleaved call/redefine stress,
-//! the deprecated single-pool helpers' parity with the [`Background`]
-//! handle, and per-service audit enablement.
+//! per-namespace callee inference, and per-service audit enablement.
 
+use majic::diff::value_bits_eq;
 use majic::{CompilerService, Majic, Value};
+use majic_repo::NO_SESSION;
+use majic_types::{Intrinsic, Signature};
 use std::collections::HashMap;
 
 const SESSIONS: usize = 4;
@@ -152,39 +154,70 @@ fn redefinition_and_reuse_across_session_lifetimes() {
     );
 }
 
-/// The deprecated per-pool helpers must agree with the [`Background`]
-/// handle that replaces them — same pools, same numbers.
+/// Two sessions load the same caller `msinf_g` over different callees
+/// `msinf_h` (real in one, complex in the other). Callee output types
+/// reach inference through the repository oracle, scoped to the calling
+/// session's namespace, so each compiled `msinf_g` must carry the output
+/// type of its *own* `msinf_h` and compute what a solo session does.
 #[test]
-#[allow(deprecated)]
-fn deprecated_helpers_match_background_handle() {
-    let mut m = Majic::new();
-    m.load_source("function y = mspar_a(x)\ny = x * 3;\n")
-        .unwrap();
-    m.load_source("function y = mspar_b(x)\ny = x + 4;\n")
-        .unwrap();
-    m.speculate_background(1);
-    m.spec_wait(); // old wait…
-    m.background().wait(); // …and new wait; both must return with the queue drained
-
-    let old = m.spec_stats().expect("speculation pool is running");
-    let new = m.background().stats().spec.expect("same pool, new API");
-    assert_eq!(old.enqueued, new.enqueued);
-    assert_eq!(old.published, new.published);
-    assert_eq!(old.failed, new.failed);
-    assert_eq!(old.stale, new.stale);
-    assert_eq!(old.enqueued, 2, "both functions queued");
-
-    assert!(m.tier_stats().is_none(), "no promotion happened");
-    assert!(m.background().stats().tier.is_none());
-    assert!(m.finish_tiering().is_none());
-
-    let finished = m.finish_speculation().expect("pool was running");
-    assert_eq!(finished.enqueued, old.enqueued);
-    assert!(
-        m.background().stats().spec.is_none(),
-        "finish_speculation must tear down the same pool background().finish() would"
-    );
-    assert!(m.spec_stats().is_none());
+fn callee_inference_stays_in_the_session_namespace() {
+    const CALLER: &str = "function y = msinf_g(x)\ny = msinf_h(x) + 1;\n";
+    const H_REAL: &str = "function y = msinf_h(x)\ny = x * 2;\n";
+    const H_COMPLEX: &str = "function y = msinf_h(x)\ny = x + 2i;\n";
+    let args = [Value::scalar(1.5)];
+    let sig: Signature = args.iter().map(Value::type_of).collect();
+    let cases = [(H_REAL, Intrinsic::Real), (H_COMPLEX, Intrinsic::Complex)];
+    let solo: Vec<Value> = cases
+        .iter()
+        .map(|(callee, _)| {
+            let mut m = Majic::new();
+            m.options.inline = false;
+            m.load_source(callee).unwrap();
+            m.load_source(CALLER).unwrap();
+            m.call("msinf_g", &args, 1).unwrap().remove(0)
+        })
+        .collect();
+    // A leaking lookup would pick between the two sessions' equally
+    // close `msinf_h` versions by hash-map order; fresh services re-roll
+    // that order.
+    for _ in 0..6 {
+        let service = CompilerService::new();
+        let mut sessions: Vec<_> = cases
+            .iter()
+            .map(|(callee, _)| {
+                let mut s = service.session();
+                s.options.inline = false;
+                s.load_source(callee).unwrap();
+                s.load_source(CALLER).unwrap();
+                s
+            })
+            .collect();
+        // Compile both callees before either caller, so each caller's
+        // inference asks the oracle while both versions exist.
+        for s in &mut sessions {
+            s.call("msinf_h", &args, 1).unwrap();
+        }
+        for ((s, (_, intrinsic)), solo) in sessions.iter_mut().zip(cases).zip(&solo) {
+            let out = s.call("msinf_g", &args, 1).unwrap();
+            assert!(
+                value_bits_eq(&out[0], solo),
+                "{intrinsic:?} callee: {:?} != solo {solo:?}",
+                out[0]
+            );
+            let g = service
+                .repository()
+                .lookup_ns("msinf_g", s.namespace("msinf_g"), NO_SESSION, &sig)
+                .expect("compiled msinf_g in this session's namespace");
+            assert_eq!(
+                g.output_types[0].intrinsic, intrinsic,
+                "msinf_g inferred from another session's msinf_h"
+            );
+        }
+        assert_ne!(
+            sessions[0].namespace("msinf_g"),
+            sessions[1].namespace("msinf_g")
+        );
+    }
 }
 
 /// Audit enablement is per service: compilations of a service with

@@ -24,7 +24,7 @@ fn scalar(out: &[Value]) -> f64 {
 #[test]
 fn promotion_fires_at_threshold() {
     let mut m = Majic::with_mode(ExecMode::Jit);
-    m.set_audit_enabled(true);
+    m.service().set_audit(true);
     m.options.tier.threshold = 1;
     m.load_source(&loop_source("tier_hot")).unwrap();
 
