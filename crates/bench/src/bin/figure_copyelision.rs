@@ -23,16 +23,12 @@
 //!
 //! ```text
 //! cargo run --release -p majic-bench --bin figure_copyelision -- \
-//!     [--scale X] [--runs N] [--json PATH]
+//!     [--scale X] [--runs N]
 //! ```
-//!
-//! With `--json PATH` the numbers are also written as a JSON document
-//! (consumed by CI as a workflow artifact).
 
 use majic::{ExecMode, Majic, Value};
 use majic_bench::harness;
 use majic_runtime::Matrix;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 fn deep_copies() -> u64 {
@@ -102,24 +98,9 @@ fn measure(runs: usize, f: impl Fn() -> f64) -> (Duration, u64, f64) {
 
 type Kernel = fn(usize) -> f64;
 
-struct Row {
-    name: &'static str,
-    cow: Duration,
-    baseline: Duration,
-    speedup: f64,
-    cow_copies: u64,
-}
-
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let json_path: Option<PathBuf> = {
-        let argv: Vec<String> = std::env::args().collect();
-        argv.iter()
-            .position(|a| a == "--json")
-            .and_then(|i| argv.get(i + 1))
-            .map(PathBuf::from)
-    };
     let n = ((4096.0 * cfg.scale) as usize).max(256);
     let best_of = cfg.runs.max(1);
 
@@ -133,7 +114,7 @@ fn main() {
         ("update", update_cow, update_baseline),
         ("growth", growth_cow, growth_baseline),
     ];
-    let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for (name, cow, baseline) in kernels {
         let (t_cow, copies, r_cow) = measure(best_of, || cow(n));
         let (t_base, _, r_base) = measure(best_of, || baseline(n));
@@ -155,13 +136,7 @@ fn main() {
             speedup,
             copies
         );
-        rows.push(Row {
-            name,
-            cow: t_cow,
-            baseline: t_base,
-            speedup,
-            cow_copies: copies,
-        });
+        speedups.push(speedup);
     }
 
     // Engine-level: the same update loop, compiled and run end to end,
@@ -199,41 +174,10 @@ fn main() {
         jit_copies
     );
 
-    let update = &rows[0];
-    println!(
-        "update kernel speedup: {:.1} (target ≥ 2.0)",
-        update.speedup
-    );
+    let update = speedups[0];
+    println!("update kernel speedup: {update:.1} (target ≥ 2.0)");
     assert!(
-        update.speedup >= 2.0,
+        update >= 2.0,
         "update kernel must be at least 2x faster than the pre-CoW baseline"
     );
-
-    if let Some(path) = json_path {
-        let mut out = String::from("{\n");
-        out.push_str("  \"figure\": \"copyelision\",\n");
-        out.push_str(&format!("  \"n\": {n},\n"));
-        out.push_str(&format!("  \"best_of\": {best_of},\n"));
-        out.push_str("  \"kernels\": [\n");
-        for (k, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cow_ms\": {}, \"baseline_ms\": {}, \"speedup\": {}, \"cow_deep_copies\": {}}}{}\n",
-                r.name,
-                r.cow.as_secs_f64() * 1e3,
-                r.baseline.as_secs_f64() * 1e3,
-                r.speedup,
-                r.cow_copies,
-                if k + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"jit_update_loop\": {{\"ms\": {}, \"deep_copies\": {}}}\n",
-            jit_time.as_secs_f64() * 1e3,
-            jit_copies
-        ));
-        out.push_str("}\n");
-        std::fs::write(&path, out).expect("write json");
-        println!("wrote {}", path.display());
-    }
 }

@@ -17,27 +17,13 @@
 //!
 //! ```text
 //! cargo run --release -p majic-bench --bin figure_parallel -- \
-//!     [--scale X] [--runs N] [--threads N] [--target X] [--json PATH]
+//!     [--scale X] [--runs N] [--threads N] [--target X]
 //! ```
 
-use majic_bench::harness;
+use majic_bench::{digest, harness};
 use majic_runtime::ops::{self, Cmp};
 use majic_runtime::{par, Lcg, Matrix, Value};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-/// Exact bit-level digest of a value: every element, no rounding.
-fn digest(v: &Value) -> Vec<u64> {
-    match v {
-        Value::Real(m) => m.iter().map(|x| x.to_bits()).collect(),
-        Value::Bool(m) => m.iter().map(|&b| u64::from(b)).collect(),
-        Value::Complex(m) => m
-            .iter()
-            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
-            .collect(),
-        Value::Str(s) => s.bytes().map(u64::from).collect(),
-    }
-}
 
 /// A positive pseudorandom matrix (positive keeps `.^` on the real
 /// path) with a deterministic seed.
@@ -62,14 +48,6 @@ fn measure(runs: usize, f: &dyn Fn() -> Value) -> Duration {
     best
 }
 
-struct Row {
-    name: &'static str,
-    elementwise: bool,
-    seq: Duration,
-    par: Duration,
-    speedup: f64,
-}
-
 fn arg_after(argv: &[String], flag: &str) -> Option<String> {
     argv.iter()
         .position(|a| a == flag)
@@ -81,7 +59,6 @@ fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
     let argv: Vec<String> = std::env::args().collect();
-    let json_path: Option<PathBuf> = arg_after(&argv, "--json").map(PathBuf::from);
     let threads: usize = arg_after(&argv, "--threads")
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
@@ -94,7 +71,6 @@ fn main() {
     // a smaller square so its cubic flop count stays comparable.
     let rows = 1024;
     let cols = ((1024.0 * cfg.scale) as usize).max(64);
-    let n = rows * cols;
     let mdim = ((320.0 * cfg.scale.sqrt()) as usize).max(48);
 
     let a = random_matrix(rows, cols, 1);
@@ -154,7 +130,7 @@ fn main() {
         "op", "seq (ms)", "par (ms)", "speedup"
     );
 
-    let mut rows_out: Vec<Row> = Vec::new();
+    let mut elem_speedups = Vec::new();
     for (name, elementwise, f) in &ops {
         par::set_threads(0);
         let want = digest(&f());
@@ -182,27 +158,17 @@ fn main() {
             t_par.as_secs_f64() * 1e3,
             speedup
         );
-        rows_out.push(Row {
-            name,
-            elementwise: *elementwise,
-            seq: t_seq,
-            par: t_par,
-            speedup,
-        });
+        if *elementwise {
+            elem_speedups.push(speedup);
+        }
     }
 
-    let mut elem_speedups: Vec<f64> = rows_out
-        .iter()
-        .filter(|r| r.elementwise)
-        .map(|r| r.speedup)
-        .collect();
     elem_speedups.sort_by(f64::total_cmp);
     let median = elem_speedups[elem_speedups.len() / 2];
 
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let asserted = available >= threads;
     println!("\nmedian elementwise speedup: {median:.2} (target ≥ {target})");
-    if asserted {
+    if available >= threads {
         assert!(
             median >= target,
             "median elementwise speedup {median:.2} below the ≥ {target} target at {threads} threads"
@@ -212,34 +178,5 @@ fn main() {
             "note: host has {available} hardware thread(s) < {threads} requested; \
              determinism verified, speedup target not asserted"
         );
-    }
-
-    if let Some(path) = json_path {
-        let mut out = String::from("{\n");
-        out.push_str("  \"figure\": \"parallel\",\n");
-        out.push_str(&format!("  \"threads\": {threads},\n"));
-        out.push_str(&format!("  \"available_parallelism\": {available},\n"));
-        out.push_str(&format!("  \"numel\": {n},\n"));
-        out.push_str(&format!("  \"mul_dim\": {mdim},\n"));
-        out.push_str(&format!("  \"best_of\": {best_of},\n"));
-        out.push_str("  \"ops\": [\n");
-        for (k, r) in rows_out.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"elementwise\": {}, \"seq_ms\": {}, \"par_ms\": {}, \"speedup\": {}}}{}\n",
-                r.name,
-                r.elementwise,
-                r.seq.as_secs_f64() * 1e3,
-                r.par.as_secs_f64() * 1e3,
-                r.speedup,
-                if k + 1 < rows_out.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"median_elementwise_speedup\": {median},\n  \"target\": {target},\n  \"target_asserted\": {asserted}\n"
-        ));
-        out.push_str("}\n");
-        std::fs::write(&path, out).expect("write json");
-        println!("wrote {}", path.display());
     }
 }

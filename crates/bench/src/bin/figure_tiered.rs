@@ -26,18 +26,14 @@
 //!
 //! ```text
 //! cargo run --release -p majic-bench --bin figure_tiered -- \
-//!     [--scale X] [--runs N] [--platform mips|sparc] [--json PATH]
+//!     [--scale X] [--runs N] [--platform mips|sparc]
 //! ```
 //!
 //! The default platform is MIPS: the simulated SPARC backend disables
 //! loop-invariant code motion, which is part of what tier-1 buys.
-//!
-//! With `--json PATH` the per-benchmark numbers are also written as a
-//! JSON document (consumed by CI as a workflow artifact).
 
 use majic::{ExecMode, Majic, Platform, Value};
-use majic_bench::{all, harness, Benchmark, Category};
-use std::path::PathBuf;
+use majic_bench::{all, digest, harness, Benchmark, Category};
 use std::time::{Duration, Instant};
 
 /// Calls that warm the dispatch path but are not measured.
@@ -46,19 +42,6 @@ const WARMUP_CALLS: usize = 3;
 /// (§3.2's best-of-runs basis — the minimum is what the code can do,
 /// everything above it is scheduler noise).
 const MEASURED_CALLS: usize = 15;
-
-/// Exact bit-level digest of a value: every element, no rounding.
-fn digest(v: &Value) -> Vec<u64> {
-    match v {
-        Value::Real(m) => m.iter().map(|x| x.to_bits()).collect(),
-        Value::Bool(m) => m.iter().map(|&b| u64::from(b)).collect(),
-        Value::Complex(m) => m
-            .iter()
-            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
-            .collect(),
-        Value::Str(s) => s.bytes().map(u64::from).collect(),
-    }
-}
 
 /// One arm mid-measurement: a prepared session plus everything it has
 /// produced so far.
@@ -117,26 +100,12 @@ impl Arm {
     }
 }
 
-struct Row {
-    name: &'static str,
-    category: Category,
-    tier0: Duration,
-    tiered: Duration,
-    speedup: f64,
-}
-
 fn main() {
     let _trace = harness::trace_from_env();
     let mut cfg = harness::config_from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    if !argv.iter().any(|a| a == "--platform") {
+    if !std::env::args().any(|a| a == "--platform") {
         cfg.platform = Platform::Mips;
     }
-    let json_path: Option<PathBuf> = argv
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| argv.get(i + 1))
-        .map(PathBuf::from);
     // Steady state is execution-dominated; the default quarter scale
     // keeps the 16-benchmark sweep quick while each call is long enough
     // for the loops to dominate both dispatch and timer noise.
@@ -155,7 +124,7 @@ fn main() {
         "benchmark", "category", "tier-0 (ms)", "tiered (ms)", "speedup"
     );
 
-    let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for b in all() {
         let args = (b.args)(scale);
         let mut t0 = Arm::prepare(&b, &cfg, &args, false);
@@ -187,13 +156,7 @@ fn main() {
             t1.as_secs_f64() * 1e3,
             harness::fmt_speedup(speedup).trim(),
         );
-        rows.push(Row {
-            name: b.name,
-            category: b.category,
-            tier0: t0,
-            tiered: t1,
-            speedup,
-        });
+        speedups.push((b.category, speedup));
     }
 
     let median = |mut v: Vec<f64>| -> f64 {
@@ -201,36 +164,13 @@ fn main() {
         v[v.len() / 2]
     };
     let scalar = median(
-        rows.iter()
-            .filter(|r| r.category == Category::Scalar)
-            .map(|r| r.speedup)
+        speedups
+            .iter()
+            .filter(|(c, _)| *c == Category::Scalar)
+            .map(|&(_, s)| s)
             .collect(),
     );
-    let overall = median(rows.iter().map(|r| r.speedup).collect());
+    let overall = median(speedups.iter().map(|&(_, s)| s).collect());
     println!("\nmedian steady-state speedup, Scalar group: {scalar:.2} (target ≥ 1.15)");
     println!("median steady-state speedup, all 16:       {overall:.2}");
-
-    if let Some(path) = json_path {
-        let mut out = String::from("{\n");
-        out.push_str("  \"figure\": \"tiered\",\n");
-        out.push_str(&format!("  \"scale\": {scale},\n"));
-        out.push_str(&format!("  \"measured_calls\": {MEASURED_CALLS},\n"));
-        out.push_str(&format!("  \"median_speedup_scalar\": {scalar},\n"));
-        out.push_str(&format!("  \"median_speedup_all\": {overall},\n"));
-        out.push_str("  \"benchmarks\": [\n");
-        for (k, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"category\": \"{:?}\", \"tier0_ms\": {}, \"tiered_ms\": {}, \"speedup\": {}}}{}\n",
-                r.name,
-                r.category,
-                r.tier0.as_secs_f64() * 1e3,
-                r.tiered.as_secs_f64() * 1e3,
-                r.speedup,
-                if k + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write(&path, out).expect("write json");
-        println!("wrote {}", path.display());
-    }
 }

@@ -1,33 +1,38 @@
 //! Warm-start responsiveness: first-call latency of a session that
-//! reloads compiled code from the persistent repository cache vs. a
-//! cold session that must JIT from scratch.
+//! reloads compiled code from the persistent repository cache, or that
+//! shares code another session compiled, vs. a cold session that must
+//! JIT from scratch.
 //!
 //! For every benchmark we measure the latency from "session created" to
-//! "first call answered" twice:
+//! "first call answered" three times:
 //!
 //! * `cold` — an empty repository: the first call pays parse + inference
 //!   + code generation + execution (the JIT bars of Figure 6).
 //! * `warm` — a cache file populated by a previous session is attached
 //!   before the sources load: the first call dispatches through the
 //!   repository's signature check straight into deserialized code.
+//! * `shared` — on one [`majic::CompilerService`], a first session loads
+//!   and calls the benchmark outside the timed window; a second session
+//!   is timed. Sessions with matching source share compiled versions
+//!   through the repository's closure-hash namespaces, so its first call
+//!   dispatches straight into compiled code.
 //!
 //! The repository safety gates still apply on the warm path (build
-//! fingerprint, per-entry checksums, per-function source hashes), so a
-//! warm session can never compute anything different: results are
-//! asserted bitwise-identical. The acceptance target is warm ≤ 0.5×
-//! cold on the golden benchmark set.
+//! fingerprint, per-entry checksums, per-function source hashes), and
+//! the shared path only dispatches versions compiled from identical
+//! source, so neither can compute anything different: results are
+//! asserted bitwise-identical to cold. The acceptance targets are
+//! median warm ≤ 0.5× cold and median shared ≤ 0.5× cold (asserted) on
+//! the golden benchmark set.
 //!
 //! ```text
 //! cargo run --release -p majic-bench --bin figure_warmstart -- \
-//!     [--scale X] [--runs N] [--json PATH]
+//!     [--scale X] [--runs N]
 //! ```
-//!
-//! With `--json PATH` the per-benchmark numbers are also written as a
-//! JSON document (consumed by CI as a workflow artifact).
 
-use majic::{ExecMode, Majic, Value};
-use majic_bench::{all, harness, Benchmark};
-use std::path::{Path, PathBuf};
+use majic::{CompilerService, ExecMode, Majic, Value};
+use majic_bench::{all, digest, harness, Benchmark};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 fn session(cfg: &harness::MeasureConfig) -> Majic {
@@ -42,7 +47,7 @@ fn first_call(
     cfg: &harness::MeasureConfig,
     args: &[Value],
     cache: Option<&Path>,
-) -> (Duration, f64, usize) {
+) -> (Duration, Vec<u64>, usize) {
     let mut m = session(cfg);
     let t0 = Instant::now();
     if let Some(path) = cache {
@@ -54,36 +59,39 @@ fn first_call(
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
     let took = t0.elapsed();
     let installed = m.cache_report().installed;
-    let result = out
-        .first()
-        .and_then(|v| v.to_scalar().ok())
-        .unwrap_or(f64::NAN);
     // Don't let the drop-flush write back into the shared cache file
     // while other runs race it: detach by saving explicitly first.
     if cache.is_some() {
         m.save_cache().expect("cache flush");
     }
-    (took, result, installed)
+    (took, digest(&out[0]), installed)
 }
 
-struct Row {
-    name: &'static str,
-    cold: Duration,
-    warm: Duration,
-    ratio: f64,
-    identical: bool,
-    warm_installs: usize,
+/// One timed first call of a second session on a service where a first
+/// session already loaded and called the benchmark (off the clock).
+fn shared_first_call(
+    b: &Benchmark,
+    cfg: &harness::MeasureConfig,
+    args: &[Value],
+) -> (Duration, Vec<u64>) {
+    let service = CompilerService::with_options(cfg.engine_options(ExecMode::Jit));
+    let mut s = service.session();
+    s.load_source(b.source).expect("benchmark parses");
+    s.call(b.entry, args, 1)
+        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+    drop(s);
+    let mut s = service.session();
+    let t0 = Instant::now();
+    s.load_source(b.source).expect("benchmark parses");
+    let out = s
+        .call(b.entry, args, 1)
+        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+    (t0.elapsed(), digest(&out[0]))
 }
 
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let json_path: Option<PathBuf> = argv
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| argv.get(i + 1))
-        .map(PathBuf::from);
     // First-call latency is compile-dominated; a small problem size
     // isolates the compile-vs-load contrast. Override with --scale.
     let scale = cfg.scale.min(0.05);
@@ -92,13 +100,23 @@ fn main() {
     let cache_dir = std::env::temp_dir().join(format!("majic-warmstart-{}", std::process::id()));
     std::fs::create_dir_all(&cache_dir).expect("create cache dir");
 
-    println!("Figure W: first-call latency, warm cache vs. cold JIT (scale {scale:.2}, best of {best_of})");
     println!(
-        "{:<10} {:>12} {:>12} {:>10} {:>9}  results",
-        "benchmark", "cold (ms)", "warm (ms)", "warm/cold", "installs"
+        "Figure W: first-call latency, warm cache and shared service vs. cold JIT \
+         (scale {scale:.2}, best of {best_of})"
+    );
+    println!(
+        "{:<10} {:>10} {:>10} {:>10} {:>11} {:>12} {:>9}  results",
+        "benchmark",
+        "cold (ms)",
+        "warm (ms)",
+        "warm/cold",
+        "shared (ms)",
+        "shared/cold",
+        "installs"
     );
 
-    let mut rows = Vec::new();
+    let mut warm_ratios = Vec::new();
+    let mut shared_ratios = Vec::new();
     for b in all() {
         let args = (b.args)(scale);
         let cache = cache_dir.join(format!("{}.majiccache", b.name));
@@ -115,20 +133,27 @@ fn main() {
 
         let mut cold = Duration::MAX;
         let mut warm = Duration::MAX;
-        let mut r_cold = f64::NAN;
-        let mut r_warm = f64::NAN;
+        let mut shared = Duration::MAX;
+        let mut d_cold = Vec::new();
+        let mut d_warm = Vec::new();
+        let mut d_shared = Vec::new();
         let mut warm_installs = 0usize;
         for _ in 0..best_of {
-            let (t, r, _) = first_call(&b, &cfg, &args, None);
+            let (t, d, _) = first_call(&b, &cfg, &args, None);
             if t < cold {
                 cold = t;
-                r_cold = r;
+                d_cold = d;
             }
-            let (t, r, installs) = first_call(&b, &cfg, &args, Some(&cache));
+            let (t, d, installs) = first_call(&b, &cfg, &args, Some(&cache));
             if t < warm {
                 warm = t;
-                r_warm = r;
+                d_warm = d;
                 warm_installs = installs;
+            }
+            let (t, d) = shared_first_call(&b, &cfg, &args);
+            if t < shared {
+                shared = t;
+                d_shared = d;
             }
         }
 
@@ -137,60 +162,39 @@ fn main() {
             "{}: warm session installed nothing from the cache",
             b.name
         );
-        let identical = r_cold.to_bits() == r_warm.to_bits();
-        assert!(identical, "{}: warm/cold result mismatch", b.name);
-        let ratio = warm.as_secs_f64() / cold.as_secs_f64().max(1e-9);
+        assert_eq!(d_cold, d_warm, "{}: warm/cold result mismatch", b.name);
+        assert_eq!(
+            d_cold, d_shared,
+            "{}: shared session result differs from cold",
+            b.name
+        );
+        let ratio = |t: Duration| t.as_secs_f64() / cold.as_secs_f64().max(1e-9);
+        let (warm_ratio, shared_ratio) = (ratio(warm), ratio(shared));
         println!(
-            "{:<10} {:>12.3} {:>12.3} {:>10.2} {:>9}  {}",
+            "{:<10} {:>10.3} {:>10.3} {:>10.2} {:>11.3} {:>12.2} {:>9}  bitwise-identical",
             b.name,
             cold.as_secs_f64() * 1e3,
             warm.as_secs_f64() * 1e3,
-            ratio,
+            warm_ratio,
+            shared.as_secs_f64() * 1e3,
+            shared_ratio,
             warm_installs,
-            if identical {
-                "bitwise-identical"
-            } else {
-                "MISMATCH"
-            }
         );
-        rows.push(Row {
-            name: b.name,
-            cold,
-            warm,
-            ratio,
-            identical,
-            warm_installs,
-        });
+        warm_ratios.push(warm_ratio);
+        shared_ratios.push(shared_ratio);
     }
-
-    let mut ratios: Vec<f64> = rows.iter().map(|r| r.ratio).collect();
-    ratios.sort_by(f64::total_cmp);
-    let median = ratios[ratios.len() / 2];
-    println!("\nmedian warm / cold first-call latency: {median:.2} (target ≤ 0.50)");
-
-    if let Some(path) = json_path {
-        let mut out = String::from("{\n");
-        out.push_str("  \"figure\": \"warmstart\",\n");
-        out.push_str(&format!("  \"scale\": {scale},\n"));
-        out.push_str(&format!("  \"best_of\": {best_of},\n"));
-        out.push_str(&format!("  \"median_ratio\": {median},\n"));
-        out.push_str("  \"benchmarks\": [\n");
-        for (k, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cold_ms\": {}, \"warm_ms\": {}, \"ratio\": {}, \"identical\": {}, \"warm_installs\": {}}}{}\n",
-                r.name,
-                r.cold.as_secs_f64() * 1e3,
-                r.warm.as_secs_f64() * 1e3,
-                r.ratio,
-                r.identical,
-                r.warm_installs,
-                if k + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write(&path, out).expect("write json");
-        println!("wrote {}", path.display());
-    }
-
     let _ = std::fs::remove_dir_all(&cache_dir);
+
+    let median_of = |mut v: Vec<f64>| -> f64 {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let warm = median_of(warm_ratios);
+    println!("\nmedian warm / cold first-call latency:   {warm:.2} (target ≤ 0.50)");
+    let median = median_of(shared_ratios);
+    println!("median shared / cold first-call latency: {median:.2} (target ≤ 0.50)");
+    assert!(
+        median <= 0.5,
+        "warm sessions must at least halve first-call latency (median {median:.2})"
+    );
 }

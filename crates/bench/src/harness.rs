@@ -27,19 +27,6 @@ pub enum Mode {
     Spec,
 }
 
-impl Mode {
-    /// Column label used in the printed tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Mode::Interp => "interp",
-            Mode::Mcc => "mcc",
-            Mode::Falcon => "falcon",
-            Mode::Jit => "jit+gen",
-            Mode::Spec => "spec",
-        }
-    }
-}
-
 /// Harness configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MeasureConfig {
@@ -53,8 +40,6 @@ pub struct MeasureConfig {
     pub infer: majic::InferOptions,
     /// Register allocation mode.
     pub regalloc: RegAllocMode,
-    /// Array oversizing.
-    pub oversize: bool,
 }
 
 impl Default for MeasureConfig {
@@ -65,7 +50,6 @@ impl Default for MeasureConfig {
             platform: Platform::Sparc,
             infer: majic::InferOptions::default(),
             regalloc: RegAllocMode::LinearScan,
-            oversize: true,
         }
     }
 }
@@ -79,7 +63,6 @@ impl MeasureConfig {
             .platform(self.platform)
             .infer(self.infer)
             .regalloc(self.regalloc)
-            .oversize(self.oversize)
             .build()
     }
 }
@@ -91,8 +74,6 @@ pub struct Measurement {
     pub runtime: Duration,
     /// Phase breakdown of the *first* (compiling) run.
     pub phases: majic::PhaseTimes,
-    /// First output of the benchmark (for cross-mode validation).
-    pub result: Option<f64>,
 }
 
 fn session(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Majic {
@@ -113,7 +94,6 @@ pub fn measure(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Measuremen
     let args: Vec<Value> = (bench.args)(cfg.scale);
     let mut best: Option<Duration> = None;
     let mut first_phases = None;
-    let mut result = None;
     for run in 0..cfg.runs.max(1) {
         // A fresh session per run: the JIT bars must include compile
         // time on *every* measured run ("we started our experiments with
@@ -129,8 +109,7 @@ pub fn measure(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Measuremen
             m.reset_times();
         }
         m.reset_times();
-        let out = m
-            .call(bench.entry, &args, 1)
+        m.call(bench.entry, &args, 1)
             .unwrap_or_else(|e| panic!("{} [{mode:?}]: {e}", bench.name));
         let t = match mode {
             // JIT: compile + execute. Spec: execute + any fallback JIT.
@@ -143,14 +122,34 @@ pub fn measure(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Measuremen
         }
         if run == 0 {
             first_phases = Some(m.times);
-            result = out.first().and_then(|v| v.to_scalar().ok());
         }
     }
     Measurement {
         runtime: best.expect("at least one run"),
         phases: first_phases.expect("at least one run"),
-        result,
     }
+}
+
+/// Exact bit-level digest of a value: a class tag, the dimensions, then
+/// every element with no rounding. Two values digest equal only if they
+/// have the same class, the same shape and the same bits.
+pub fn digest(v: &Value) -> Vec<u64> {
+    let (rows, cols) = v.dims();
+    let (tag, elems): (u64, Vec<u64>) = match v {
+        Value::Real(m) => (0, m.iter().map(|x| x.to_bits()).collect()),
+        Value::Bool(m) => (1, m.iter().map(|&b| u64::from(b)).collect()),
+        Value::Complex(m) => (
+            2,
+            m.iter()
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect(),
+        ),
+        Value::Str(s) => (3, s.bytes().map(u64::from).collect()),
+    };
+    [tag, rows as u64, cols as u64]
+        .into_iter()
+        .chain(elems)
+        .collect()
 }
 
 /// Format a speedup the way the paper's log-scale plots read.

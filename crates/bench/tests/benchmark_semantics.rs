@@ -6,22 +6,9 @@
 //! full suite, with no floating-point tolerance to hide behind.
 
 use majic::{ExecMode, Majic, Value};
-use majic_bench::{all, line_count};
+use majic_bench::{all, digest, line_count};
 
 const SCALE: f64 = 0.05;
-
-/// Exact bit-level digest of a value: every element, no rounding.
-fn digest(v: &Value) -> Vec<u64> {
-    match v {
-        Value::Real(m) => m.iter().map(|x| x.to_bits()).collect(),
-        Value::Bool(m) => m.iter().map(|&b| u64::from(b)).collect(),
-        Value::Complex(m) => m
-            .iter()
-            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
-            .collect(),
-        Value::Str(s) => s.bytes().map(u64::from).collect(),
-    }
-}
 
 /// Run one benchmark; `spec_workers = Some(n)` uses background
 /// speculation with `n` workers (drained before the call so the

@@ -8,8 +8,8 @@
 //! matrices actually take the parallel path instead of ducking under
 //! the size gate.
 
-use majic::{ExecMode, Majic, Value};
-use majic_bench::all;
+use majic::{ExecMode, Majic};
+use majic_bench::{all, digest};
 use majic_runtime::par;
 use std::sync::Mutex;
 
@@ -18,19 +18,6 @@ const SCALE: f64 = 0.02;
 /// The kernel pool is process-global; tests that reconfigure it must
 /// not interleave.
 static CONFIG: Mutex<()> = Mutex::new(());
-
-/// Exact bit-level digest of a value: every element, no rounding.
-fn digest(v: &Value) -> Vec<u64> {
-    match v {
-        Value::Real(m) => m.iter().map(|x| x.to_bits()).collect(),
-        Value::Bool(m) => m.iter().map(|&b| u64::from(b)).collect(),
-        Value::Complex(m) => m
-            .iter()
-            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
-            .collect(),
-        Value::Str(s) => s.bytes().map(u64::from).collect(),
-    }
-}
 
 fn run_all(threads: usize) -> Vec<(&'static str, Vec<u64>)> {
     par::set_threads(threads);

@@ -5,23 +5,10 @@
 //! correctness") applied to the recompilation tier: promotion may only
 //! change how fast an answer arrives, never the answer.
 
-use majic::{ExecMode, Majic, Value};
-use majic_bench::all;
+use majic::{ExecMode, Majic};
+use majic_bench::{all, digest};
 
 const SCALE: f64 = 0.02;
-
-/// Exact bit-level digest of a value: every element, no rounding.
-fn digest(v: &Value) -> Vec<u64> {
-    match v {
-        Value::Real(m) => m.iter().map(|x| x.to_bits()).collect(),
-        Value::Bool(m) => m.iter().map(|&b| u64::from(b)).collect(),
-        Value::Complex(m) => m
-            .iter()
-            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
-            .collect(),
-        Value::Str(s) => s.bytes().map(u64::from).collect(),
-    }
-}
 
 #[test]
 fn all_benchmarks_bitwise_identical_across_tiers() {

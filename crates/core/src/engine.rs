@@ -636,7 +636,7 @@ impl EngineDispatcher<'_> {
 /// scoping the callee oracle to that session's namespaces.
 ///
 /// This is the single compile path shared by the foreground dispatcher
-/// (JIT-on-miss) and the background [`crate::SpecWorkerPool`] workers;
+/// (JIT-on-miss) and the background speculation and tier-1 workers;
 /// it only *reads* the registry and repository (the caller publishes
 /// the returned version), which is what makes it safe to run
 /// concurrently.

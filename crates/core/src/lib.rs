@@ -80,7 +80,7 @@ pub use engine::{
 pub use majic_repo::cache::{LoadReport, RepoCache};
 pub use majic_repo::{RepoStats, Tier};
 pub use service::{Background, BackgroundStats, CompilerService, Session};
-pub use spec::{SpecConfig, SpecStats, SpecWorkerPool};
+pub use spec::{SpecConfig, SpecStats};
 
 pub use majic_infer::InferOptions;
 pub use majic_runtime::{Matrix, RuntimeError, RuntimeResult, Value};

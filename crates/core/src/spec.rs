@@ -40,7 +40,7 @@
 
 use crate::engine::{compile_function, EngineOptions, PhaseTimes, Pipeline};
 use majic_ast::Function;
-use majic_repo::{Repository, NO_SESSION};
+use majic_repo::Repository;
 use majic_types::Signature;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -83,7 +83,7 @@ pub(crate) struct JobSpec {
     /// Namespace the result publishes into (the submitting session's
     /// closure hash for `name`).
     pub(crate) ns: u64,
-    /// Session the job is attributed to ([`NO_SESSION`] outside any).
+    /// Session the job is attributed to.
     pub(crate) session: u64,
     pub(crate) registry: Arc<HashMap<String, Function>>,
     pub(crate) known: Arc<HashSet<String>>,
@@ -164,7 +164,7 @@ struct PoolShared {
 
 /// A pool of background speculative-compilation workers.
 #[derive(Debug)]
-pub struct SpecWorkerPool {
+pub(crate) struct SpecWorkerPool {
     shared: Arc<PoolShared>,
     /// Joined by [`SpecWorkerPool::shutdown`]; behind a `Mutex` so a
     /// pool shared through `Arc` can still be shut down via `&self`.
@@ -200,64 +200,11 @@ impl SpecWorkerPool {
         }
     }
 
-    /// Number of worker threads the pool was started with.
-    pub fn workers(&self) -> usize {
-        self.worker_count
-    }
-
-    /// Queue `name` for speculative compilation against the given
-    /// registry snapshot, outside any session (results land in the
-    /// default namespace). Returns `false` (and records a rejection)
-    /// when the pool has no workers, the queue is full, or the pool is
-    /// shut down — speculation is best-effort and never blocks the
-    /// caller.
-    pub fn enqueue(
-        &self,
-        name: &str,
-        options: EngineOptions,
-        registry: Arc<HashMap<String, Function>>,
-        known: Arc<HashSet<String>>,
-    ) -> bool {
-        self.submit(JobSpec {
-            name: name.to_owned(),
-            sig: None,
-            ns: majic_repo::DEFAULT_NS,
-            session: NO_SESSION,
-            registry,
-            known,
-            hashes: Arc::new(HashMap::new()),
-            options,
-            audit: majic_trace::audit::process_enabled(),
-        })
-    }
-
-    /// Queue a hot-promotion (tier-1) recompile of `name` for the
-    /// observed signature, outside any session. Same best-effort
-    /// semantics as [`SpecWorkerPool::enqueue`].
-    pub fn enqueue_hot(
-        &self,
-        name: &str,
-        sig: Signature,
-        options: EngineOptions,
-        registry: Arc<HashMap<String, Function>>,
-        known: Arc<HashSet<String>>,
-    ) -> bool {
-        self.submit(JobSpec {
-            name: name.to_owned(),
-            sig: Some(sig),
-            ns: majic_repo::DEFAULT_NS,
-            session: NO_SESSION,
-            registry,
-            known,
-            hashes: Arc::new(HashMap::new()),
-            options,
-            audit: majic_trace::audit::process_enabled(),
-        })
-    }
-
-    /// Queue a fully-specified job. This is the session path: the
-    /// [`JobSpec`] carries the namespace, session id, and hash table of
-    /// the submitting session. Best-effort like [`SpecWorkerPool::enqueue`].
+    /// Queue a job. The [`JobSpec`] carries the namespace, session id,
+    /// and hash table of the submitting session. Returns `false` (and
+    /// records a rejection) when the pool has no workers, the queue is
+    /// full, or the pool is shut down — speculation is best-effort and
+    /// never blocks the caller.
     pub(crate) fn submit(&self, spec: JobSpec) -> bool {
         // Captured before the job is queued: the caller's registry
         // snapshot is current *now*, so a later invalidation (source
@@ -374,9 +321,7 @@ fn worker_loop(shared: &PoolShared) {
         // off must not pollute another service's flight recorder.
         if job.audit || majic_trace::audit::process_enabled() {
             majic_trace::audit::begin(&job.name);
-            if job.session != NO_SESSION {
-                majic_trace::audit::session_id(job.session);
-            }
+            majic_trace::audit::session_id(job.session);
         }
         let sp = majic_trace::Span::enter_with("spec.compile", || {
             vec![

@@ -7,17 +7,13 @@
 //! * [`Rng`] — a deterministic SplitMix64 generator,
 //! * [`forall`] — a seeded property-test runner with reproducible
 //!   per-case seeds,
-//! * [`mod@bench`] — a wall-clock micro-benchmark harness for
-//!   `harness = false` bench targets,
 //! * [`json`] — a minimal JSON parser for structural assertions
 //!   (Chrome trace exports and the like),
-//! * [`output`] — a routable `Write` sink the bench harness and
-//!   property runner report through, so tests can capture and assert
-//!   on their output,
+//! * [`output`] — a routable `Write` sink the property runner reports
+//!   through, so tests can capture and assert on its output,
 //! * [`fuzzgen`] — a grammar-based MATLAB program generator and
 //!   test-case shrinker for the differential fuzzer (`crates/fuzz`).
 
-pub mod bench;
 pub mod fuzzgen;
 pub mod json;
 pub mod output;

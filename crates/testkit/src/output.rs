@@ -1,10 +1,10 @@
-//! Routable output for the bench harness and property runner.
+//! Routable output for the property runner.
 //!
-//! The harness used to `println!`/`eprintln!` directly, which made its
-//! output impossible to capture and assert on in tests. All harness
-//! output now flows through a process-wide sink: by default lines still
-//! go to stdout/stderr, but [`set_sink`] (or the [`capture`]
-//! convenience) redirects everything to any `Write` implementor.
+//! A bare `println!`/`eprintln!` cannot be captured and asserted on in
+//! tests, so the runner's output flows through a process-wide sink: by
+//! default lines still go to stdout/stderr, but [`set_sink`] (or the
+//! [`capture`] convenience) redirects everything to any `Write`
+//! implementor.
 
 use std::fmt;
 use std::io::Write;
@@ -14,7 +14,7 @@ type Sink = Box<dyn Write + Send>;
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 
-/// Install `sink` as the destination for all harness output (both the
+/// Install `sink` as the destination for all runner output (both the
 /// stdout- and stderr-flavoured lines), returning the previous sink.
 /// `None` restores the stdout/stderr default.
 pub fn set_sink(sink: Option<Sink>) -> Option<Sink> {
@@ -30,7 +30,7 @@ fn write_line(args: fmt::Arguments<'_>, fallback_err: bool) {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     match guard.as_mut() {
         Some(sink) => {
-            // A broken sink must not panic the harness mid-bench.
+            // A broken sink must not panic the runner mid-report.
             let _ = writeln!(sink, "{args}");
         }
         None if fallback_err => eprintln!("{args}"),
@@ -38,7 +38,7 @@ fn write_line(args: fmt::Arguments<'_>, fallback_err: bool) {
     }
 }
 
-/// Write one stdout-flavoured line (report lines, bench results).
+/// Write one stdout-flavoured line (report lines).
 pub fn emit_line(args: fmt::Arguments<'_>) {
     write_line(args, false);
 }
@@ -48,7 +48,7 @@ pub fn emit_err_line(args: fmt::Arguments<'_>) {
     write_line(args, true);
 }
 
-/// `println!` through the harness sink.
+/// `println!` through the runner sink.
 #[macro_export]
 macro_rules! outln {
     ($($t:tt)*) => {
@@ -56,7 +56,7 @@ macro_rules! outln {
     };
 }
 
-/// `eprintln!` through the harness sink.
+/// `eprintln!` through the runner sink.
 #[macro_export]
 macro_rules! errln {
     ($($t:tt)*) => {
@@ -82,7 +82,7 @@ impl Write for SharedBuf {
     }
 }
 
-/// Run `f` with harness output captured, returning `f`'s result and
+/// Run `f` with runner output captured, returning `f`'s result and
 /// everything written through the sink while it ran. The previous sink
 /// is restored afterwards, even on panic.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, String) {
