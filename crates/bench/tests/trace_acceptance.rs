@@ -151,7 +151,7 @@ fn chrome_export_of_real_run_is_parseable() {
         .and_then(majic_testkit::json::Json::as_arr)
         .expect("traceEvents");
     assert!(events.len() > 4);
-    let report = m.trace_report();
+    let report = majic_trace::export::render_report(&snapshot());
     assert!(report.contains("compile"), "report:\n{report}");
     reset();
 }

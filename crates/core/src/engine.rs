@@ -1,12 +1,14 @@
 //! The MaJIC engine: execution options, the shared compile pipeline,
 //! the per-call dispatcher, and the single-session [`Majic`] facade.
 //!
-//! The process-wide machinery (repository, background pools, cache
+//! The process-wide machinery (repository, background pool, cache
 //! lifecycle) lives in [`crate::service`]; this module owns everything
 //! a compilation itself needs — [`EngineOptions`] and its builder, the
-//! [`compile_function`] pipeline shared by the foreground dispatcher
-//! and the background workers, and the [`EngineDispatcher`] compiled
-//! code calls back into.
+//! session context a compile reads ([`SessionCtx`]), the one
+//! compile-and-publish path every trigger takes
+//! ([`compile_and_publish`], shared by the foreground dispatcher,
+//! synchronous speculation and the background workers), and the
+//! [`EngineDispatcher`] compiled code calls back into.
 
 use crate::service::{CompilerService, Session};
 use majic_analysis::{disambiguate, inline_function, DisambiguatedFunction, InlineOptions};
@@ -60,7 +62,7 @@ pub enum Platform {
 ///
 /// Construct with [`EngineOptions::builder`] (or mutate the pub fields
 /// directly on an existing value).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineOptions {
     /// Execution mode.
     pub mode: ExecMode,
@@ -211,8 +213,9 @@ pub struct TierOptions {
     pub enabled: bool,
     /// Hotness score at which a tier-0 version is promoted.
     pub threshold: u64,
-    /// Background recompile worker threads (clamped to ≥ 1 when a
-    /// promotion actually starts the pool).
+    /// Worker threads of the background pool when a promotion starts it
+    /// (clamped to ≥ 1); a pool already running, e.g. one started by
+    /// [`Session::speculate_background`], is reused as it is.
     pub workers: usize,
 }
 
@@ -466,28 +469,45 @@ fn collect_expr(e: &majic_ast::Expr, known: &HashSet<String>, out: &mut Vec<Stri
     });
 }
 
-/// Which pipeline to run on a repository miss.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Pipeline {
-    Mcc,
-    Jit,
-    Opt,
+/// A compiling session's identity: the sources it loaded, the
+/// namespaces they hash to, its id, and how it compiles. The foreground
+/// [`EngineDispatcher`] borrows it; a background job holds an `Arc`
+/// snapshot taken when it was submitted, so its compile sees exactly the
+/// submitting session's view of every callee and publishes into that
+/// session's namespace.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SessionCtx {
+    pub(crate) registry: HashMap<String, Function>,
+    pub(crate) known: HashSet<String>,
+    /// `function name → closure hash` = the session's repository
+    /// namespace for the function.
+    pub(crate) hashes: HashMap<String, u64>,
+    /// 1-based session id; attributed on audit records and repository
+    /// inserts (`0` is reserved for out-of-session work).
+    pub(crate) session: u64,
+    pub(crate) options: EngineOptions,
+    /// Whether the session's compilations open an audit record.
+    pub(crate) audit: bool,
+}
+
+impl SessionCtx {
+    /// The session's namespace for `name`, or [`majic_repo::DEFAULT_NS`]
+    /// for a name it never loaded.
+    pub(crate) fn ns(&self, name: &str) -> u64 {
+        self.hashes
+            .get(name)
+            .copied()
+            .unwrap_or(majic_repo::DEFAULT_NS)
+    }
 }
 
 /// Split-borrow helper: the dispatcher compiled code calls back into.
-/// One is built per top-level [`Session::call`] and carries the
-/// session's identity (namespace hashes, session id, audit flag) so
-/// every repository interaction stays inside the session's namespaces.
+/// One is built per top-level [`Session::call`] and borrows the
+/// session's [`SessionCtx`], so every repository interaction stays
+/// inside the session's namespaces.
 pub(crate) struct EngineDispatcher<'a> {
-    pub(crate) registry: &'a HashMap<String, Function>,
-    pub(crate) known: &'a HashSet<String>,
+    pub(crate) ctx: &'a SessionCtx,
     pub(crate) repo: &'a Repository,
-    /// The session's closure-hash table: `name → namespace key`.
-    pub(crate) hashes: &'a HashMap<String, u64>,
-    pub(crate) session: u64,
-    /// Whether this session's service wants compilations audited.
-    pub(crate) audit: bool,
-    pub(crate) options: &'a EngineOptions,
     pub(crate) times: &'a mut PhaseTimes,
     pub(crate) next_node_id: &'a mut u32,
     pub(crate) depth: usize,
@@ -497,8 +517,8 @@ pub(crate) struct EngineDispatcher<'a> {
     /// runs).
     pub(crate) noted: HashSet<(String, String)>,
     /// Versions that crossed the hotness threshold during this
-    /// dispatch; the session drains them into the tier pool after the
-    /// top-level call returns.
+    /// dispatch; the session drains them into the background pool after
+    /// the top-level call returns.
     pub(crate) hot: Vec<(String, Signature)>,
 }
 
@@ -520,13 +540,6 @@ impl CalleeOracle for RepoOracle<'_> {
 }
 
 impl EngineDispatcher<'_> {
-    fn ns(&self, name: &str) -> u64 {
-        self.hashes
-            .get(name)
-            .copied()
-            .unwrap_or(majic_repo::DEFAULT_NS)
-    }
-
     /// Queue `name`'s version for tier-1 promotion if it is hot tier-0
     /// JIT code whose hotness crossed the threshold. Called right after
     /// an execution, when the counters are fresh. Dedup here is local
@@ -534,7 +547,7 @@ impl EngineDispatcher<'_> {
     /// version thousands of times); the session checks the service-wide
     /// promotion set when it drains `hot`.
     pub(crate) fn note_hot(&mut self, name: &str, v: &CompiledVersion) {
-        let tier = &self.options.tier;
+        let tier = &self.ctx.options.tier;
         if !tier.enabled
             || v.tier != Tier::T0
             || v.quality != CodeQuality::Jit
@@ -556,8 +569,8 @@ impl EngineDispatcher<'_> {
         name: &str,
         sig: &Signature,
     ) -> Result<Arc<CompiledVersion>, RuntimeError> {
-        let ns = self.ns(name);
-        if let Some(v) = self.repo.lookup_ns(name, ns, self.session, sig) {
+        let ns = self.ctx.ns(name);
+        if let Some(v) = self.repo.lookup_ns(name, ns, self.ctx.session, sig) {
             return Ok(v);
         }
         // Anti-explosion widening: recursive calls produce a fresh
@@ -575,85 +588,166 @@ impl EngineDispatcher<'_> {
         } else {
             sig.clone()
         };
-        let pipeline = match self.options.mode {
-            ExecMode::Mcc => Pipeline::Mcc,
-            ExecMode::Jit | ExecMode::Spec => Pipeline::Jit,
-            ExecMode::Falcon => Pipeline::Opt,
-            ExecMode::Interpret => Pipeline::Jit,
-        };
         // `compile_function` already speaks `RuntimeError` (codegen
         // failures arrive as `Raised("cannot compile: …")`); wrapping
         // again would collapse e.g. `Undefined` into `Raised` and make
         // compiled modes disagree with the interpreter about the error
         // class of `r = v` with `v` never assigned.
-        if self.audit {
-            majic_trace::audit::begin(name);
-            majic_trace::audit::session_id(self.session);
-        }
-        let t0 = Instant::now();
-        let result = compile_function(
-            self.registry,
-            self.known,
+        compile_and_publish(
+            self.ctx,
             self.repo,
-            self.hashes,
-            self.options,
             name,
             Some(&sig),
-            pipeline,
+            Trigger::Miss { widened },
             self.next_node_id,
             self.times,
-        );
-        let trigger = if widened {
-            // The widened version replaces per-signature compiles that
-            // were threatening to explode — worth calling out.
-            "recompile_widened"
-        } else {
-            "first_call"
-        };
-        majic_trace::audit::commit(
-            || sig.to_string(),
-            trigger,
-            || match &result {
-                Ok(v) => format!("published ({})", quality_name(v.quality)),
-                Err(e) => format!("failed: {e}"),
-            },
-            None,
-            t0.elapsed().as_nanos() as u64,
-        );
-        let version = result?;
-        self.repo.insert_ns(name, ns, self.session, version);
+        )?;
         let v = self
             .repo
-            .lookup_ns(name, ns, self.session, &sig)
+            .lookup_ns(name, ns, self.ctx.session, &sig)
             .expect("freshly inserted version admits its own signature");
         Ok(v)
     }
 }
 
-/// Run one compilation pipeline for `name`. `sig = None` selects
-/// speculative inference (the signature is guessed). `hashes` is the
-/// requesting session's closure-hash table (empty outside any session),
-/// scoping the callee oracle to that session's namespaces.
+/// Why a compilation runs. The trigger decides the pipeline, the audit
+/// record's `trigger` string and how the result publishes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Trigger {
+    /// A repository miss, compiled in the session's mode: the first call
+    /// for a signature, or the range-widened recompile that replaces
+    /// per-signature versions threatening to explode.
+    Miss { widened: bool },
+    /// [`Session::speculate_all`].
+    SpecSync,
+    /// A background job: speculative (`sig = None`) or hot promotion.
+    /// It publishes only if `(name, namespace)`'s invalidation generation
+    /// is still `generation`, as captured at submit time — the source may
+    /// have been redefined while the job waited or compiled.
+    Job {
+        generation: u64,
+        queue_wait: Duration,
+    },
+}
+
+impl Trigger {
+    fn name(self, speculative: bool) -> &'static str {
+        match self {
+            Trigger::Miss { widened: false } => "first_call",
+            Trigger::Miss { widened: true } => "recompile_widened",
+            Trigger::SpecSync => "spec_sync",
+            Trigger::Job { .. } if speculative => "spec_worker",
+            Trigger::Job { .. } => "recompile_hot",
+        }
+    }
+}
+
+/// Compile `name` for `sig` (`None`: speculative), record the
+/// compilation in the audit log when the session asks for it, and
+/// publish the version into the session's namespace. This is the one
+/// path into the repository for every compile trigger. Returns whether
+/// the version was published (a background job's version is dropped
+/// when its source went stale).
 ///
-/// This is the single compile path shared by the foreground dispatcher
-/// (JIT-on-miss) and the background speculation and tier-1 workers;
-/// it only *reads* the registry and repository (the caller publishes
-/// the returned version), which is what makes it safe to run
-/// concurrently.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compile_function(
-    registry: &HashMap<String, Function>,
-    known: &HashSet<String>,
+/// # Errors
+///
+/// Returns the compile error; nothing is published.
+pub(crate) fn compile_and_publish(
+    ctx: &SessionCtx,
     repo: &Repository,
-    hashes: &HashMap<String, u64>,
-    options: &EngineOptions,
     name: &str,
     sig: Option<&Signature>,
-    pipeline: Pipeline,
+    trigger: Trigger,
+    next_node_id: &mut u32,
+    times: &mut PhaseTimes,
+) -> Result<bool, RuntimeError> {
+    let quality = match (trigger, ctx.options.mode) {
+        (Trigger::SpecSync | Trigger::Job { .. }, _) => CodeQuality::Optimized,
+        (Trigger::Miss { .. }, ExecMode::Mcc) => CodeQuality::Generic,
+        (Trigger::Miss { .. }, ExecMode::Falcon) => CodeQuality::Optimized,
+        (Trigger::Miss { .. }, ExecMode::Jit | ExecMode::Spec | ExecMode::Interpret) => {
+            CodeQuality::Jit
+        }
+    };
+    // The audit scope opens only if the session wanted it (or the
+    // process-wide switch is on): a service with auditing off must not
+    // pollute another service's flight recorder.
+    if ctx.audit {
+        majic_trace::audit::begin(name);
+        majic_trace::audit::session_id(ctx.session);
+    }
+    let t0 = Instant::now();
+    let result = compile_function(ctx, repo, name, sig, quality, next_node_id, times);
+    let compile_ns = t0.elapsed().as_nanos() as u64;
+    let queue_wait_ns = match trigger {
+        Trigger::Job { queue_wait, .. } => Some(queue_wait.as_nanos() as u64),
+        _ => None,
+    };
+    let trigger_name = trigger.name(sig.is_none());
+    match result {
+        Ok(version) => {
+            let quality = version.quality;
+            // The version moves into the repository below; render its
+            // signature first, and only when a record is open.
+            let signature = ctx.audit.then(|| version.signature.to_string());
+            let ns = ctx.ns(name);
+            let published = match trigger {
+                Trigger::Job { generation, .. } => {
+                    repo.insert_if_current_ns(name, ns, generation, ctx.session, version)
+                }
+                _ => {
+                    repo.insert_ns(name, ns, ctx.session, version);
+                    true
+                }
+            };
+            majic_trace::audit::commit(
+                || signature.unwrap_or_default(),
+                trigger_name,
+                || {
+                    if published {
+                        format!("published ({})", quality_name(quality))
+                    } else {
+                        "dropped: source redefined while compiling".to_owned()
+                    }
+                },
+                queue_wait_ns,
+                compile_ns,
+            );
+            Ok(published)
+        }
+        Err(e) => {
+            majic_trace::audit::commit(
+                || sig.map_or_else(|| "(speculative)".to_owned(), ToString::to_string),
+                trigger_name,
+                || format!("failed: {e}"),
+                queue_wait_ns,
+                compile_ns,
+            );
+            Err(e)
+        }
+    }
+}
+
+/// Run one compilation pipeline for `name`, producing code of `quality`.
+/// `sig = None` selects speculative inference (the signature is
+/// guessed). The callee oracle reads the repository through `ctx`'s
+/// namespaces.
+///
+/// It only *reads* the registry and repository ([`compile_and_publish`]
+/// publishes the returned version), which is what makes it safe to run
+/// concurrently on the background workers.
+pub(crate) fn compile_function(
+    ctx: &SessionCtx,
+    repo: &Repository,
+    name: &str,
+    sig: Option<&Signature>,
+    quality: CodeQuality,
     next_node_id: &mut u32,
     times: &mut PhaseTimes,
 ) -> Result<CompiledVersion, RuntimeError> {
-    let f = registry
+    let options = &ctx.options;
+    let f = ctx
+        .registry
         .get(name)
         .ok_or_else(|| RuntimeError::Undefined(name.to_owned()))?;
     // Every phase below is bracketed by a trace span whose `exit()`
@@ -662,7 +756,7 @@ pub(crate) fn compile_function(
     let sp_compile = majic_trace::Span::enter_with("compile", || {
         vec![
             ("fn", name.to_owned()),
-            ("pipeline", format!("{pipeline:?}").to_lowercase()),
+            ("pipeline", quality_name(quality).to_owned()),
             ("speculative", sig.is_none().to_string()),
         ]
     });
@@ -670,43 +764,40 @@ pub(crate) fn compile_function(
     // Phase 1: (inlining +) disambiguation.
     let sp = majic_trace::Span::enter("disambiguation");
     let inlined;
-    let to_analyze = if options.inline && pipeline != Pipeline::Mcc {
-        inlined = inline_function(f, registry, InlineOptions::default(), next_node_id);
+    let to_analyze = if options.inline && quality != CodeQuality::Generic {
+        inlined = inline_function(f, &ctx.registry, InlineOptions::default(), next_node_id);
         &inlined
     } else {
         f
     };
-    let d: DisambiguatedFunction = disambiguate(to_analyze, known);
+    let d: DisambiguatedFunction = disambiguate(to_analyze, &ctx.known);
     times.disambiguation += sp.exit();
 
     // Phase 2: type inference.
     let sp = majic_trace::Span::enter("inference");
-    let (signature, ann): (Signature, Annotations) = match (pipeline, sig) {
-        (Pipeline::Mcc, s) => (s.cloned().unwrap_or_default(), Annotations::default()),
-        (_, Some(s)) => {
-            let oracle = RepoOracle { repo, hashes };
-            let ann = infer_jit(&d, s, options.infer, &oracle);
-            (s.clone(), ann)
-        }
-        (_, None) => {
-            let oracle = RepoOracle { repo, hashes };
-            infer_speculative(&d, options.infer, &oracle)
-        }
+    let oracle = RepoOracle {
+        repo,
+        hashes: &ctx.hashes,
+    };
+    let (signature, ann): (Signature, Annotations) = match (quality, sig) {
+        (CodeQuality::Generic, s) => (s.cloned().unwrap_or_default(), Annotations::default()),
+        (_, Some(s)) => (s.clone(), infer_jit(&d, s, options.infer, &oracle)),
+        (_, None) => infer_speculative(&d, options.infer, &oracle),
     };
     times.inference += sp.exit();
 
     // Phase 3: code generation.
     let sp = majic_trace::Span::enter("codegen");
-    let mut cg = match pipeline {
-        Pipeline::Mcc => CodegenOptions::mcc(),
-        Pipeline::Jit => CodegenOptions::jit(),
-        Pipeline::Opt => CodegenOptions::optimizing(),
+    let mut cg = match quality {
+        CodeQuality::Generic => CodegenOptions::mcc(),
+        CodeQuality::Jit => CodegenOptions::jit(),
+        CodeQuality::Optimized => CodegenOptions::optimizing(),
     };
     cg.regalloc = options.regalloc;
-    if pipeline != Pipeline::Mcc {
+    if quality != CodeQuality::Generic {
         cg.oversize = options.oversize;
     }
-    if pipeline == Pipeline::Opt && options.platform == Platform::Sparc {
+    if quality == CodeQuality::Optimized && options.platform == Platform::Sparc {
         // The SPARC native compiler "generates relatively poor code".
         cg.passes = PassOptions {
             licm: false,
@@ -716,14 +807,9 @@ pub(crate) fn compile_function(
     let exe = compile_executable(&d, &ann, &cg).map_err(|e| RuntimeError::Raised(e.to_string()))?;
     times.codegen += sp.exit();
 
-    let quality = match pipeline {
-        Pipeline::Mcc => CodeQuality::Generic,
-        Pipeline::Jit => CodeQuality::Jit,
-        Pipeline::Opt => CodeQuality::Optimized,
-    };
     // The optimizing backend is the tier-1 product; everything else
     // (generic and fast-JIT code) sits at tier 0 and is promotion bait.
-    let tier = if pipeline == Pipeline::Opt {
+    let tier = if quality == CodeQuality::Optimized {
         Tier::T1
     } else {
         Tier::T0
@@ -741,6 +827,24 @@ pub(crate) fn compile_function(
         output_types: outputs,
         compile_time: sp_compile.exit(),
     })
+}
+
+/// The shared tail of a compiled call: keep at most `nargout` outputs
+/// (at least one), and fail when fewer than `nargout` came back.
+pub(crate) fn take_outputs(
+    name: &str,
+    outs: RuntimeResult<Vec<Value>>,
+    nargout: usize,
+) -> RuntimeResult<Vec<Value>> {
+    let mut outs = outs?;
+    outs.truncate(nargout.max(1));
+    if outs.len() < nargout {
+        return Err(RuntimeError::BadArity {
+            name: name.to_owned(),
+            detail: format!("{nargout} outputs requested"),
+        });
+    }
+    Ok(outs)
 }
 
 impl Dispatcher for EngineDispatcher<'_> {
@@ -763,14 +867,6 @@ impl Dispatcher for EngineDispatcher<'_> {
         let r = execute(&version.code, args, nargout, self, ctx);
         self.depth -= 1;
         self.note_hot(name, &version);
-        let mut outs = r?;
-        outs.truncate(nargout.max(1));
-        if outs.len() < nargout {
-            return Err(RuntimeError::BadArity {
-                name: name.to_owned(),
-                detail: format!("{nargout} outputs requested"),
-            });
-        }
-        Ok(outs)
+        take_outputs(name, r, nargout)
     }
 }

@@ -1,60 +1,25 @@
-//! One place for every `MAJIC_*` environment variable.
+//! The `MAJIC_*` environment variables and where each is parsed.
 //!
-//! The engine is configured by five process-level variables, each of
-//! which used to be parsed by the subsystem that consumed it. This
-//! module is the single catalogue: each variable has one parser with
-//! one grammar (delegating to the owning crate where the grammar
-//! already lives, so there is exactly one implementation), plus a
-//! [`EnvSettings::from_process`] snapshot that reads them all at once.
+//! Each variable has one parser with one grammar, owned by the
+//! subsystem that acts on it. The kernel pool and the allocation guard
+//! read theirs lazily, once per process; tracing and auditing read
+//! theirs in [`majic_trace::init_from_env`]; `MAJIC_TIER` is read each
+//! time [`crate::CompilerService::new`] builds a service.
 //!
-//! | Variable         | Meaning                                   | Parser                  |
-//! |------------------|-------------------------------------------|-------------------------|
-//! | `MAJIC_THREADS`  | data-parallel kernel threads              | [`parse_threads`]       |
-//! | `MAJIC_MAX_NUMEL`| allocation guard (elements per matrix)    | [`parse_max_numel`]     |
-//! | `MAJIC_TRACE`    | tracing mode (`report`/`chrome:…`/…)      | [`parse_trace`]         |
-//! | `MAJIC_EXPLAIN`  | audit/explain mode (`report`/`json:…`)    | [`parse_explain`]       |
-//! | `MAJIC_TIER`     | tier promotion (`off`/`on`/threshold)     | [`tier_options_from_env`] |
+//! | Variable         | Meaning                                   | Parser                                  |
+//! |------------------|-------------------------------------------|-----------------------------------------|
+//! | `MAJIC_THREADS`  | data-parallel kernel threads              | [`majic_runtime::par::parse_threads`]   |
+//! | `MAJIC_MAX_NUMEL`| allocation guard (elements per matrix)    | [`majic_runtime::parse_numel_limit`]    |
+//! | `MAJIC_TRACE`    | tracing mode (`report`/`chrome:…`/…)      | [`majic_trace::TraceMode::parse`]       |
+//! | `MAJIC_EXPLAIN`  | audit/explain mode (`report`/`json:…`)    | [`majic_trace::ExplainMode::parse`]     |
+//! | `MAJIC_TIER`     | tier promotion (`off`/`on`/threshold)     | [`tier_options_from_env`]               |
 //!
 //! Misconfiguration never breaks a session: every parser falls back to
 //! its default on garbage, and each unrecognized value is warned about
 //! at most once per process.
 
 use crate::engine::TierOptions;
-use majic_trace::{ExplainMode, TraceMode, TraceRequest};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Parse a `MAJIC_THREADS` value: a non-negative integer thread count
-/// (clamped by the runtime to its pool maximum). `None` on garbage.
-///
-/// Delegates to [`majic_runtime::par::parse_threads`] — the exact
-/// grammar the kernel pool itself applies lazily.
-pub fn parse_threads(value: &str) -> Option<usize> {
-    majic_runtime::par::parse_threads(value)
-}
-
-/// Parse a `MAJIC_MAX_NUMEL` value: a positive element-count limit for
-/// any single matrix allocation. `None` on garbage.
-///
-/// Delegates to [`majic_runtime::parse_numel_limit`] — the exact
-/// grammar the allocation guard itself applies lazily.
-pub fn parse_max_numel(value: &str) -> Option<usize> {
-    majic_runtime::parse_numel_limit(value)
-}
-
-/// Parse a `MAJIC_TRACE` value into a trace request (mode plus whether
-/// per-instruction VM profiling was asked for via a `,vm` suffix).
-/// Unknown values warn (inside the trace crate) and fall back to
-/// [`TraceMode::Off`].
-pub fn parse_trace(value: &str) -> TraceRequest {
-    TraceMode::parse(value)
-}
-
-/// Parse a `MAJIC_EXPLAIN` value into an explain mode. Unknown values
-/// warn (inside the trace crate) and fall back to [`ExplainMode::Off`].
-pub fn parse_explain(value: &str) -> ExplainMode {
-    ExplainMode::parse(value)
-}
 
 /// Apply a `MAJIC_TIER` environment value on top of `base`:
 /// `off`/`0`/`false`/`no` disables promotion, `on`/`true`/`yes`
@@ -93,110 +58,15 @@ pub fn tier_options_from_env(value: Option<&str>, base: TierOptions) -> TierOpti
     }
 }
 
-/// A snapshot of every `MAJIC_*` variable, parsed.
-#[derive(Clone, Debug)]
-pub struct EnvSettings {
-    /// `MAJIC_THREADS`, when set and parseable.
-    pub threads: Option<usize>,
-    /// `MAJIC_MAX_NUMEL`, when set and parseable.
-    pub max_numel: Option<usize>,
-    /// `MAJIC_TRACE` (off when unset).
-    pub trace: TraceRequest,
-    /// `MAJIC_EXPLAIN` (off when unset).
-    pub explain: ExplainMode,
-    /// Session tier defaults after applying `MAJIC_TIER`.
-    pub tier: TierOptions,
-}
-
-impl EnvSettings {
-    /// Read and parse all five variables, once per process (the
-    /// snapshot is cached; later environment mutations are not
-    /// observed, matching the one-shot semantics of every consumer).
-    pub fn from_process() -> &'static EnvSettings {
-        static SETTINGS: OnceLock<EnvSettings> = OnceLock::new();
-        SETTINGS.get_or_init(|| {
-            let var = |k: &str| std::env::var(k).ok();
-            EnvSettings {
-                threads: var("MAJIC_THREADS").and_then(|v| parse_threads(&v)),
-                max_numel: var("MAJIC_MAX_NUMEL").and_then(|v| parse_max_numel(&v)),
-                trace: var("MAJIC_TRACE")
-                    .map(|v| parse_trace(&v))
-                    .unwrap_or_default(),
-                explain: var("MAJIC_EXPLAIN")
-                    .map(|v| parse_explain(&v))
-                    .unwrap_or(ExplainMode::Off),
-                tier: tier_options_from_env(var("MAJIC_TIER").as_deref(), TierOptions::default()),
-            }
-        })
-    }
-
-    /// Push the snapshot into the subsystems that act on it: the kernel
-    /// thread pool, the allocation guard, and (via
-    /// [`majic_trace::init_from_env`]) tracing and auditing. Each
-    /// subsystem also self-initializes lazily from the environment, so
-    /// calling this is optional — it exists for embedders that want the
-    /// whole environment applied eagerly at startup (the REPL does).
-    pub fn apply(&self) {
-        if let Some(threads) = self.threads {
-            majic_runtime::par::set_threads(threads);
-        }
-        if let Some(limit) = self.max_numel {
-            majic_runtime::set_numel_limit(limit);
-        }
-        majic_trace::init_from_env();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The full parse matrix for every `MAJIC_*` variable, in one
-    /// place. Pure parser tests — no environment mutation, so they are
-    /// safe under the parallel test runner.
+    /// The `MAJIC_TIER` parse matrix. Pure parser tests — no
+    /// environment mutation, so they are safe under the parallel test
+    /// runner.
     #[test]
     fn majic_env_parse_matrix() {
-        // MAJIC_THREADS
-        assert_eq!(parse_threads("0"), Some(0));
-        assert_eq!(parse_threads("8"), Some(8));
-        assert_eq!(parse_threads(" 4 "), Some(4));
-        assert_eq!(parse_threads("999999"), None, "beyond the pool maximum");
-        assert_eq!(parse_threads("many"), None);
-        assert_eq!(parse_threads(""), None);
-
-        // MAJIC_MAX_NUMEL
-        assert_eq!(parse_max_numel("1024"), Some(1024));
-        assert_eq!(parse_max_numel(" 65536 "), Some(65536));
-        assert_eq!(
-            parse_max_numel("0"),
-            None,
-            "a zero limit would reject everything"
-        );
-        assert_eq!(parse_max_numel("-1"), None);
-        assert_eq!(parse_max_numel("big"), None);
-
-        // MAJIC_TRACE
-        assert!(matches!(parse_trace("report").mode, TraceMode::Report));
-        assert!(
-            matches!(parse_trace("REPORT").mode, TraceMode::Off),
-            "trace modes are case-sensitive; unknown values warn and stay off"
-        );
-        assert!(!parse_trace("report").vm_profile);
-        assert!(parse_trace("report,vm").vm_profile);
-        assert!(matches!(parse_trace("off").mode, TraceMode::Off));
-        let chrome = parse_trace("chrome:/tmp/t.json");
-        assert!(matches!(chrome.mode, TraceMode::Chrome(ref p) if p.ends_with("t.json")));
-        let folded = parse_trace("folded:/tmp/t.folded");
-        assert!(matches!(folded.mode, TraceMode::Folded(ref p) if p.ends_with("t.folded")));
-
-        // MAJIC_EXPLAIN
-        assert!(matches!(parse_explain("report"), ExplainMode::Report));
-        assert!(matches!(parse_explain("off"), ExplainMode::Off));
-        assert!(
-            matches!(parse_explain("json:/tmp/e.json"), ExplainMode::Json(ref p) if p.ends_with("e.json"))
-        );
-
-        // MAJIC_TIER
         let base = TierOptions::default();
         assert_eq!(tier_options_from_env(None, base), base);
         assert_eq!(tier_options_from_env(Some(""), base), base);

@@ -28,7 +28,7 @@
 //!
 //! [`Majic`] is the single-user facade: one service, one session, one
 //! struct. Multi-user embedders hold a shared [`CompilerService`] — the
-//! process-wide repository, background pools, cache, and audit switch —
+//! process-wide repository, background pool, cache, and audit switch —
 //! and mint any number of concurrent [`Session`]s against it, each from
 //! its own thread. Sessions that loaded the same source share compiled
 //! code instantly; a session that redefines a function moves to fresh
@@ -79,8 +79,8 @@ pub use engine::{
 };
 pub use majic_repo::cache::{LoadReport, RepoCache};
 pub use majic_repo::{RepoStats, Tier};
-pub use service::{Background, BackgroundStats, CompilerService, Session};
-pub use spec::{SpecConfig, SpecStats};
+pub use service::{Background, CompilerService, Session};
+pub use spec::SpecStats;
 
 pub use majic_infer::InferOptions;
 pub use majic_runtime::{Matrix, RuntimeError, RuntimeResult, Value};

@@ -4,8 +4,9 @@
 //! of previously compiled code" that many interactive sessions consult
 //! and feed concurrently. This module is that split. A
 //! [`CompilerService`] owns the process-wide assets — the
-//! [`Repository`], the background speculation and tier-promotion
-//! pools, the persistent-cache lifecycle, and the audit switch — and a
+//! [`Repository`], the background compilation pool (speculation and
+//! tier promotion), the persistent-cache lifecycle, and the audit
+//! switch — and a
 //! [`Session`] is the cheap per-user part: an interpreter workspace,
 //! the sources that user loaded, and per-session phase timers. Any
 //! number of sessions run concurrently against one service, each from
@@ -48,10 +49,11 @@
 //! what makes the next session on the same source warm.
 
 use crate::engine::{
-    collect_callees, has_global_or_clear, quality_name, signature_of, CacheReport,
-    EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes, Pipeline,
+    collect_callees, compile_and_publish, has_global_or_clear, quality_name, signature_of,
+    take_outputs, CacheReport, EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes,
+    SessionCtx, Trigger,
 };
-use crate::spec::{JobSpec, SpecConfig, SpecStats, SpecWorkerPool};
+use crate::spec::{JobSpec, SpecStats, SpecWorkerPool};
 use majic_ast::{parse_source, parse_statements, ExprKind, Function, LValue, Stmt, StmtKind};
 use majic_interp::Interp;
 use majic_repo::cache::{CacheEntry, RepoCache};
@@ -97,13 +99,11 @@ pub(crate) struct ServiceState {
     /// field is its own mutable copy).
     defaults: EngineOptions,
     next_session: AtomicU64,
-    /// Background speculative-compilation pool, when started
-    /// ([`Session::speculate_background`]). Shared: jobs from every
-    /// session ride the same workers.
-    spec: Mutex<Option<Arc<SpecWorkerPool>>>,
-    /// Background tier-1 recompilation pool, started lazily at the
-    /// first hot promotion from any session.
-    tier: Mutex<Option<Arc<SpecWorkerPool>>>,
+    /// The background compilation pool, when started: by
+    /// [`Session::speculate_background`], or lazily by the first hot
+    /// promotion from any session. Shared: speculative and promotion
+    /// jobs from every session ride the same workers.
+    pool: Mutex<Option<Arc<SpecWorkerPool>>>,
     /// Hot promotions already enqueued, keyed by `(function, namespace,
     /// rendered signature)` — each tier-0 version is promoted at most
     /// once service-wide, no matter how many sessions run it hot.
@@ -163,8 +163,7 @@ impl CompilerService {
                 repo: Arc::new(Repository::new()),
                 defaults: options,
                 next_session: AtomicU64::new(0),
-                spec: Mutex::new(None),
-                tier: Mutex::new(None),
+                pool: Mutex::new(None),
                 promoted: Mutex::new(HashSet::new()),
                 ns_users: Mutex::new(HashMap::new()),
                 cache: Mutex::new(CacheState::default()),
@@ -180,11 +179,12 @@ impl CompilerService {
         let id = self.state.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         Session {
             service: self.clone(),
-            id,
             interp: Interp::new(),
-            registry: Arc::new(HashMap::new()),
-            known: Arc::new(HashSet::new()),
-            hashes: Arc::new(HashMap::new()),
+            ctx: Arc::new(SessionCtx {
+                session: id,
+                options: self.state.defaults,
+                ..SessionCtx::default()
+            }),
             next_node_id: 0,
             options: self.state.defaults,
             times: PhaseTimes::default(),
@@ -219,67 +219,17 @@ impl CompilerService {
         self.state.audit.load(Ordering::SeqCst)
     }
 
-    /// Handle over the service's background compilation pools
-    /// (speculation + tier promotion) as one unit: wait for quiet,
-    /// snapshot statistics, or shut them down.
+    /// Handle over the service's background compilation pool
+    /// (speculation and tier promotion): wait for quiet, snapshot
+    /// statistics, or shut it down.
     pub fn background(&self) -> Background<'_> {
         Background { state: &self.state }
-    }
-
-    /// Attach a persistent repository cache at `path` and load whatever
-    /// it holds (see `docs/CACHE_FORMAT.md`). Loaded entries install
-    /// into the live repository lazily, as sessions register matching
-    /// source. Usually called through [`Session::attach_cache`], which
-    /// also revalidates the calling session's already-loaded functions.
-    pub fn attach_cache(&self, path: impl Into<std::path::PathBuf>) -> CacheReport {
-        self.state.attach_cache(path.into())
-    }
-
-    /// Flush the repository to the attached cache (atomic write).
-    /// Returns the number of entries written, or 0 with no cache
-    /// attached.
-    ///
-    /// Only namespaced (session-compiled) versions are saved — their
-    /// namespace key *is* the closure-source hash the next process
-    /// revalidates against. Entries still pending from load are carried
-    /// over rather than dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the atomic save.
-    pub fn save_cache(&self) -> std::io::Result<usize> {
-        self.state.save_cache()
-    }
-
-    /// This service's warm-start accounting so far.
-    pub fn cache_report(&self) -> CacheReport {
-        self.state.cache_report()
     }
 }
 
 impl ServiceState {
-    fn spec_pool(&self) -> Option<Arc<SpecWorkerPool>> {
-        self.spec.lock().expect("spec slot poisoned").clone()
-    }
-
-    fn tier_pool(&self) -> Option<Arc<SpecWorkerPool>> {
-        self.tier.lock().expect("tier slot poisoned").clone()
-    }
-
-    fn tier_pool_or_start(&self, workers: usize) -> Arc<SpecWorkerPool> {
-        let mut slot = self.tier.lock().expect("tier slot poisoned");
-        if let Some(pool) = &*slot {
-            return Arc::clone(pool);
-        }
-        let pool = Arc::new(SpecWorkerPool::start(
-            SpecConfig {
-                workers: workers.max(1),
-                ..SpecConfig::default()
-            },
-            Arc::clone(&self.repo),
-        ));
-        *slot = Some(Arc::clone(&pool));
-        pool
+    fn pool(&self) -> Option<Arc<SpecWorkerPool>> {
+        self.pool.lock().expect("pool slot poisoned").clone()
     }
 
     /// A session moved `name` from namespace `old` to `new` (a
@@ -376,17 +326,13 @@ impl ServiceState {
 }
 
 impl Drop for ServiceState {
-    /// Best-effort shutdown flush: drain and join the background pools
-    /// (so their versions are included), then save the attached cache,
-    /// if any. Errors are swallowed — drop must not panic, and a failed
+    /// Best-effort shutdown flush: drain and join the background pool
+    /// (so its versions are included), then save the attached cache, if
+    /// any. Errors are swallowed — drop must not panic, and a failed
     /// flush only costs next session's warm start.
     fn drop(&mut self) {
-        let spec = self.spec.lock().ok().and_then(|mut s| s.take());
-        if let Some(pool) = spec {
-            pool.shutdown();
-        }
-        let tier = self.tier.lock().ok().and_then(|mut s| s.take());
-        if let Some(pool) = tier {
+        let pool = self.pool.lock().ok().and_then(|mut s| s.take());
+        if let Some(pool) = pool {
             pool.shutdown();
         }
         let _ = self.save_cache();
@@ -396,18 +342,8 @@ impl Drop for ServiceState {
     }
 }
 
-/// Statistics of both background pools, as returned by the
-/// [`Background`] handle.
-#[derive(Clone, Debug, Default)]
-pub struct BackgroundStats {
-    /// Speculative-compilation pool statistics, when one was started.
-    pub spec: Option<SpecStats>,
-    /// Tier-promotion pool statistics, when promotion started one.
-    pub tier: Option<SpecStats>,
-}
-
 /// One handle over a service's background compilation — speculation and
-/// tier promotion together. Obtained from
+/// tier promotion share one pool. Obtained from
 /// [`CompilerService::background`] or [`Session::background`].
 #[derive(Debug)]
 pub struct Background<'a> {
@@ -415,45 +351,30 @@ pub struct Background<'a> {
 }
 
 impl Background<'_> {
-    /// Block until both pools (whichever exist) have drained their
-    /// queues. Tests and batch experiments use this; interactive
-    /// sessions never need to.
+    /// Block until the pool (if one was started) has drained its queue.
+    /// Tests and batch experiments use this; interactive sessions never
+    /// need to.
     pub fn wait(&self) {
-        // Clone the handles out first: waiting must not hold the slot
-        // locks, or a concurrent session couldn't submit work.
-        let spec = self.state.spec_pool();
-        let tier = self.state.tier_pool();
-        if let Some(pool) = spec {
-            pool.wait_idle();
-        }
-        if let Some(pool) = tier {
+        // Clone the handle out first: waiting must not hold the slot
+        // lock, or a concurrent session couldn't submit work.
+        if let Some(pool) = self.state.pool() {
             pool.wait_idle();
         }
     }
 
-    /// Statistics of whichever pools exist right now.
-    pub fn stats(&self) -> BackgroundStats {
-        BackgroundStats {
-            spec: self.state.spec_pool().map(|p| p.stats()),
-            tier: self.state.tier_pool().map(|p| p.stats()),
-        }
+    /// Statistics of the pool, or `None` when none was started.
+    pub fn stats(&self) -> Option<SpecStats> {
+        self.state.pool().map(|p| p.stats())
     }
 
-    /// Shut both pools down (drain, join) and return their final
-    /// statistics. Pools that never started report `None`.
-    pub fn finish(&self) -> BackgroundStats {
-        let spec = self.state.spec.lock().expect("spec slot poisoned").take();
-        let tier = self.state.tier.lock().expect("tier slot poisoned").take();
-        BackgroundStats {
-            spec: spec.map(|p| {
-                p.shutdown();
-                p.stats()
-            }),
-            tier: tier.map(|p| {
-                p.shutdown();
-                p.stats()
-            }),
-        }
+    /// Shut the pool down (drain, join) and return its final statistics;
+    /// `None` when no pool was started.
+    pub fn finish(&self) -> Option<SpecStats> {
+        let pool = self.state.pool.lock().expect("pool slot poisoned").take();
+        pool.map(|p| {
+            p.shutdown();
+            p.stats()
+        })
     }
 }
 
@@ -464,19 +385,14 @@ impl Background<'_> {
 #[derive(Debug)]
 pub struct Session {
     service: CompilerService,
-    /// 1-based session id; attributed on audit records and repository
-    /// inserts (`0` is reserved for out-of-session work).
-    id: u64,
     interp: Interp,
-    /// Copy-on-write: background jobs hold cheap snapshots.
-    registry: Arc<HashMap<String, Function>>,
-    known: Arc<HashSet<String>>,
-    /// `function name → closure hash` = this session's repository
-    /// namespace for the function. Recomputed on every
-    /// [`Session::load_source`].
-    hashes: Arc<HashMap<String, u64>>,
+    /// Loaded sources, namespaces, id, and the options and audit flag of
+    /// the latest compile. Copy-on-write: background jobs hold cheap
+    /// snapshots.
+    ctx: Arc<SessionCtx>,
     next_node_id: u32,
-    /// Engine configuration (mutable between calls).
+    /// Engine configuration (mutable between calls; copied into the
+    /// session context when the next compile or job needs it).
     pub options: EngineOptions,
     /// Cumulative phase times since the last [`Session::reset_times`].
     pub times: PhaseTimes,
@@ -490,32 +406,35 @@ impl Session {
 
     /// This session's id (1-based, unique within the service).
     pub fn id(&self) -> u64 {
-        self.id
+        self.ctx.session
     }
 
     /// This session's repository namespace for `name`: the closure hash
     /// of its loaded source, or [`DEFAULT_NS`] for a name it never
     /// loaded. Pass it to the `*_ns` methods of [`Session::repository`].
     pub fn namespace(&self, name: &str) -> u64 {
-        self.hashes.get(name).copied().unwrap_or(DEFAULT_NS)
+        self.ctx.ns(name)
     }
 
-    /// Should compilations triggered by this session be audited?
-    fn audit_on(&self) -> bool {
-        self.service.audit_enabled() || majic_trace::audit::process_enabled()
+    /// Bring the context's options and audit flag up to date before a
+    /// compile or a job snapshot. Writes (and so copies a context a
+    /// background job still holds) only when one of them changed.
+    fn sync_ctx(&mut self) {
+        let audit = self.service.audit_enabled() || majic_trace::audit::process_enabled();
+        if self.ctx.options != self.options || self.ctx.audit != audit {
+            let ctx = Arc::make_mut(&mut self.ctx);
+            ctx.options = self.options;
+            ctx.audit = audit;
+        }
     }
 
-    fn job_spec(&self, name: &str, sig: Option<Signature>) -> JobSpec {
+    /// A background job on `name`, snapshotting the current context.
+    fn job_spec(&mut self, name: &str, sig: Option<Signature>) -> JobSpec {
+        self.sync_ctx();
         JobSpec {
             name: name.to_owned(),
             sig,
-            ns: self.namespace(name),
-            session: self.id,
-            registry: Arc::clone(&self.registry),
-            known: Arc::clone(&self.known),
-            hashes: Arc::clone(&self.hashes),
-            options: self.options,
-            audit: self.audit_on(),
+            ctx: Arc::clone(&self.ctx),
         }
     }
 
@@ -539,35 +458,32 @@ impl Session {
         sp.exit();
         self.next_node_id = self.next_node_id.max(file.node_count);
         if !file.functions.is_empty() {
-            {
-                let registry = Arc::make_mut(&mut self.registry);
-                let known = Arc::make_mut(&mut self.known);
-                for f in &file.functions {
-                    known.insert(f.name.clone());
-                    registry.insert(f.name.clone(), f.clone());
-                    self.interp.define_function(f.clone());
-                }
+            let ctx = Arc::make_mut(&mut self.ctx);
+            for f in &file.functions {
+                ctx.known.insert(f.name.clone());
+                ctx.registry.insert(f.name.clone(), f.clone());
+                self.interp.define_function(f.clone());
             }
             // Source changed → namespaces move (repository dependency
             // tracking). Unchanged functions keep their hash, their
             // namespace, and every compiled version in it.
-            let new_hashes = closure_hashes(&self.registry, &self.known);
+            let new_hashes = closure_hashes(&ctx.registry, &ctx.known);
             for (name, &new_ns) in &new_hashes {
-                let old = self.hashes.get(name).copied();
+                let old = ctx.hashes.get(name).copied();
                 if old != Some(new_ns) {
                     self.service.state.retarget_ns(name, old, new_ns);
                 }
             }
-            self.hashes = Arc::new(new_hashes);
+            ctx.hashes = new_hashes;
             // Warm start: now that the authoritative source is known,
             // cached compiled versions whose closure hash still matches
             // may install into the repository.
             for f in &file.functions {
                 self.install_cached(&f.name);
             }
-            // A running pool snoops newly loaded sources (the paper's
+            // A speculating pool snoops newly loaded sources (the paper's
             // "source directory snoop"): speculate on them right away.
-            if let Some(pool) = self.service.state.spec_pool() {
+            if let Some(pool) = self.service.state.pool().filter(|p| p.snoop) {
                 for f in &file.functions {
                     pool.submit(self.job_spec(&f.name, None));
                 }
@@ -620,20 +536,20 @@ impl Session {
                 rhs,
                 ..
             } => match &rhs.kind {
-                ExprKind::Apply { callee, args } if self.registry.contains_key(callee) => {
+                ExprKind::Apply { callee, args } if self.ctx.registry.contains_key(callee) => {
                     (vec![lhs], callee, args)
                 }
                 _ => return Ok(None),
             },
             StmtKind::MultiAssign {
                 lhs, callee, args, ..
-            } if self.registry.contains_key(callee)
+            } if self.ctx.registry.contains_key(callee)
                 && lhs.iter().all(|l| matches!(l, LValue::Var { .. })) =>
             {
                 (lhs.iter().collect(), callee, args)
             }
             StmtKind::Expr { expr, .. } => match &expr.kind {
-                ExprKind::Apply { callee, args } if self.registry.contains_key(callee) => {
+                ExprKind::Apply { callee, args } if self.ctx.registry.contains_key(callee) => {
                     (vec![], callee, args)
                 }
                 _ => return Ok(None),
@@ -721,14 +637,10 @@ impl Session {
             self.times.execution += sp.exit();
             return r;
         }
+        self.sync_ctx();
         let mut disp = EngineDispatcher {
-            registry: &self.registry,
-            known: &self.known,
+            ctx: &self.ctx,
             repo: &self.service.state.repo,
-            hashes: &self.hashes,
-            session: self.id,
-            audit: self.service.audit_enabled() || majic_trace::audit::process_enabled(),
-            options: &self.options,
             times: &mut self.times,
             next_node_id: &mut self.next_node_id,
             depth: 0,
@@ -749,28 +661,21 @@ impl Session {
         // The run just finished bumped the version's execution counters;
         // collect any version that crossed the hotness threshold (the
         // one we dispatched plus any noted during nested dispatch) and
-        // hand them to the background tier-1 pool.
+        // hand them to the background pool.
         disp.note_hot(name, &version);
         let hot = std::mem::take(&mut disp.hot);
         drop(disp);
         for (hot_name, hot_sig) in hot {
             self.promote(hot_name, hot_sig);
         }
-        let mut outs = r?;
-        outs.truncate(nargout.max(1));
-        if outs.len() < nargout {
-            return Err(RuntimeError::BadArity {
-                name: name.to_owned(),
-                detail: format!("{nargout} outputs requested"),
-            });
-        }
-        Ok(outs)
+        take_outputs(name, r, nargout)
     }
 
     /// Enqueue a background tier-1 recompile of `name` for `sig`,
-    /// starting the service's recompilation pool on first use.
-    /// Best-effort: a rejected enqueue releases the dedup key so a
-    /// later hot call can retry.
+    /// starting the service's pool on first use (without the source
+    /// snoop: a pool a promotion started never speculates). Best-effort:
+    /// a rejected enqueue releases the dedup key so a later hot call can
+    /// retry.
     fn promote(&mut self, name: String, sig: Signature) {
         let key = (name.clone(), self.namespace(&name), sig.to_string());
         {
@@ -786,10 +691,20 @@ impl Session {
                 return;
             }
         }
-        let pool = self
-            .service
-            .state
-            .tier_pool_or_start(self.options.tier.workers.max(1));
+        let pool = Arc::clone(
+            self.service
+                .state
+                .pool
+                .lock()
+                .expect("pool slot poisoned")
+                .get_or_insert_with(|| {
+                    Arc::new(SpecWorkerPool::start(
+                        self.options.tier.workers.max(1),
+                        false,
+                        Arc::clone(&self.service.state.repo),
+                    ))
+                }),
+        );
         // The session's *current* options ride along with the job, so
         // mutating `self.options` (platform, inference, regalloc)
         // mid-session applies to later recompiles instead of being
@@ -805,7 +720,7 @@ impl Session {
         }
     }
 
-    /// Handle over the service's background pools; see
+    /// Handle over the service's background pool; see
     /// [`CompilerService::background`].
     pub fn background(&self) -> Background<'_> {
         self.service.background()
@@ -821,48 +736,20 @@ impl Session {
     /// [`Session::speculate_background`] is the concurrent equivalent
     /// that keeps the session responsive.
     pub fn speculate_all(&mut self) -> Duration {
-        let names: Vec<String> = self.registry.keys().cloned().collect();
-        let audit = self.audit_on();
+        self.sync_ctx();
         let t0 = Instant::now();
-        for name in names {
+        for name in self.ctx.registry.keys() {
             // Failures (globals etc.) simply leave no speculative
             // version; those calls interpret or JIT later.
-            if audit {
-                majic_trace::audit::begin(&name);
-                majic_trace::audit::session_id(self.id);
-            }
-            let t1 = Instant::now();
-            let result = crate::engine::compile_function(
-                &self.registry,
-                &self.known,
+            let _ = compile_and_publish(
+                &self.ctx,
                 &self.service.state.repo,
-                &self.hashes,
-                &self.options,
-                &name,
+                name,
                 None,
-                Pipeline::Opt,
+                Trigger::SpecSync,
                 &mut self.next_node_id,
                 &mut self.times,
             );
-            majic_trace::audit::commit(
-                || match &result {
-                    Ok(v) => v.signature.to_string(),
-                    Err(_) => "(speculative)".to_owned(),
-                },
-                "spec_sync",
-                || match &result {
-                    Ok(v) => format!("published ({})", quality_name(v.quality)),
-                    Err(e) => format!("failed: {e}"),
-                },
-                None,
-                t1.elapsed().as_nanos() as u64,
-            );
-            if let Ok(version) = result {
-                self.service
-                    .state
-                    .repo
-                    .insert_ns(&name, self.namespace(&name), self.id, version);
-            }
         }
         // Speculative compilation happens before the program runs: it is
         // *hidden* latency, not charged to any phase.
@@ -878,38 +765,34 @@ impl Session {
     /// through the interpreter/JIT and transparently picks up
     /// speculative versions once published.
     ///
-    /// The pool is a service-wide asset; calling this again (from any
-    /// session) replaces it (the old one is drained and joined first).
+    /// The pool is a service-wide asset that hot promotions share;
+    /// calling this again (from any session) replaces it (the old one is
+    /// drained and joined first). `workers = 0` starts a pool that
+    /// rejects every job — speculative and promotion jobs alike — so
+    /// every call JITs and stays at tier 0.
     pub fn speculate_background(&mut self, workers: usize) {
-        self.speculate_background_with(SpecConfig {
-            workers,
-            ..SpecConfig::default()
-        });
-    }
-
-    /// [`Session::speculate_background`] with full queue configuration.
-    pub fn speculate_background_with(&mut self, cfg: SpecConfig) {
         // Drain + join any previous pool first.
         let old = self
             .service
             .state
-            .spec
+            .pool
             .lock()
-            .expect("spec slot poisoned")
+            .expect("pool slot poisoned")
             .take();
         if let Some(old) = old {
             old.shutdown();
         }
         let pool = Arc::new(SpecWorkerPool::start(
-            cfg,
+            workers,
+            true,
             Arc::clone(&self.service.state.repo),
         ));
-        let mut names: Vec<String> = self.registry.keys().cloned().collect();
+        let mut names: Vec<String> = self.ctx.registry.keys().cloned().collect();
         names.sort(); // deterministic queue order
         for name in &names {
             pool.submit(self.job_spec(name, None));
         }
-        *self.service.state.spec.lock().expect("spec slot poisoned") = Some(pool);
+        *self.service.state.pool.lock().expect("pool slot poisoned") = Some(pool);
     }
 
     /// Attach a persistent repository cache at `path` and load whatever
@@ -954,7 +837,7 @@ impl Session {
                 .expect("cache state poisoned");
             cs.pending
                 .keys()
-                .filter(|n| self.registry.contains_key(*n))
+                .filter(|n| self.ctx.registry.contains_key(*n))
                 .cloned()
                 .collect()
         };
@@ -964,8 +847,14 @@ impl Session {
         self.service.state.cache_report()
     }
 
-    /// Flush the repository to the attached cache; see
-    /// [`CompilerService::save_cache`].
+    /// Flush the repository to the attached cache (atomic write).
+    /// Returns the number of entries written, or 0 with no cache
+    /// attached.
+    ///
+    /// Only namespaced (session-compiled) versions are saved — their
+    /// namespace key *is* the closure-source hash the next process
+    /// revalidates against. Entries still pending from load are carried
+    /// over rather than dropped.
     ///
     /// # Errors
     ///
@@ -984,7 +873,7 @@ impl Session {
     /// reject them otherwise. This is the gate that guarantees a stale
     /// cache is never executed.
     fn install_cached(&mut self, name: &str) {
-        let Some(&live) = self.hashes.get(name) else {
+        let Some(&live) = self.ctx.hashes.get(name) else {
             return;
         };
         let entries = {
@@ -999,7 +888,8 @@ impl Session {
                 None => return,
             }
         };
-        let audit = self.audit_on();
+        self.sync_ctx();
+        let audit = self.ctx.audit;
         let mut installed = 0usize;
         let mut rejected = 0usize;
         for e in entries {
@@ -1009,7 +899,7 @@ impl Session {
                 // shows where each installed version came from.
                 if audit {
                     majic_trace::audit::begin(name);
-                    majic_trace::audit::session_id(self.id);
+                    majic_trace::audit::session_id(self.ctx.session);
                 }
                 majic_trace::audit::tier(e.version.tier.level());
                 majic_trace::audit::commit(
@@ -1027,7 +917,7 @@ impl Session {
                 self.service
                     .state
                     .repo
-                    .insert_ns(name, live, self.id, e.version);
+                    .insert_ns(name, live, self.ctx.session, e.version);
                 installed += 1;
                 majic_trace::counter("repo.cache.warm_hit").inc();
             } else {
@@ -1064,13 +954,13 @@ impl Session {
             if !seen.insert(n.clone()) {
                 continue;
             }
-            let Some(f) = self.registry.get(&n) else {
+            let Some(f) = self.ctx.registry.get(&n) else {
                 continue;
             };
             if has_global_or_clear(&f.body) {
                 return true;
             }
-            collect_callees(&f.body, &self.known, &mut stack);
+            collect_callees(&f.body, &self.ctx.known, &mut stack);
         }
         false
     }
@@ -1104,25 +994,6 @@ impl Session {
     /// Zero the cumulative phase timers.
     pub fn reset_times(&mut self) {
         self.times = PhaseTimes::default();
-    }
-
-    /// Human-readable tree report of every span, counter, and histogram
-    /// recorded since tracing was enabled (or last reset). Tracing is
-    /// process-global — enable it with [`majic_trace::set_enabled`] or
-    /// the `MAJIC_TRACE` environment variable before the work of
-    /// interest runs.
-    pub fn trace_report(&self) -> String {
-        majic_trace::export::render_report(&majic_trace::snapshot())
-    }
-
-    /// Export everything recorded so far as Chrome trace-event JSON
-    /// loadable in `chrome://tracing` or Perfetto.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from writing `path`.
-    pub fn export_chrome_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        majic_trace::export::write_chrome_trace(path.as_ref())
     }
 
     /// Why does `name` run the way it does? Returns every retained
@@ -1172,7 +1043,7 @@ impl Drop for Session {
     /// invalidating anything: compiled versions outlive the session, so
     /// the next session on the same source starts warm.
     fn drop(&mut self) {
-        for (name, &ns) in self.hashes.iter() {
+        for (name, &ns) in self.ctx.hashes.iter() {
             self.service.state.release_ns(name, ns);
         }
     }

@@ -1,4 +1,4 @@
-//! Background speculative compilation (paper §2.5, made concurrent).
+//! The background compilation pool (paper §2.5, made concurrent).
 //!
 //! The paper's repository "generates code ahead of time" so that
 //! compilation latency is *hidden* from the interactive session. The
@@ -6,17 +6,19 @@
 //! ([`crate::Session::speculate_all`]), blocking the session exactly
 //! the way the paper says it must not. This module provides the
 //! genuinely concurrent version: a [`SpecWorkerPool`] of OS threads
-//! runs the speculative inference + optimizing backend off the critical
-//! path and publishes [`CompiledVersion`](majic_repo::CompiledVersion)s
-//! into the shared [`majic_repo::Repository`] as they finish. The
-//! foreground engine keeps answering through the interpreter/JIT and
-//! transparently picks up speculative versions on later repository
-//! lookups.
+//! runs the optimizing backend off the critical path and publishes
+//! [`CompiledVersion`](majic_repo::CompiledVersion)s into the shared
+//! [`majic_repo::Repository`] as they finish. The same pool runs both
+//! kinds of background job: speculative compiles (the signature is
+//! guessed) and tier-1 recompiles of hot tier-0 code (the observed
+//! signature). The foreground engine keeps answering through the
+//! interpreter/JIT and transparently picks up background versions on
+//! later repository lookups.
 //!
 //! Safety never depends on the workers: the repository's signature
 //! check (`Qi ⊑ Ti`) gates every lookup, so a version published late,
 //! early, or not at all can only change *performance*, never results.
-//! Workers compile from a registry snapshot taken at enqueue time, so
+//! Workers compile from the session snapshot taken at submit time, so
 //! each job also captures the function's repository *invalidation
 //! generation* (within the job's namespace) and publishes through
 //! [`majic_repo::Repository::insert_if_current_ns`]: if the source was
@@ -25,10 +27,9 @@
 //! old-source code take over dispatch.
 //!
 //! A pool is a *service-wide* asset: jobs from different sessions share
-//! the workers, and each job carries the namespace, session id, and
-//! closure-hash table of the session that submitted it, so its output
-//! lands in (and its inference oracle reads from) exactly that
-//! session's view of the repository.
+//! the workers, and each job carries a snapshot of the submitting
+//! session's [`SessionCtx`], so its output lands in (and its inference
+//! oracle reads from) exactly that session's view of the repository.
 //!
 //! # Shutdown semantics
 //!
@@ -38,66 +39,30 @@
 //! last. Dropping the pool does the same — join-on-drop, so a session
 //! never leaks threads.
 
-use crate::engine::{compile_function, EngineOptions, PhaseTimes, Pipeline};
-use majic_ast::Function;
+use crate::engine::{compile_and_publish, PhaseTimes, SessionCtx, Trigger};
 use majic_repo::Repository;
 use majic_types::Signature;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Worker-pool configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct SpecConfig {
-    /// Number of worker threads. `0` is allowed and means the pool
-    /// accepts no jobs (every enqueue is rejected) — useful as the
-    /// "speculation off" arm of an experiment.
-    pub workers: usize,
-    /// Bounded queue capacity; when full, enqueues are rejected rather
-    /// than blocking the session (speculation is best-effort).
-    pub queue_capacity: usize,
-}
+/// Bounded queue capacity; when full, submits are rejected rather than
+/// blocking the session (background compilation is best-effort).
+const QUEUE_CAPACITY: usize = 256;
 
-impl Default for SpecConfig {
-    fn default() -> Self {
-        SpecConfig {
-            workers: 2,
-            queue_capacity: 256,
-        }
-    }
-}
-
-/// Everything a background job needs, captured at submit time: the
-/// compile inputs (registry/known snapshot, options), plus the
-/// submitting session's identity (namespace, session id, closure-hash
-/// table) and whether its service wants the compile audited. `sig =
-/// None` is a speculative job (the signature is guessed); `sig =
-/// Some(_)` is a hot-promotion job that re-runs inference with the
-/// observed signature through the optimizing pipeline (tier-1
-/// recompilation).
+/// One background compile: `sig = None` is a speculative job (the
+/// signature is guessed); `sig = Some(_)` is a hot-promotion job that
+/// re-runs inference with the observed signature through the optimizing
+/// pipeline (tier-1 recompilation).
 #[derive(Debug)]
 pub(crate) struct JobSpec {
     pub(crate) name: String,
     pub(crate) sig: Option<Signature>,
-    /// Namespace the result publishes into (the submitting session's
-    /// closure hash for `name`).
-    pub(crate) ns: u64,
-    /// Session the job is attributed to.
-    pub(crate) session: u64,
-    pub(crate) registry: Arc<HashMap<String, Function>>,
-    pub(crate) known: Arc<HashSet<String>>,
-    /// The submitting session's closure-hash table: the worker's
-    /// inference oracle resolves callee output types through it, so a
-    /// background compile sees exactly the caller's view of every
-    /// callee.
-    pub(crate) hashes: Arc<HashMap<String, u64>>,
-    /// Engine options in effect when the job was submitted: option
-    /// mutations between submits apply to later jobs instead of being
-    /// frozen at pool start.
-    pub(crate) options: EngineOptions,
-    /// The submitting service's audit flag at submit time.
-    pub(crate) audit: bool,
+    /// The submitting session as it was at submit time: option changes
+    /// between submits apply to later jobs instead of being frozen at
+    /// pool start.
+    pub(crate) ctx: Arc<SessionCtx>,
 }
 
 /// One queued unit of work: a [`JobSpec`] plus what the pool captured
@@ -157,12 +122,11 @@ struct PoolShared {
     /// Signals waiters that the pool went idle (queue empty, nothing in
     /// flight).
     idle: Condvar,
-    capacity: usize,
     repo: Arc<Repository>,
     stats: Mutex<SpecStats>,
 }
 
-/// A pool of background speculative-compilation workers.
+/// A pool of background compilation workers.
 #[derive(Debug)]
 pub(crate) struct SpecWorkerPool {
     shared: Arc<PoolShared>,
@@ -170,21 +134,25 @@ pub(crate) struct SpecWorkerPool {
     /// pool shared through `Arc` can still be shut down via `&self`.
     handles: Mutex<Vec<JoinHandle<()>>>,
     worker_count: usize,
+    /// Whether sources loaded while this pool runs are speculated (the
+    /// paper's "source directory snoop"). On for a pool started by
+    /// [`crate::Session::speculate_background`], off for one a hot
+    /// promotion started.
+    pub(crate) snoop: bool,
 }
 
 impl SpecWorkerPool {
-    /// Start `cfg.workers` threads publishing into `repo`. Each job
-    /// carries the engine options in effect when it was submitted.
-    pub fn start(cfg: SpecConfig, repo: Arc<Repository>) -> SpecWorkerPool {
+    /// Start `workers` threads publishing into `repo`. `0` is allowed
+    /// and means the pool accepts no jobs (every submit is rejected).
+    pub fn start(workers: usize, snoop: bool, repo: Arc<Repository>) -> SpecWorkerPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Queue::default()),
             job_ready: Condvar::new(),
             idle: Condvar::new(),
-            capacity: cfg.queue_capacity.max(1),
             repo,
             stats: Mutex::new(SpecStats::default()),
         });
-        let handles = (0..cfg.workers)
+        let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -196,24 +164,27 @@ impl SpecWorkerPool {
         SpecWorkerPool {
             shared,
             handles: Mutex::new(handles),
-            worker_count: cfg.workers,
+            worker_count: workers,
+            snoop,
         }
     }
 
-    /// Queue a job. The [`JobSpec`] carries the namespace, session id,
-    /// and hash table of the submitting session. Returns `false` (and
-    /// records a rejection) when the pool has no workers, the queue is
-    /// full, or the pool is shut down — speculation is best-effort and
-    /// never blocks the caller.
+    /// Queue a job. Returns `false` (and records a rejection) when the
+    /// pool has no workers, the queue is full, or the pool is shut down
+    /// — background compilation is best-effort and never blocks the
+    /// caller.
     pub(crate) fn submit(&self, spec: JobSpec) -> bool {
         // Captured before the job is queued: the caller's registry
         // snapshot is current *now*, so a later invalidation (source
         // redefinition in this namespace) bumps the generation past
         // this value and the worker's publish is rejected.
-        let generation = self.shared.repo.generation_ns(&spec.name, spec.ns);
+        let generation = self
+            .shared
+            .repo
+            .generation_ns(&spec.name, spec.ctx.ns(&spec.name));
         let accepted = {
             let mut q = self.shared.queue.lock().expect("spec queue poisoned");
-            if q.closed || self.worker_count == 0 || q.jobs.len() >= self.shared.capacity {
+            if q.closed || self.worker_count == 0 || q.jobs.len() >= QUEUE_CAPACITY {
                 false
             } else {
                 q.jobs.push_back(Job {
@@ -315,87 +286,34 @@ fn worker_loop(shared: &PoolShared) {
         // Node ids are scratch — the inlined function is private to this
         // job — so a worker-local counter is safe.
         let mut scratch_ids: u32 = 1 << 24;
-        let mut times = PhaseTimes::default();
-        // The audit scope opens only if the submitting service wanted it
-        // (or the process-wide switch is on): a service with auditing
-        // off must not pollute another service's flight recorder.
-        if job.audit || majic_trace::audit::process_enabled() {
-            majic_trace::audit::begin(&job.name);
-            majic_trace::audit::session_id(job.session);
-        }
         let sp = majic_trace::Span::enter_with("spec.compile", || {
             vec![
                 ("fn", job.name.clone()),
-                ("session", job.session.to_string()),
+                ("session", job.ctx.session.to_string()),
             ]
         });
-        let compiled = compile_function(
-            &job.registry,
-            &job.known,
+        // Failures (globals etc.) leave no background version; those
+        // calls interpret or JIT later.
+        let outcome = compile_and_publish(
+            &job.ctx,
             &shared.repo,
-            &job.hashes,
-            &job.options,
             &job.name,
             job.sig.as_ref(),
-            Pipeline::Opt,
+            Trigger::Job {
+                generation,
+                queue_wait,
+            },
             &mut scratch_ids,
-            &mut times,
+            &mut PhaseTimes::default(),
         );
         let compile = sp.exit();
-        let trigger = if job.sig.is_some() {
-            "recompile_hot"
-        } else {
-            "spec_worker"
-        };
-
-        // Publish before committing the audit record so the recorded
-        // outcome is the real one. The generation check rejects versions
-        // whose source was redefined while this job was in flight —
-        // publishing them would dispatch old-source code.
-        let signature = match (&compiled, &job.sig) {
-            (Ok(v), _) => v.signature.to_string(),
-            (Err(_), Some(s)) => s.to_string(),
-            (Err(_), None) => "(speculative)".to_owned(),
-        };
-        let (published, stale, outcome) = match compiled {
-            Ok(version) => {
-                let quality = crate::engine::quality_name(version.quality);
-                if shared.repo.insert_if_current_ns(
-                    &job.name,
-                    job.ns,
-                    generation,
-                    job.session,
-                    version,
-                ) {
-                    (true, false, format!("published ({quality})"))
-                } else {
-                    (
-                        false,
-                        true,
-                        "dropped: source redefined while compiling".to_owned(),
-                    )
-                }
-            }
-            // Failures (globals etc.) leave no speculative version;
-            // those calls interpret or JIT later.
-            Err(e) => (false, false, format!("failed: {e}")),
-        };
-        majic_trace::audit::commit(
-            || signature,
-            trigger,
-            || outcome,
-            Some(queue_wait.as_nanos() as u64),
-            compile.as_nanos() as u64,
-        );
 
         {
             let mut stats = shared.stats.lock().expect("spec stats poisoned");
-            if published {
-                stats.published += 1;
-            } else if stale {
-                stats.stale += 1;
-            } else {
-                stats.failed += 1;
+            match outcome {
+                Ok(true) => stats.published += 1,
+                Ok(false) => stats.stale += 1,
+                Err(_) => stats.failed += 1,
             }
             stats.queue_wait_total += queue_wait;
             stats.compile_total += compile;

@@ -3,7 +3,7 @@
 //! workers, pick up published versions transparently, and shut the pool
 //! down cleanly (join-on-drop, no leaked work).
 
-use majic::{ExecMode, Majic, SpecConfig, Value};
+use majic::{ExecMode, Majic, Value};
 use majic_repo::{CodeQuality, NO_SESSION};
 use majic_types::Signature;
 
@@ -71,7 +71,7 @@ fn published_versions_are_picked_up() {
     m.speculate_background(2);
     m.background().wait();
 
-    let stats = m.background().stats().spec.expect("pool running");
+    let stats = m.background().stats().expect("pool running");
     assert_eq!(stats.enqueued, 1);
     assert_eq!(stats.published, 1);
     assert_eq!(stats.failed, 0);
@@ -106,7 +106,7 @@ fn late_loaded_functions_are_speculated() {
     m.load_source("function y = late(x)\ny = x * 2 + 1;\n")
         .unwrap();
     m.background().wait();
-    let stats = m.background().stats().spec.expect("pool running");
+    let stats = m.background().stats().expect("pool running");
     assert_eq!(stats.published, 1);
     assert_eq!(
         m.repository().version_count_ns("late", m.namespace("late")),
@@ -125,14 +125,11 @@ fn shutdown_drains_and_reports() {
             .unwrap();
     }
     m.speculate_background(4);
-    let stats = m.background().finish().spec.expect("pool was running");
+    let stats = m.background().finish().expect("pool was running");
     assert_eq!(stats.enqueued, 12);
     assert_eq!(stats.published + stats.failed, 12);
     assert_eq!(stats.published, 12);
-    assert!(
-        m.background().stats().spec.is_none(),
-        "pool gone after finish"
-    );
+    assert!(m.background().stats().is_none(), "pool gone after finish");
 }
 
 /// A zero-worker pool accepts nothing and the session still works —
@@ -141,12 +138,9 @@ fn shutdown_drains_and_reports() {
 fn zero_worker_pool_rejects_and_session_survives() {
     let mut m = Majic::with_mode(ExecMode::Spec);
     m.load_source("function y = g(x)\ny = x - 1;\n").unwrap();
-    m.speculate_background_with(SpecConfig {
-        workers: 0,
-        queue_capacity: 8,
-    });
+    m.speculate_background(0);
     m.background().wait(); // must not hang
-    let stats = m.background().stats().spec.unwrap();
+    let stats = m.background().stats().unwrap();
     assert_eq!(stats.enqueued, 0);
     assert_eq!(stats.rejected, 1);
     let out = m.call("g", &[Value::scalar(5.0)], 1).unwrap();

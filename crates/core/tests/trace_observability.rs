@@ -1,7 +1,7 @@
 //! Observability acceptance at the engine level: dispatch counters,
 //! background-worker span attribution and per-worker trace tracks.
 
-use majic::{ExecMode, Majic, SpecConfig, Value};
+use majic::{ExecMode, Majic, Value};
 use std::sync::Mutex;
 
 /// The trace collector is process-global; serialize tests here.
@@ -59,10 +59,7 @@ fn spec_workers_trace_on_their_own_threads() {
         .map(|i| format!("function y = s{i}(x)\ny = x + {i};\n"))
         .collect();
     m.load_source(&src).unwrap();
-    m.speculate_background_with(SpecConfig {
-        workers: 4,
-        ..SpecConfig::default()
-    });
+    m.speculate_background(4);
     m.background().wait();
     m.background().finish();
 

@@ -5,7 +5,7 @@
 //! and reports any divergence, shrunk to a minimal reproducer.
 //!
 //! ```text
-//! fuzz_differential [--seed N] [--iters N] [--grammar MODE] [--json] [--artifacts DIR]
+//! fuzz_differential [--seed N] [--iters N] [--grammar MODE] [--artifacts DIR]
 //! ```
 //!
 //! * `--seed N`      — first seed (default 0); iteration `i` uses seed `N+i`.
@@ -13,22 +13,19 @@
 //! * `--grammar M`   — `default` or `aliasing` (the CoW-stress grammar:
 //!   alias binds, mutation of either alias, self-referential updates,
 //!   growth after aliasing, duplicated actuals).
-//! * `--json`        — machine-readable summary on stdout.
 //! * `--artifacts D` — write each shrunk reproducer to `D/repro-<seed>.m`
 //!   (created on first failure; CI uploads this).
 //!
 //! Exit status: 0 when every case agrees, 1 on any divergence, 2 on
 //! usage errors.
 
-use majic_fuzz::{fuzz_with, json_escape, Failure, Grammar};
-use std::io::Write;
+use majic_fuzz::{fuzz_with, Failure, Grammar};
 use std::path::PathBuf;
 
 struct Options {
     seed: u64,
     iters: u64,
     grammar: Grammar,
-    json: bool,
     artifacts: Option<PathBuf>,
 }
 
@@ -37,7 +34,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 0,
         iters: 1000,
         grammar: Grammar::Default,
-        json: false,
         artifacts: None,
     };
     let mut it = std::env::args().skip(1);
@@ -59,14 +55,13 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown grammar {other:?}")),
                 };
             }
-            "--json" => o.json = true,
             "--artifacts" => {
                 let v = it.next().ok_or("--artifacts needs a directory")?;
                 o.artifacts = Some(PathBuf::from(v));
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz_differential [--seed N] [--iters N] [--grammar default|aliasing] [--json] [--artifacts DIR]"
+                    "usage: fuzz_differential [--seed N] [--iters N] [--grammar default|aliasing] [--artifacts DIR]"
                 );
                 std::process::exit(0);
             }
@@ -98,68 +93,25 @@ fn main() {
         }
     };
 
-    let mut failures: Vec<(u64, Vec<String>, String)> = Vec::new();
     let progress_every = (opts.iters / 20).max(1);
     let stats = fuzz_with(opts.seed, opts.iters, opts.grammar, |f| {
-        if !opts.json {
-            eprintln!("--- divergence at seed {} ---", f.seed);
-            for d in &f.report.divergences {
-                eprintln!("  {d}");
-            }
-            eprintln!("minimal reproducer:\n{}", f.reproducer());
+        eprintln!("--- divergence at seed {} ---", f.seed);
+        for d in &f.report.divergences {
+            eprintln!("  {d}");
         }
+        eprintln!("minimal reproducer:\n{}", f.reproducer());
         if let Some(dir) = &opts.artifacts {
             save_artifact(dir, f);
         }
-        failures.push((
-            f.seed,
-            f.report
-                .divergences
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
-            f.reproducer(),
-        ));
     });
-    // Progress lines go to stderr so --json stdout stays parseable.
-    if !opts.json && opts.iters >= progress_every {
+    if opts.iters >= progress_every {
         eprintln!(
             "ran {} programs: {} all-ok, {} agreeing-error, {} divergent",
             stats.iters, stats.ok_cases, stats.err_cases, stats.failures
         );
     }
 
-    if opts.json {
-        let mut out = String::new();
-        out.push('{');
-        out.push_str(&format!(
-            "\"seed\":{},\"iters\":{},\"grammar\":\"{}\",\"ok_cases\":{},\"err_cases\":{},\"failures\":[",
-            opts.seed,
-            stats.iters,
-            match opts.grammar {
-                Grammar::Default => "default",
-                Grammar::Aliasing => "aliasing",
-            },
-            stats.ok_cases,
-            stats.err_cases
-        ));
-        for (i, (seed, divs, repro)) in failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"seed\":{seed},\"divergences\":["));
-            for (j, d) in divs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\"", json_escape(d)));
-            }
-            out.push_str(&format!("],\"reproducer\":\"{}\"}}", json_escape(repro)));
-        }
-        out.push_str(&format!("],\"clean\":{}}}", failures.is_empty()));
-        let mut stdout = std::io::stdout();
-        let _ = writeln!(stdout, "{out}");
-    } else if failures.is_empty() {
+    if stats.failures == 0 {
         println!(
             "clean: {} programs, {} all-ok, {} agreeing-error",
             stats.iters, stats.ok_cases, stats.err_cases
@@ -167,10 +119,9 @@ fn main() {
     } else {
         println!(
             "{} divergent case(s) out of {}",
-            failures.len(),
-            stats.iters
+            stats.failures, stats.iters
         );
     }
 
-    std::process::exit(i32::from(!failures.is_empty()));
+    std::process::exit(i32::from(stats.failures != 0));
 }

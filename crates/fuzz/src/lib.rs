@@ -166,23 +166,6 @@ pub fn replay_file(path: &Path) -> Result<DiffReport, String> {
     Ok(run_case(&case))
 }
 
-/// Minimal JSON string escaping (the workspace is offline; no serde).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,11 +222,5 @@ mod tests {
         // in-memory case.
         let direct = run_case(&case_of(&p));
         assert_eq!(report.is_clean(), direct.is_clean());
-    }
-
-    #[test]
-    fn json_escape_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -19,7 +19,7 @@ use majic_runtime::builtins::Builtin;
 use majic_types::{Dim, Intrinsic, Lattice, Range, Shape, Type};
 
 /// Inference knobs (the Figure 7 ablations live here).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InferOptions {
     /// Propagate value ranges (`Ll`). Disabling reproduces Figure 7's
     /// "no ranges" bars: subscript-check removal mostly dies.

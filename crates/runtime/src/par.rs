@@ -522,11 +522,17 @@ mod tests {
 
     #[test]
     fn below_gate_stays_sequential_without_counting() {
-        let before = majic_trace::counter("kernel.par.dispatch").get();
         let m = Matrix::from_vec(4, 1, vec![1.0, 2.0, 3.0, 4.0]);
-        let out = with_pool(4, DEFAULT_PAR_THRESHOLD, || map(&m, |&v: &f64| v + 1.0));
+        // Both counter reads happen under the pool lock: a parallel test
+        // dispatching between them would otherwise bump the counter.
+        let (out, before, after) = with_pool(4, DEFAULT_PAR_THRESHOLD, || {
+            let dispatches = majic_trace::counter("kernel.par.dispatch");
+            let before = dispatches.get();
+            let out = map(&m, |&v: &f64| v + 1.0);
+            (out, before, dispatches.get())
+        });
         assert_eq!(out.get(2, 0), 4.0);
-        assert_eq!(majic_trace::counter("kernel.par.dispatch").get(), before);
+        assert_eq!(after, before);
     }
 
     #[test]

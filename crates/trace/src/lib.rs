@@ -607,6 +607,7 @@ mod tests {
             ("bogus", TraceMode::Off, false),
             ("bogus,vm", TraceMode::Off, true),
             ("Report", TraceMode::Off, false), // modes are case-sensitive
+            ("REPORT", TraceMode::Off, false),
         ] {
             let req = TraceMode::parse(input);
             assert_eq!(req.mode, mode, "mode for {input:?}");

@@ -33,8 +33,7 @@ fn promotion_fires_at_threshold() {
     let stats = m
         .background()
         .stats()
-        .tier
-        .expect("promotion started the tier pool");
+        .expect("promotion started the background pool");
     assert_eq!(stats.published, 1, "one hot version, one tier-1 publish");
     assert_eq!(m.repository().tier_versions(), [1, 1]);
 
@@ -68,8 +67,8 @@ fn no_promotion_below_threshold() {
     m.call("tier_cold", &[50.0f64.into()], 1).unwrap();
     m.background().wait();
     assert!(
-        m.background().stats().tier.is_none(),
-        "tier pool started while cold"
+        m.background().stats().is_none(),
+        "background pool started while cold"
     );
     assert_eq!(m.repository().tier_versions(), [1, 0]);
 }
@@ -82,7 +81,7 @@ fn promotion_disabled_by_options() {
     m.load_source(&loop_source("tier_off")).unwrap();
     m.call("tier_off", &[200.0f64.into()], 1).unwrap();
     m.background().wait();
-    assert!(m.background().stats().tier.is_none());
+    assert!(m.background().stats().is_none());
     assert_eq!(m.repository().tier_versions(), [1, 0]);
 }
 
@@ -119,10 +118,7 @@ fn tier1_survives_cache_round_trip() {
     let warm = scalar(&m.call("tier_warm", &[150.0f64.into()], 1).unwrap());
     assert_eq!(first.to_bits(), warm.to_bits());
     assert!(m.repository().stats().tier1_hits >= 1);
-    assert!(
-        m.background().stats().tier.is_none(),
-        "warm tier-1 re-promoted"
-    );
+    assert!(m.background().stats().is_none(), "warm tier-1 re-promoted");
 
     drop(m);
     let _ = std::fs::remove_dir_all(&dir);
@@ -166,7 +162,7 @@ fn redefinition_during_promotion_never_publishes_stale() {
     // Every drained job either published current-source code, was
     // dropped as stale, or failed — and dispatch still answers from the
     // last definition.
-    let stats = m.background().stats().tier.expect("promotions ran");
+    let stats = m.background().stats().expect("promotions ran");
     assert_eq!(stats.completed(), stats.enqueued);
     let last = scalar(&m.call("tier_race", &[100.0f64.into()], 1).unwrap());
     assert_eq!(last, expected(19 % 3 + 1));
@@ -194,4 +190,44 @@ fn unseen_signature_falls_back_to_tier0() {
     assert_eq!(compiled.to_bits(), reference.to_bits());
     let [t0, _t1] = m.repository().tier_versions();
     assert!(t0 >= 2, "no tier-0 fallback version was compiled");
+}
+
+/// Speculation and promotion share one background pool: a hot call
+/// after `speculate_background` promotes through the speculation pool,
+/// whose statistics then count both jobs.
+#[test]
+fn promotion_rides_the_speculation_pool() {
+    let mut m = Majic::with_mode(ExecMode::Jit);
+    m.service().set_audit(true);
+    m.options.tier.threshold = 1;
+    m.load_source(&loop_source("tier_shared")).unwrap();
+    m.speculate_background(2);
+    // Speculation guesses an integer `n`; a fractional argument misses
+    // the speculative version whenever it lands, so this call JITs
+    // tier-0 code, runs hot and is promoted.
+    let compiled = scalar(&m.call("tier_shared", &[200.5f64.into()], 1).unwrap());
+    m.background().wait();
+
+    let why = m.explain("tier_shared");
+    assert!(
+        why.records.iter().any(|r| r.trigger == "recompile_hot"
+            && r.tier == Some(1)
+            && r.outcome == "published (optimized)"),
+        "no published tier-1 recompile_hot record:\n{}",
+        why.report
+    );
+    let stats = m
+        .background()
+        .stats()
+        .expect("speculation started the pool");
+    assert_eq!(stats.enqueued, 2, "one speculative and one promotion job");
+    assert_eq!(stats.published, 2);
+
+    let mut interp = Majic::with_mode(ExecMode::Interpret);
+    interp.load_source(&loop_source("tier_shared")).unwrap();
+    let reference = scalar(&interp.call("tier_shared", &[200.5f64.into()], 1).unwrap());
+    assert_eq!(compiled.to_bits(), reference.to_bits());
+    // The next call dispatches the promoted version — bitwise the same.
+    let promoted = scalar(&m.call("tier_shared", &[200.5f64.into()], 1).unwrap());
+    assert_eq!(promoted.to_bits(), reference.to_bits());
 }
