@@ -19,7 +19,9 @@
 //! actual's buffer turns out to be uniquely owned by then. Read-only
 //! formals skip even the binding.
 
-use majic_ast::{BinOp, Expr, ExprKind, Function, LValue, NodeId, Span, Stmt, StmtKind};
+use majic_ast::{
+    walk_stmts, BinOp, Expr, ExprKind, Function, LValue, NodeId, Span, Stmt, StmtKind,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Inliner configuration.
@@ -65,68 +67,37 @@ pub fn inline_function(
 }
 
 /// Names that are variables (not calls) inside a function: parameters,
-/// outputs and every assigned name.
+/// outputs and every name the body binds.
 fn local_names(f: &Function) -> HashSet<String> {
-    let mut names: HashSet<String> = f.params.iter().chain(f.outputs.iter()).cloned().collect();
-    fn scan(stmts: &[Stmt], names: &mut HashSet<String>) {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Assign { lhs, .. } => {
-                    names.insert(lhs.name().to_owned());
-                }
-                StmtKind::MultiAssign { lhs, .. } => {
-                    for lv in lhs {
-                        names.insert(lv.name().to_owned());
-                    }
-                }
-                StmtKind::For { var, body, .. } => {
-                    names.insert(var.clone());
-                    scan(body, names);
-                }
-                StmtKind::While { body, .. } => scan(body, names),
-                StmtKind::If {
-                    branches,
-                    else_body,
-                } => {
-                    for (_, b) in branches {
-                        scan(b, names);
-                    }
-                    if let Some(b) = else_body {
-                        scan(b, names);
-                    }
-                }
-                StmtKind::Global(gs) => names.extend(gs.iter().cloned()),
-                _ => {}
-            }
-        }
-    }
-    scan(&f.body, &mut names);
+    let mut names: HashSet<String> = f.params.iter().chain(&f.outputs).cloned().collect();
+    names.extend(assigned_names(&f.body).map(str::to_owned));
     names
 }
 
-fn count_statements(stmts: &[Stmt]) -> usize {
-    let mut n = 0;
-    for s in stmts {
-        n += 1;
-        match &s.kind {
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, b) in branches {
-                    n += count_statements(b);
-                }
-                if let Some(b) = else_body {
-                    n += count_statements(b);
-                }
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                n += count_statements(body);
-            }
-            _ => {}
-        }
-    }
-    n
+/// Names bound anywhere in `stmts`, nested bodies included: assignment
+/// targets, `for` variables and `global` declarations. A name repeats
+/// once per binding site.
+pub fn assigned_names(stmts: &[Stmt]) -> impl Iterator<Item = &str> {
+    walk_stmts(stmts).flat_map(|s| {
+        let (lvalues, names): (&[LValue], &[String]) = match &s.kind {
+            StmtKind::Assign { lhs, .. } => (std::slice::from_ref(lhs), &[]),
+            StmtKind::MultiAssign { lhs, .. } => (lhs, &[]),
+            StmtKind::For { var, .. } => (&[], std::slice::from_ref(var)),
+            StmtKind::Global(gs) => (&[], gs),
+            _ => (&[], &[]),
+        };
+        lvalues
+            .iter()
+            .map(LValue::name)
+            .chain(names.iter().map(String::as_str))
+    })
+}
+
+/// The first `global` or `clear` statement in `stmts`, nested bodies
+/// included. Compiled frames honor neither, so the inliner, the engine
+/// and the code generator all leave a function that has one alone.
+pub fn global_or_clear(stmts: &[Stmt]) -> Option<&Stmt> {
+    walk_stmts(stmts).find(|s| matches!(s.kind, StmtKind::Global(_) | StmtKind::Clear(_)))
 }
 
 /// Does a `return` occur inside one of the function's own loops (which
@@ -143,21 +114,6 @@ fn has_return_in_loop(stmts: &[Stmt], in_loop: bool) -> bool {
                 || else_body
                     .as_ref()
                     .is_some_and(|b| has_return_in_loop(b, in_loop))
-        }
-        _ => false,
-    })
-}
-
-fn has_globals_or_clear(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Global(_) | StmtKind::Clear(_) => true,
-        StmtKind::While { body, .. } | StmtKind::For { body, .. } => has_globals_or_clear(body),
-        StmtKind::If {
-            branches,
-            else_body,
-        } => {
-            branches.iter().any(|(_, b)| has_globals_or_clear(b))
-                || else_body.as_ref().is_some_and(|b| has_globals_or_clear(b))
         }
         _ => false,
     })
@@ -232,7 +188,7 @@ impl<'a> Inliner<'a> {
         let Some(f) = self.registry.get(name) else {
             return Err(None);
         };
-        let statements = count_statements(&f.body);
+        let statements = walk_stmts(&f.body).count();
         if statements >= self.opts.max_statements {
             return Err(Some(format!(
                 "{statements} statements ≥ the {}-statement limit",
@@ -247,7 +203,7 @@ impl<'a> Inliner<'a> {
                 "return inside a callee loop (breaks the single-trip-loop lowering)".to_owned(),
             ));
         }
-        if has_globals_or_clear(&f.body) {
+        if global_or_clear(&f.body).is_some() {
             return Err(Some("callee touches global/clear state".to_owned()));
         }
         let depth = *self.depth.get(name).unwrap_or(&0);
@@ -271,7 +227,7 @@ impl<'a> Inliner<'a> {
                     inlined: true,
                     reason: format!(
                         "inlined ({} statements, expansion depth {})",
-                        count_statements(&f.body),
+                        walk_stmts(&f.body).count(),
                         *self.depth.get(name).unwrap_or(&0)
                     ),
                 });
@@ -668,13 +624,13 @@ impl<'a> Inliner<'a> {
         self.tmp_counter += 1;
         let prefix = format!("__inl{}_", self.tmp_counter);
 
-        let assigned = assigned_names(&callee.body);
+        let assigned: HashSet<&str> = assigned_names(&callee.body).collect();
         // Build the renaming map for callee locals.
         let mut rename: HashMap<String, RenameTo> = HashMap::new();
         let mut pre = Vec::new();
         for (k, formal) in callee.params.iter().enumerate() {
             let actual = args.get(k);
-            let read_only = !assigned.contains(formal);
+            let read_only = !assigned.contains(formal.as_str());
             match actual {
                 // Read-only formals bound to simple actuals are
                 // substituted directly — the paper's "read-only formal
@@ -717,13 +673,14 @@ impl<'a> Inliner<'a> {
                 }
             }
         }
+        let outputs_and_params = callee.outputs.iter().chain(&callee.params);
         for name in assigned
             .iter()
-            .chain(callee.outputs.iter())
-            .chain(callee.params.iter())
+            .copied()
+            .chain(outputs_and_params.map(String::as_str))
         {
             rename
-                .entry(name.clone())
+                .entry(name.to_owned())
                 .or_insert_with(|| RenameTo::Name(format!("{prefix}{name}")));
         }
 
@@ -1007,43 +964,6 @@ enum RenameTo {
     Expr(Expr),
 }
 
-fn assigned_names(stmts: &[Stmt]) -> HashSet<String> {
-    let mut names = HashSet::new();
-    fn scan(stmts: &[Stmt], names: &mut HashSet<String>) {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Assign { lhs, .. } => {
-                    names.insert(lhs.name().to_owned());
-                }
-                StmtKind::MultiAssign { lhs, .. } => {
-                    for lv in lhs {
-                        names.insert(lv.name().to_owned());
-                    }
-                }
-                StmtKind::For { var, body, .. } => {
-                    names.insert(var.clone());
-                    scan(body, names);
-                }
-                StmtKind::While { body, .. } => scan(body, names),
-                StmtKind::If {
-                    branches,
-                    else_body,
-                } => {
-                    for (_, b) in branches {
-                        scan(b, names);
-                    }
-                    if let Some(b) = else_body {
-                        scan(b, names);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    scan(stmts, &mut names);
-    names
-}
-
 fn body_has_return(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|s| match &s.kind {
         StmtKind::Return => true,
@@ -1295,34 +1215,25 @@ mod tests {
             InlineOptions::default(),
             &mut next,
         );
-        let mut seen = std::collections::HashSet::new();
-        fn walk_stmts(stmts: &[Stmt], seen: &mut std::collections::HashSet<NodeId>) {
-            for s in stmts {
-                match &s.kind {
-                    StmtKind::Assign { lhs, rhs, .. } => {
-                        assert!(seen.insert(lhs.id()), "dup lvalue id");
-                        rhs.walk(&mut |e| assert!(seen.insert(e.id), "dup id {}", e.id));
-                    }
-                    StmtKind::For { iter, body, .. } => {
-                        iter.walk(&mut |e| assert!(seen.insert(e.id), "dup id {}", e.id));
-                        walk_stmts(body, seen);
-                    }
-                    StmtKind::If {
-                        branches,
-                        else_body,
-                    } => {
-                        for (c, b) in branches {
-                            c.walk(&mut |e| assert!(seen.insert(e.id), "dup id {}", e.id));
-                            walk_stmts(b, seen);
-                        }
-                        if let Some(b) = else_body {
-                            walk_stmts(b, seen);
-                        }
-                    }
-                    _ => {}
+        let mut ids = Vec::new();
+        for s in walk_stmts(&f.body) {
+            let mut exprs: Vec<&Expr> = Vec::new();
+            match &s.kind {
+                StmtKind::Assign { lhs, rhs, .. } => {
+                    ids.push(lhs.id());
+                    exprs.push(rhs);
                 }
+                StmtKind::For { iter, .. } => exprs.push(iter),
+                StmtKind::If { branches, .. } => exprs.extend(branches.iter().map(|(c, _)| c)),
+                _ => {}
+            }
+            for e in exprs {
+                e.walk(&mut |e| ids.push(e.id));
             }
         }
-        walk_stmts(&f.body, &mut seen);
+        let mut seen = HashSet::new();
+        for id in ids {
+            assert!(seen.insert(id), "dup id {id}");
+        }
     }
 }

@@ -6,16 +6,17 @@
 //!   reaching definition as a variable on all paths leading to it must be
 //!   a variable*. Ambiguous symbols (the paper's Figure 2: `i` used both
 //!   as √−1 and as a loop-carried variable) are deferred to runtime.
-//! * Use-def chains, produced as a byproduct of the same dataflow.
 //! * The static symbol table: every variable of a function gets a dense
 //!   [`VarId`] used by the code generators for frame-slot addressing.
 //! * [`inline_function`] — the function inliner (paper §2.6.1): calls to
 //!   small functions are expanded in place, preserving call-by-value by
 //!   copying actual parameters (but not read-only ones), with recursion
 //!   unrolled at most 3 levels deep.
+//! * [`assigned_names`] and [`global_or_clear`] — the statement-block
+//!   queries the inliner, the engine and the code generator share.
 
 mod disambig;
 mod inline;
 
 pub use disambig::{disambiguate, DisambiguatedFunction, SymbolKind, SymbolTable, VarId};
-pub use inline::{inline_function, InlineOptions};
+pub use inline::{assigned_names, global_or_clear, inline_function, InlineOptions};

@@ -248,6 +248,51 @@ impl Expr {
     }
 }
 
+/// Walk a statement block and every nested body, pre-order: each
+/// statement comes before the bodies it contains, and an `if` chain's
+/// bodies come in source order (`if`, each `elseif`, then `else`).
+pub fn walk_stmts(stmts: &[Stmt]) -> impl Iterator<Item = &Stmt> {
+    StmtWalk {
+        stack: vec![stmts.iter()],
+    }
+}
+
+/// The iterator behind [`walk_stmts`].
+struct StmtWalk<'a> {
+    /// One iterator per open block; the innermost is last.
+    stack: Vec<std::slice::Iter<'a, Stmt>>,
+}
+
+impl<'a> Iterator for StmtWalk<'a> {
+    type Item = &'a Stmt;
+
+    fn next(&mut self) -> Option<&'a Stmt> {
+        loop {
+            let top = self.stack.last_mut()?;
+            let Some(s) = top.next() else {
+                self.stack.pop();
+                continue;
+            };
+            // Pushed in reverse, so the first body is walked first.
+            match &s.kind {
+                StmtKind::If {
+                    branches,
+                    else_body,
+                } => {
+                    self.stack.extend(else_body.as_deref().map(<[Stmt]>::iter));
+                    self.stack
+                        .extend(branches.iter().rev().map(|(_, b)| b.iter()));
+                }
+                StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
+                    self.stack.push(body.iter());
+                }
+                _ => {}
+            }
+            return Some(s);
+        }
+    }
+}
+
 /// The target of an assignment.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LValue {
@@ -408,5 +453,31 @@ impl SourceFile {
     /// Find a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse_source;
+
+    #[test]
+    fn walk_stmts_is_pre_order_in_source_order() {
+        let src = "function f(a)\nb = 1;\nif a\n c = 1;\n while c\n  d = 1;\n end\n\
+                   elseif b\n e = 1;\nelse\n g = 1;\n for k = 1:2\n  h = 1;\n end\nend\nm = 1;\n";
+        let file = parse_source(src).unwrap();
+        let order: Vec<&str> = walk_stmts(&file.functions[0].body)
+            .map(|s| match &s.kind {
+                StmtKind::Assign { lhs, .. } => lhs.name(),
+                StmtKind::If { .. } => "if",
+                StmtKind::While { .. } => "while",
+                StmtKind::For { .. } => "for",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(
+            order,
+            ["b", "if", "c", "while", "d", "e", "g", "for", "h", "m"]
+        );
     }
 }

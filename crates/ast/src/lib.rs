@@ -30,7 +30,9 @@ mod lexer;
 mod parser;
 mod token;
 
-pub use ast::{BinOp, Expr, ExprKind, Function, LValue, NodeId, SourceFile, Stmt, StmtKind, UnOp};
+pub use ast::{
+    walk_stmts, BinOp, Expr, ExprKind, Function, LValue, NodeId, SourceFile, Stmt, StmtKind, UnOp,
+};
 pub use error::ParseError;
 pub use lexer::Lexer;
 pub use parser::{parse_expression, parse_source, parse_statements, Parser};

@@ -1,7 +1,7 @@
 //! The code selector: typed AST → register IR.
 
-use majic_analysis::{DisambiguatedFunction, SymbolKind, VarId};
-use majic_ast::{BinOp, Expr, ExprKind, LValue, NodeId, Stmt, StmtKind, UnOp};
+use majic_analysis::{assigned_names, global_or_clear, DisambiguatedFunction, SymbolKind, VarId};
+use majic_ast::{walk_stmts, BinOp, Expr, ExprKind, LValue, NodeId, Stmt, StmtKind, UnOp};
 use majic_ir::passes::PassOptions;
 use majic_ir::{
     Block, BlockId, CBinOp, CUnOp, CmpOp, FBinOp, FUnOp, Function, GenOp, Inst, LoopInfo, Operand,
@@ -100,7 +100,11 @@ pub fn compile(
     ann: &Annotations,
     opts: &CodegenOptions,
 ) -> Result<Function, CodegenError> {
-    check_compilable(&d.function.body)?;
+    match global_or_clear(&d.function.body).map(|s| &s.kind) {
+        Some(StmtKind::Global(_)) => return Err(CodegenError("global variables".to_owned())),
+        Some(_) => return Err(CodegenError("clear statements".to_owned())),
+        None => {}
+    }
     let mut g = Gen::new(d, ann, opts);
     g.classify_vars();
     g.bind_params();
@@ -108,35 +112,6 @@ pub fn compile(
     g.seal(Terminator::Return);
     g.bind_outputs();
     Ok(g.finish())
-}
-
-fn check_compilable(stmts: &[Stmt]) -> Result<(), CodegenError> {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Global(_) => {
-                return Err(CodegenError("global variables".to_owned()));
-            }
-            StmtKind::Clear(_) => {
-                return Err(CodegenError("clear statements".to_owned()));
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, b) in branches {
-                    check_compilable(b)?;
-                }
-                if let Some(b) = else_body {
-                    check_compilable(b)?;
-                }
-            }
-            StmtKind::While { body, .. } | StmtKind::For { body, .. } => {
-                check_compilable(body)?;
-            }
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 struct Gen<'a> {
@@ -630,7 +605,7 @@ impl<'a> Gen<'a> {
                 self.switch_to(dead);
             }
             StmtKind::Global(_) | StmtKind::Clear(_) => {
-                unreachable!("rejected by check_compilable")
+                unreachable!("rejected by compile")
             }
         }
     }
@@ -913,7 +888,7 @@ impl<'a> Gen<'a> {
                     },
                 };
                 if let (Some(step_v), VarLoc::F(kreg)) = (static_step, self.var_loc(var_vid)) {
-                    if !assigns_var(body, var) {
+                    if !assigned_names(body).any(|n| n == var) {
                         self.direct_counted_loop(kreg, step_v, start, stop, body);
                         return;
                     }
@@ -2303,25 +2278,6 @@ fn binop_name(op: BinOp) -> &'static str {
     }
 }
 
-/// Does any statement assign the named variable (including as a `for`
-/// variable or indexed target)?
-fn assigns_var(stmts: &[Stmt], name: &str) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Assign { lhs, .. } => lhs.name() == name,
-        StmtKind::MultiAssign { lhs, .. } => lhs.iter().any(|l| l.name() == name),
-        StmtKind::For { var, body, .. } => var == name || assigns_var(body, name),
-        StmtKind::While { body, .. } => assigns_var(body, name),
-        StmtKind::If {
-            branches,
-            else_body,
-        } => {
-            branches.iter().any(|(_, b)| assigns_var(b, name))
-                || else_body.as_ref().is_some_and(|b| assigns_var(b, name))
-        }
-        _ => false,
-    })
-}
-
 /// Which extent `end` refers to in subscript `k` of `n`: numel for a
 /// single subscript, rows/cols otherwise.
 fn end_dim(k: usize, n: usize) -> u8 {
@@ -2394,7 +2350,7 @@ fn collect_var_evidence(
             types[v.index()].push(ann.ty(id));
         }
     }
-    for s in stmts {
+    for s in walk_stmts(stmts) {
         match &s.kind {
             StmtKind::Assign { lhs, rhs, .. } => {
                 match lhs {
@@ -2415,31 +2371,17 @@ fn collect_var_evidence(
                 }
             }
             StmtKind::Expr { expr, .. } => force_apply_bases(expr, d, forced_slot),
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (c, b) in branches {
+            StmtKind::If { branches, .. } => {
+                for (c, _) in branches {
                     force_apply_bases(c, d, forced_slot);
-                    collect_var_evidence(b, d, ann, types, forced_slot);
-                }
-                if let Some(b) = else_body {
-                    collect_var_evidence(b, d, ann, types, forced_slot);
                 }
             }
-            StmtKind::While { cond, body } => {
-                force_apply_bases(cond, d, forced_slot);
-                collect_var_evidence(body, d, ann, types, forced_slot);
-            }
+            StmtKind::While { cond, .. } => force_apply_bases(cond, d, forced_slot),
             StmtKind::For {
-                var,
-                var_id,
-                iter,
-                body,
+                var, var_id, iter, ..
             } => {
                 note(var, *var_id, d, ann, types);
                 force_apply_bases(iter, d, forced_slot);
-                collect_var_evidence(body, d, ann, types, forced_slot);
             }
             _ => {}
         }

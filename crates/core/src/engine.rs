@@ -12,7 +12,7 @@
 
 use crate::service::{CompilerService, Session};
 use majic_analysis::{disambiguate, inline_function, DisambiguatedFunction, InlineOptions};
-use majic_ast::{ExprKind, Function, LValue, Stmt, StmtKind};
+use majic_ast::{walk_stmts, ExprKind, Function, LValue, Stmt, StmtKind};
 use majic_codegen::{compile_executable, CodegenOptions};
 use majic_infer::{infer_jit, infer_speculative, Annotations, CalleeOracle, InferOptions};
 use majic_ir::passes::PassOptions;
@@ -400,23 +400,8 @@ pub(crate) fn signature_of(args: &[Value]) -> Signature {
     args.iter().map(Value::type_of).collect()
 }
 
-pub(crate) fn has_global_or_clear(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Global(_) | StmtKind::Clear(_) => true,
-        StmtKind::If {
-            branches,
-            else_body,
-        } => {
-            branches.iter().any(|(_, b)| has_global_or_clear(b))
-                || else_body.as_ref().is_some_and(|b| has_global_or_clear(b))
-        }
-        StmtKind::While { body, .. } | StmtKind::For { body, .. } => has_global_or_clear(body),
-        _ => false,
-    })
-}
-
 pub(crate) fn collect_callees(stmts: &[Stmt], known: &HashSet<String>, out: &mut Vec<String>) {
-    for s in stmts {
+    for s in walk_stmts(stmts) {
         match &s.kind {
             StmtKind::Expr { expr, .. } => collect_expr(expr, known, out),
             StmtKind::Assign { rhs, lhs, .. } => {
@@ -435,25 +420,13 @@ pub(crate) fn collect_callees(stmts: &[Stmt], known: &HashSet<String>, out: &mut
                     collect_expr(a, known, out);
                 }
             }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (c, b) in branches {
+            StmtKind::If { branches, .. } => {
+                for (c, _) in branches {
                     collect_expr(c, known, out);
-                    collect_callees(b, known, out);
-                }
-                if let Some(b) = else_body {
-                    collect_callees(b, known, out);
                 }
             }
-            StmtKind::While { cond, body } => {
-                collect_expr(cond, known, out);
-                collect_callees(body, known, out);
-            }
-            StmtKind::For { iter, body, .. } => {
-                collect_expr(iter, known, out);
-                collect_callees(body, known, out);
+            StmtKind::While { cond: e, .. } | StmtKind::For { iter: e, .. } => {
+                collect_expr(e, known, out)
             }
             _ => {}
         }

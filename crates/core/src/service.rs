@@ -49,11 +49,11 @@
 //! what makes the next session on the same source warm.
 
 use crate::engine::{
-    collect_callees, compile_and_publish, has_global_or_clear, quality_name, signature_of,
-    take_outputs, CacheReport, EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes,
-    SessionCtx, Trigger,
+    collect_callees, compile_and_publish, quality_name, signature_of, take_outputs, CacheReport,
+    EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes, SessionCtx, Trigger,
 };
 use crate::spec::{JobSpec, SpecStats, SpecWorkerPool};
+use majic_analysis::global_or_clear;
 use majic_ast::{parse_source, parse_statements, ExprKind, Function, LValue, Stmt, StmtKind};
 use majic_interp::Interp;
 use majic_repo::cache::{CacheEntry, RepoCache};
@@ -957,7 +957,7 @@ impl Session {
             let Some(f) = self.ctx.registry.get(&n) else {
                 continue;
             };
-            if has_global_or_clear(&f.body) {
+            if global_or_clear(&f.body).is_some() {
                 return true;
             }
             collect_callees(&f.body, &self.ctx.known, &mut stack);

@@ -636,7 +636,7 @@ fn end_type(base: &Type, k: usize, n: usize, opts: &InferOptions) -> Type {
 mod tests {
     use super::*;
     use majic_analysis::disambiguate;
-    use majic_ast::parse_source;
+    use majic_ast::{parse_source, walk_stmts};
     use std::collections::HashSet;
 
     fn setup(src: &str, sig: Vec<Type>) -> (DisambiguatedFunction, Annotations) {
@@ -649,33 +649,13 @@ mod tests {
 
     /// The annotation of the rhs of the assignment to `name`.
     fn type_of_assign(d: &DisambiguatedFunction, ann: &Annotations, name: &str) -> Type {
-        fn find(stmts: &[Stmt], name: &str, ann: &Annotations, out: &mut Option<Type>) {
-            for s in stmts {
-                match &s.kind {
-                    StmtKind::Assign { lhs, .. } if lhs.name() == name => {
-                        *out = Some(ann.ty(lhs.id()));
-                    }
-                    StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                        find(body, name, ann, out)
-                    }
-                    StmtKind::If {
-                        branches,
-                        else_body,
-                    } => {
-                        for (_, b) in branches {
-                            find(b, name, ann, out);
-                        }
-                        if let Some(b) = else_body {
-                            find(b, name, ann, out);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut out = None;
-        find(&d.function.body, name, ann, &mut out);
-        out.expect("assignment found")
+        walk_stmts(&d.function.body)
+            .filter_map(|s| match &s.kind {
+                StmtKind::Assign { lhs, .. } if lhs.name() == name => Some(ann.ty(lhs.id())),
+                _ => None,
+            })
+            .last()
+            .expect("assignment found")
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::calculator::InferOptions;
 use crate::engine::{Annotations, CalleeOracle, ForwardEngine};
 use majic_analysis::{DisambiguatedFunction, SymbolKind};
-use majic_ast::{BinOp, Expr, ExprKind, LValue, Stmt, StmtKind};
+use majic_ast::{walk_stmts, BinOp, Expr, ExprKind, LValue, Stmt, StmtKind};
 use majic_runtime::builtins::Builtin;
 use majic_types::{Intrinsic, Lattice, Range, Shape, Signature, Type};
 use std::collections::HashMap;
@@ -96,10 +96,16 @@ pub fn infer_speculative<O: CalleeOracle>(
         // a hint on `m` combined with `m = n` hints `n` too.
         for _chain in 0..4 {
             let mut changed = false;
-            let assigns = simple_assigns(&d.function.body);
-            for (lhs, rhs) in &assigns {
-                if let Some(h) = hints.get(lhs).copied() {
-                    changed |= backward_expr(rhs, &h, &mut hints);
+            for s in walk_stmts(&d.function.body) {
+                if let StmtKind::Assign {
+                    lhs: LValue::Var { name, .. },
+                    rhs,
+                    ..
+                } = &s.kind
+                {
+                    if let Some(h) = hints.get(name).copied() {
+                        changed |= backward_expr(rhs, &h, &mut hints);
+                    }
                 }
             }
             if !changed {
@@ -183,37 +189,6 @@ fn backward_expr(e: &Expr, want: &Type, hints: &mut HashMap<String, Type>) -> bo
         ExprKind::Unary { operand, .. } if want.is_scalar() => backward_expr(operand, want, hints),
         _ => false,
     }
-}
-
-/// Collect `lhs = rhs` pairs where the lhs is a plain variable.
-fn simple_assigns(stmts: &[Stmt]) -> Vec<(String, Expr)> {
-    let mut out = Vec::new();
-    fn scan(stmts: &[Stmt], out: &mut Vec<(String, Expr)>) {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Assign {
-                    lhs: LValue::Var { name, .. },
-                    rhs,
-                    ..
-                } => out.push((name.clone(), rhs.clone())),
-                StmtKind::If {
-                    branches,
-                    else_body,
-                } => {
-                    for (_, b) in branches {
-                        scan(b, out);
-                    }
-                    if let Some(b) = else_body {
-                        scan(b, out);
-                    }
-                }
-                StmtKind::While { body, .. } | StmtKind::For { body, .. } => scan(body, out),
-                _ => {}
-            }
-        }
-    }
-    scan(stmts, &mut out);
-    out
 }
 
 struct HintCollector<'a> {
