@@ -106,7 +106,6 @@ pub fn measure(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Measuremen
             // Batch compilers build the code before the program runs;
             // warm the repository, then measure execution only.
             let _ = m.call(bench.entry, &args, 1);
-            m.reset_times();
         }
         m.reset_times();
         m.call(bench.entry, &args, 1)

@@ -113,8 +113,6 @@ impl CodegenOptions {
             regalloc: RegAllocMode::LinearScan,
             mcc_mode: false,
             oversize: true,
-            unroll_small_vectors: true,
-            gemv_fusion: true,
         }
     }
 
@@ -135,8 +133,6 @@ impl CodegenOptions {
         CodegenOptions {
             mcc_mode: true,
             oversize: false,
-            unroll_small_vectors: false,
-            gemv_fusion: false,
             passes: PassOptions::none(),
             regalloc: RegAllocMode::LinearScan,
         }

@@ -19,13 +19,11 @@ use majic_infer::Annotations;
 #[derive(Clone, Copy, Debug)]
 pub struct CodegenOptions {
     /// Emit generic library calls for everything (the `mcc` baseline).
+    /// Off, selection also fully unrolls small-vector operations with
+    /// exact shapes and fuses `a*X + b*C*Y` into a dgemv call.
     pub mcc_mode: bool,
     /// Oversize arrays on resizing stores (paper §2.6.1).
     pub oversize: bool,
-    /// Fully unroll small-vector operations with exact shapes.
-    pub unroll_small_vectors: bool,
-    /// Fuse `a*X + b*C*Y` into a dgemv call.
-    pub gemv_fusion: bool,
     /// IR passes to run after selection.
     pub passes: PassOptions,
     /// Register-allocation mode.
@@ -759,7 +757,7 @@ impl<'a> Gen<'a> {
     /// the paper's pre-allocated temporaries, statement-level form. Safe
     /// because elementwise outputs depend only on same-index inputs.
     fn try_assign_unrolled(&mut self, lhs: &LValue, rhs: &Expr) -> bool {
-        if self.opts.mcc_mode || !self.opts.unroll_small_vectors {
+        if self.opts.mcc_mode {
             return false;
         }
         let LValue::Var { name, .. } = lhs else {
@@ -1705,7 +1703,7 @@ impl<'a> Gen<'a> {
         if !self.opts.mcc_mode {
             // dgemv fusion (paper: "expressions like a*X+b*C*Y are
             // transformed into a single call to the BLAS routine dgemv").
-            if op == BinOp::Add && self.opts.gemv_fusion {
+            if op == BinOp::Add {
                 if let Some(r) = self.try_gemv(lhs, rhs) {
                     return r;
                 }
@@ -1885,7 +1883,7 @@ impl<'a> Gen<'a> {
             // Scalar·vector `*` and `/` are elementwise in effect, so
             // they qualify too when one side is scalar.
             let scalar_side = lt.is_scalar() || rt.is_scalar();
-            if self.opts.unroll_small_vectors && (op.is_elementwise() || scalar_side) {
+            if op.is_elementwise() || scalar_side {
                 if let Some(r) = self.try_unrolled_elementwise(op, lhs, rhs, t, None) {
                     return r;
                 }

@@ -379,12 +379,6 @@ impl Majic {
     pub fn with_options(options: EngineOptions) -> Majic {
         Majic(CompilerService::with_options(options).session())
     }
-
-    /// The service behind this facade (background handle, audit flag,
-    /// cache lifecycle, more sessions).
-    pub fn service(&self) -> &CompilerService {
-        self.0.service()
-    }
 }
 
 /// Stable lowercase name of a [`CodeQuality`] tier for audit outcomes.
@@ -455,6 +449,10 @@ pub(crate) struct SessionCtx {
     /// `function name → closure hash` = the session's repository
     /// namespace for the function.
     pub(crate) hashes: HashMap<String, u64>,
+    /// Functions whose static call closure reaches `global` / `clear`,
+    /// which compiled code cannot express: their calls run in the
+    /// interpreter. Recomputed with `hashes` on every load.
+    pub(crate) interpreted: HashSet<String>,
     /// 1-based session id; attributed on audit records and repository
     /// inserts (`0` is reserved for out-of-session work).
     pub(crate) session: u64,

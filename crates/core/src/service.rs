@@ -467,7 +467,7 @@ impl Session {
             // Source changed → namespaces move (repository dependency
             // tracking). Unchanged functions keep their hash, their
             // namespace, and every compiled version in it.
-            let new_hashes = closure_hashes(&ctx.registry, &ctx.known);
+            let (new_hashes, interpreted) = closure_hashes(&ctx.registry, &ctx.known);
             for (name, &new_ns) in &new_hashes {
                 let old = ctx.hashes.get(name).copied();
                 if old != Some(new_ns) {
@@ -475,6 +475,7 @@ impl Session {
                 }
             }
             ctx.hashes = new_hashes;
+            ctx.interpreted = interpreted;
             // Warm start: now that the authoritative source is known,
             // cached compiled versions whose closure hash still matches
             // may install into the repository.
@@ -618,7 +619,7 @@ impl Session {
                 majic_runtime::par::set_threads(threads);
             }
         }
-        if self.options.mode == ExecMode::Interpret || self.reaches_uncompilable(name) {
+        if self.options.mode == ExecMode::Interpret || self.ctx.interpreted.contains(name) {
             if self.options.mode != ExecMode::Interpret {
                 // A compiled mode quietly routing a call through the
                 // interpreter is exactly the decision the audit log
@@ -945,26 +946,6 @@ impl Session {
         cs.report.rejected_source_hash += rejected;
     }
 
-    /// Does `name`'s static call graph reach a function compiled code
-    /// cannot express (`global` / `clear`)?
-    fn reaches_uncompilable(&self, name: &str) -> bool {
-        let mut seen = HashSet::new();
-        let mut stack = vec![name.to_owned()];
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n.clone()) {
-                continue;
-            }
-            let Some(f) = self.ctx.registry.get(&n) else {
-                continue;
-            };
-            if global_or_clear(&f.body).is_some() {
-                return true;
-            }
-            collect_callees(&f.body, &self.ctx.known, &mut stack);
-        }
-        false
-    }
-
     /// The interpreter session (workspace access, captured output).
     pub fn interp(&self) -> &Interp {
         &self.interp
@@ -1060,21 +1041,30 @@ impl Drop for Session {
 /// redefinition automatically moves every affected caller to a new
 /// namespace too — inlining and cross-function inference make a
 /// caller's compiled code depend on its callees' exact source.
+///
+/// The same walk also returns the functions whose closure reaches
+/// `global` / `clear`: compiled code cannot express those, so the
+/// session interprets their calls.
 fn closure_hashes(
     registry: &HashMap<String, Function>,
     known: &HashSet<String>,
-) -> HashMap<String, u64> {
+) -> (HashMap<String, u64>, HashSet<String>) {
     // Pretty-print each function once and record its direct callees.
     let mut printed: HashMap<&str, String> = HashMap::with_capacity(registry.len());
     let mut callees: HashMap<&str, Vec<String>> = HashMap::with_capacity(registry.len());
+    let mut uncompilable: HashSet<&str> = HashSet::new();
     for (name, f) in registry {
         printed.insert(name, format!("{f}"));
+        if global_or_clear(&f.body).is_some() {
+            uncompilable.insert(name);
+        }
         let mut out = Vec::new();
         collect_callees(&f.body, known, &mut out);
         out.retain(|c| registry.contains_key(c));
         callees.insert(name, out);
     }
     let mut hashes = HashMap::with_capacity(registry.len());
+    let mut interpreted = HashSet::new();
     for name in registry.keys() {
         // Transitive closure, including the function itself. A BTreeSet
         // gives the deterministic order the hash needs.
@@ -1087,6 +1077,9 @@ fn closure_hashes(
             if let Some(cs) = callees.get(n) {
                 stack.extend(cs.iter().map(String::as_str));
             }
+        }
+        if closure.iter().any(|n| uncompilable.contains(n)) {
+            interpreted.insert(name.clone());
         }
         let mut buf = Vec::new();
         for n in &closure {
@@ -1103,7 +1096,7 @@ fn closure_hashes(
         }
         hashes.insert(name.clone(), h);
     }
-    hashes
+    (hashes, interpreted)
 }
 
 // The whole point of the service split: the service crosses threads,

@@ -62,12 +62,6 @@ impl Failure {
 /// time at roughly a second.
 const SHRINK_EVALS: usize = 400;
 
-/// Run one seed through generate → oracle → (on failure) shrink, using
-/// the default grammar.
-pub fn run_seed(seed: u64) -> (DiffReport, Option<Failure>) {
-    run_seed_with(seed, Grammar::Default)
-}
-
 /// Run one seed through generate → oracle → (on failure) shrink, with
 /// the chosen grammar (the aliasing mode stresses copy-on-write
 /// snapshot isolation).
@@ -175,7 +169,7 @@ mod tests {
         // A smoke sample of the generator space: every case must agree
         // across all six engine configurations.
         for seed in 0..25 {
-            let (report, failure) = run_seed(seed);
+            let (report, failure) = run_seed_with(seed, Grammar::Default);
             assert!(
                 failure.is_none(),
                 "seed {seed} diverged:\n{}\nreproducer:\n{}",

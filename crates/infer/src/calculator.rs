@@ -27,9 +27,6 @@ pub struct InferOptions {
     /// Propagate minimum shape bounds. Disabling reproduces "no min.
     /// shapes": small-vector unrolling and some check removal die.
     pub min_shape_propagation: bool,
-    /// Loop fixpoint iteration cap; widening kicks in afterwards
-    /// (paper §2.3: the engine "caps the number of iterations").
-    pub max_loop_iterations: usize,
 }
 
 impl Default for InferOptions {
@@ -37,7 +34,6 @@ impl Default for InferOptions {
         InferOptions {
             range_propagation: true,
             min_shape_propagation: true,
-            max_loop_iterations: 8,
         }
     }
 }
@@ -1232,116 +1228,6 @@ fn reduction_type(a: &Type, _prod: bool) -> Type {
     )
 }
 
-/// The rule inventory: one name per guarded rule in the database, in the
-/// order they are tried. Mirrors the paper's "about 250 rules" database
-/// structurally (each arm above corresponds to one or more entries here).
-pub fn rule_inventory() -> Vec<&'static str> {
-    let mut v = Vec::new();
-    // Binary arithmetic ladders (×4 ops + div variants + pow).
-    for op in ["add", "sub", "elem_mul", "elem_div", "elem_ldiv"] {
-        for rule in [
-            "int_scalar",
-            "real_scalar",
-            "cplx_scalar",
-            "scalar_matrix",
-            "matrix_scalar",
-            "matrix_matrix",
-            "default",
-        ] {
-            v.push(Box::leak(format!("{op}.{rule}").into_boxed_str()) as &'static str);
-        }
-    }
-    for rule in [
-        "mul.int_scalar",
-        "mul.real_scalar",
-        "mul.cplx_scalar",
-        "mul.scalar_matrix",
-        "mul.matrix_scalar",
-        "mul.gemv",
-        "mul.gemm",
-        "mul.default",
-        "div.scalar",
-        "div.matrix",
-        "div.default",
-        "ldiv.scalar",
-        "ldiv.matrix",
-        "ldiv.default",
-        "pow.int_scalar",
-        "pow.real_scalar_nonneg",
-        "pow.real_scalar_int_exp",
-        "pow.real_scalar_cplx",
-        "pow.cplx_scalar",
-        "pow.matrix",
-        "pow.elementwise",
-        "pow.default",
-    ] {
-        v.push(rule);
-    }
-    // Relational and logical.
-    for op in ["lt", "le", "gt", "ge", "eq", "ne"] {
-        for rule in ["scalar", "elementwise", "string", "default"] {
-            v.push(Box::leak(format!("{op}.{rule}").into_boxed_str()) as &'static str);
-        }
-    }
-    for rule in [
-        "and.elementwise",
-        "or.elementwise",
-        "shortand.scalar",
-        "shortor.scalar",
-        "neg.numeric",
-        "not.numeric",
-        "transpose.numeric",
-        "colon.const",
-        "colon.bounded",
-        "colon.default",
-        "bracket.concat",
-        "index.all",
-        "index.flatten",
-        "index.scalar",
-        "index.vector",
-        "index.scalar2",
-        "index.slice",
-        "index.default",
-        "store.linear_fresh",
-        "store.linear_row",
-        "store.linear_col",
-        "store.linear_matrix",
-        "store.grow2d",
-        "store.default",
-    ] {
-        v.push(rule);
-    }
-    // Builtins: each match arm above is a rule; several have sub-rules.
-    for b in Builtin::all() {
-        v.push(Box::leak(format!("builtin.{}", b.name()).into_boxed_str()) as &'static str);
-    }
-    for rule in [
-        "builtin.zeros.exact_shape",
-        "builtin.zeros.bounded_shape",
-        "builtin.size.dim",
-        "builtin.size.pair",
-        "builtin.sqrt.nonneg",
-        "builtin.sqrt.complex",
-        "builtin.log.positive",
-        "builtin.log.complex",
-        "builtin.exp.real",
-        "builtin.sin.real_bounded",
-        "builtin.cos.real_bounded",
-        "builtin.abs.int",
-        "builtin.mod.bounded",
-        "builtin.max.binary",
-        "builtin.max.reduce",
-        "builtin.min.binary",
-        "builtin.min.reduce",
-        "builtin.sum.vector",
-        "builtin.sum.matrix",
-        "builtin.eig.shape",
-    ] {
-        v.push(rule);
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1591,17 +1477,6 @@ mod tests {
         let s = Type::string();
         let t = binary(BinOp::Mul, &s, &Type::constant(2.0), &o());
         assert_eq!(t, Type::top());
-    }
-
-    #[test]
-    fn rule_inventory_is_substantial() {
-        // The paper reports "about 250 rules"; our database is the same
-        // order of magnitude.
-        let rules = rule_inventory();
-        assert!(rules.len() >= 150, "only {} rules", rules.len());
-        // No duplicates.
-        let set: std::collections::HashSet<_> = rules.iter().collect();
-        assert_eq!(set.len(), rules.len());
     }
 
     #[test]

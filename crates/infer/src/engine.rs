@@ -8,6 +8,10 @@ use std::collections::HashMap;
 
 pub use crate::calculator::InferOptions;
 
+/// Loop fixpoint iteration cap; widening kicks in afterwards (paper
+/// §2.3: the engine "caps the number of iterations").
+const MAX_LOOP_ITERATIONS: usize = 8;
+
 /// Resolves the output types of user-function calls. The engine wires
 /// the code repository in here so that inference can use the signatures
 /// of already-compiled callees; [`NoOracle`] answers `⊤`.
@@ -296,7 +300,7 @@ impl<O: CalleeOracle> ForwardEngine<'_, O> {
         let saved_continues = std::mem::take(&mut self.continue_envs);
         let mut carried = env_in.clone();
         let mut converged = false;
-        for iter in 0..self.opts.max_loop_iterations.max(4) {
+        for iter in 0..MAX_LOOP_ITERATIONS {
             self.break_envs.clear();
             self.continue_envs.clear();
             let out = body(self, &carried);
@@ -308,7 +312,7 @@ impl<O: CalleeOracle> ForwardEngine<'_, O> {
                 converged = true;
                 break;
             }
-            if iter + 2 >= self.opts.max_loop_iterations {
+            if iter + 2 >= MAX_LOOP_ITERATIONS {
                 // Widen the components that keep changing: moved range
                 // bounds jump to ±∞, grown shape bounds to their lattice
                 // extremes. Each component widens at most once, so the

@@ -86,11 +86,6 @@ impl Interp {
         self.functions.insert(f.name.clone(), f);
     }
 
-    /// Names of all registered user functions.
-    pub fn function_names(&self) -> impl Iterator<Item = &str> {
-        self.functions.keys().map(String::as_str)
-    }
-
     /// Look up a registered function.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.get(name)

@@ -21,9 +21,9 @@
 //! physical registers and spill slots.
 
 //!
-//! The [`serial`] module gives every IR type a canonical binary encoding
-//! so compiled functions can persist in the on-disk repository cache
-//! (`docs/CACHE_FORMAT.md`).
+//! The [`serial`] module gives instructions and variable bindings a
+//! canonical binary encoding, so flattened compiled code can persist in
+//! the on-disk repository cache (`docs/CACHE_FORMAT.md`).
 
 #![deny(missing_docs)]
 

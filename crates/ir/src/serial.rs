@@ -1,5 +1,6 @@
-//! Binary serialization of the IR (instructions, blocks, functions) for
-//! the persistent repository cache.
+//! Binary serialization of the IR pieces a flattened executable holds
+//! (instructions and variable bindings) for the persistent repository
+//! cache; `majic-vm`'s `Executable::encode` frames them.
 //!
 //! Built on the primitive wire layer in [`majic_types::wire`]; the
 //! byte-level layout is specified in `docs/CACHE_FORMAT.md`. Every enum
@@ -14,10 +15,7 @@
 //! executor dispatches on, so a decoded instruction is indistinguishable
 //! from a freshly selected one.
 
-use crate::{
-    Block, BlockId, CBinOp, CUnOp, CmpOp, FBinOp, FUnOp, Function, GenOp, Inst, LoopInfo, Operand,
-    Reg, Slot, Terminator, VarBinding,
-};
+use crate::{CBinOp, CUnOp, CmpOp, FBinOp, FUnOp, GenOp, Inst, Operand, Reg, Slot, VarBinding};
 use majic_runtime::builtins::Builtin;
 use majic_types::wire::{Reader, WireError, WireResult, Writer};
 
@@ -698,41 +696,6 @@ pub fn decode_inst(r: &mut Reader<'_>) -> WireResult<Inst> {
     })
 }
 
-/// Encode a [`Terminator`].
-pub fn encode_terminator(w: &mut Writer, v: &Terminator) {
-    match v {
-        Terminator::Jump(t) => {
-            w.u8(0);
-            w.u32(t.0);
-        }
-        Terminator::Branch {
-            cond,
-            then_bb,
-            else_bb,
-        } => {
-            w.u8(1);
-            reg(w, *cond);
-            w.u32(then_bb.0);
-            w.u32(else_bb.0);
-        }
-        Terminator::Return => w.u8(2),
-    }
-}
-
-/// Decode a [`Terminator`].
-pub fn decode_terminator(r: &mut Reader<'_>) -> WireResult<Terminator> {
-    Ok(match r.u8()? {
-        0 => Terminator::Jump(BlockId(r.u32()?)),
-        1 => Terminator::Branch {
-            cond: rd_reg(r)?,
-            then_bb: BlockId(r.u32()?),
-            else_bb: BlockId(r.u32()?),
-        },
-        2 => Terminator::Return,
-        _ => return Err(WireError::new("terminator tag")),
-    })
-}
-
 /// Encode a [`VarBinding`].
 pub fn encode_binding(w: &mut Writer, v: VarBinding) {
     match v {
@@ -768,106 +731,6 @@ pub fn decode_binding(r: &mut Reader<'_>) -> WireResult<VarBinding> {
         3 => VarBinding::FSpill(r.u32()?),
         4 => VarBinding::CSpill(r.u32()?),
         _ => return Err(WireError::new("binding tag")),
-    })
-}
-
-/// Encode a [`Block`].
-pub fn encode_block(w: &mut Writer, v: &Block) {
-    w.u32(v.insts.len() as u32);
-    for i in &v.insts {
-        encode_inst(w, i);
-    }
-    encode_terminator(w, &v.term);
-}
-
-/// Decode a [`Block`].
-pub fn decode_block(r: &mut Reader<'_>) -> WireResult<Block> {
-    let n = r.seq_len(1)?;
-    let mut insts = Vec::with_capacity(n);
-    for _ in 0..n {
-        insts.push(decode_inst(r)?);
-    }
-    Ok(Block {
-        insts,
-        term: decode_terminator(r)?,
-    })
-}
-
-/// Encode a full IR [`Function`] (blocks, loop metadata, frame layout).
-pub fn encode_function(w: &mut Writer, v: &Function) {
-    w.str(&v.name);
-    w.u32(v.blocks.len() as u32);
-    for b in &v.blocks {
-        encode_block(w, b);
-    }
-    w.u32(v.loops.len() as u32);
-    for l in &v.loops {
-        w.u32(l.preheader.0);
-        w.u32(l.header.0);
-        w.u32(l.blocks.len() as u32);
-        for b in &l.blocks {
-            w.u32(b.0);
-        }
-    }
-    w.u32(v.f_regs);
-    w.u32(v.c_regs);
-    w.u32(v.slots);
-    w.u32(v.params.len() as u32);
-    for p in &v.params {
-        encode_binding(w, *p);
-    }
-    w.u32(v.outputs.len() as u32);
-    for o in &v.outputs {
-        encode_binding(w, *o);
-    }
-}
-
-/// Decode a full IR [`Function`].
-pub fn decode_function(r: &mut Reader<'_>) -> WireResult<Function> {
-    let name = r.str()?;
-    let nb = r.seq_len(1)?;
-    let mut blocks = Vec::with_capacity(nb);
-    for _ in 0..nb {
-        blocks.push(decode_block(r)?);
-    }
-    let nl = r.seq_len(1)?;
-    let mut loops = Vec::with_capacity(nl);
-    for _ in 0..nl {
-        let preheader = BlockId(r.u32()?);
-        let header = BlockId(r.u32()?);
-        let n = r.seq_len(4)?;
-        let mut lblocks = Vec::with_capacity(n);
-        for _ in 0..n {
-            lblocks.push(BlockId(r.u32()?));
-        }
-        loops.push(LoopInfo {
-            preheader,
-            header,
-            blocks: lblocks,
-        });
-    }
-    let f_regs = r.u32()?;
-    let c_regs = r.u32()?;
-    let slots = r.u32()?;
-    let np = r.seq_len(1)?;
-    let mut params = Vec::with_capacity(np);
-    for _ in 0..np {
-        params.push(decode_binding(r)?);
-    }
-    let no = r.seq_len(1)?;
-    let mut outputs = Vec::with_capacity(no);
-    for _ in 0..no {
-        outputs.push(decode_binding(r)?);
-    }
-    Ok(Function {
-        name,
-        blocks,
-        loops,
-        f_regs,
-        c_regs,
-        slots,
-        params,
-        outputs,
     })
 }
 
@@ -1088,51 +951,5 @@ mod tests {
         w.u8(7); // CallBuiltin
         w.str("no_such_builtin");
         assert!(decode_genop(&mut Reader::new(&w.into_bytes())).is_err());
-    }
-
-    #[test]
-    fn function_round_trips() {
-        let f = Function {
-            name: "probe".into(),
-            blocks: vec![
-                Block {
-                    insts: vec![Inst::FConst { d: Reg(0), v: 1.0 }],
-                    term: Terminator::Branch {
-                        cond: Reg(0),
-                        then_bb: BlockId(1),
-                        else_bb: BlockId(1),
-                    },
-                },
-                Block {
-                    insts: vec![],
-                    term: Terminator::Return,
-                },
-            ],
-            loops: vec![LoopInfo {
-                preheader: BlockId(0),
-                header: BlockId(1),
-                blocks: vec![BlockId(1)],
-            }],
-            f_regs: 3,
-            c_regs: 1,
-            slots: 2,
-            params: vec![VarBinding::F(Reg(0)), VarBinding::Slot(Slot(0))],
-            outputs: vec![VarBinding::CSpill(3)],
-        };
-        let mut w = Writer::new();
-        encode_function(&mut w, &f);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = decode_function(&mut r).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(back.name, f.name);
-        assert_eq!(back.blocks, f.blocks);
-        assert_eq!(back.loops, f.loops);
-        assert_eq!(back.params, f.params);
-        assert_eq!(back.outputs, f.outputs);
-        assert_eq!(
-            (back.f_regs, back.c_regs, back.slots),
-            (f.f_regs, f.c_regs, f.slots)
-        );
     }
 }

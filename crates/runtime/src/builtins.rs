@@ -113,20 +113,6 @@ impl fmt::Display for Builtin {
 }
 
 impl Builtin {
-    /// Is this a zero-argument constant (`pi`, `i`, `Inf`, …)? Constants
-    /// may appear without parentheses and are shadowed by variables.
-    pub fn is_constant(self) -> bool {
-        matches!(
-            self,
-            Builtin::Pi
-                | Builtin::Eps
-                | Builtin::Inf
-                | Builtin::NaN
-                | Builtin::ImagUnitI
-                | Builtin::ImagUnitJ
-        )
-    }
-
     /// Call the builtin.
     ///
     /// `nargout` is the number of requested outputs (`[m,n] = size(A)`
@@ -879,8 +865,6 @@ mod tests {
             call(Builtin::ImagUnitI, &[]),
             Value::complex_scalar(Complex::I)
         );
-        assert!(Builtin::Pi.is_constant());
-        assert!(!Builtin::Zeros.is_constant());
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
-    /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Complex conjugate.
     pub fn conj(self) -> Complex {
         Complex::new(self.re, -self.im)
@@ -94,11 +89,6 @@ impl Complex {
     /// Power with a real exponent.
     pub fn powf(self, exp: f64) -> Complex {
         self.powc(Complex::new(exp, 0.0))
-    }
-
-    /// Is this value purely real (zero imaginary part)?
-    pub fn is_real(self) -> bool {
-        self.im == 0.0
     }
 }
 
@@ -207,7 +197,6 @@ mod tests {
         let z = Complex::new(3.0, 4.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.conj(), Complex::new(3.0, -4.0));
-        assert_eq!(z.norm_sqr(), 25.0);
     }
 
     #[test]

@@ -361,13 +361,6 @@ impl<T: Clone + Default + PartialEq> Matrix<T> {
         }
     }
 
-    /// Mutable access to the full allocation, with its leading dimension.
-    /// Copy-on-write: unshares first.
-    pub fn raw_mut(&mut self) -> (&mut [T], usize) {
-        let lda = self.lda;
-        (self.data_mut().as_mut_slice(), lda)
-    }
-
     /// Element read without the logical-extent check.
     ///
     /// # Safety

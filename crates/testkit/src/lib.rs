@@ -9,14 +9,11 @@
 //!   per-case seeds,
 //! * [`json`] — a minimal JSON parser for structural assertions
 //!   (Chrome trace exports and the like),
-//! * [`output`] — a routable `Write` sink the property runner reports
-//!   through, so tests can capture and assert on its output,
 //! * [`fuzzgen`] — a grammar-based MATLAB program generator and
 //!   test-case shrinker for the differential fuzzer (`crates/fuzz`).
 
 pub mod fuzzgen;
 pub mod json;
-pub mod output;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -126,7 +123,7 @@ pub fn forall(name: &str, cases: u32, body: impl Fn(&mut Rng)) {
             body(&mut rng);
         }));
         if let Err(payload) = result {
-            crate::errln!(
+            eprintln!(
                 "property `{name}` failed on case {case}/{cases} \
                  (reproduce with MAJIC_PROP_SEED={seed:#x})"
             );

@@ -43,6 +43,7 @@
 //! The record schema and its JSON rendering are documented in
 //! `docs/EXPLAIN_FORMAT.md`.
 
+use crate::export::fmt_ns;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -254,14 +255,6 @@ pub fn begin(function: &str) {
         ..CompilationRecord::default()
     };
     CURRENT.with(|c| *c.borrow_mut() = Some(rec));
-}
-
-/// Abandon the open scope without publishing anything.
-pub fn discard() {
-    if !enabled() {
-        return;
-    }
-    CURRENT.with(|c| *c.borrow_mut() = None);
 }
 
 fn with_current(f: impl FnOnce(&mut CompilationRecord)) {
@@ -478,19 +471,6 @@ pub fn reset() {
         .clear();
     EVICTED_RECORDS.store(0, Ordering::Relaxed);
     EVICTED_EVENTS.store(0, Ordering::Relaxed);
-}
-
-fn fmt_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.1} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
 }
 
 fn render_record(out: &mut String, r: &CompilationRecord) {

@@ -23,7 +23,8 @@ fn aggregate(events: &[SpanEvent]) -> BTreeMap<String, PathAgg> {
     agg
 }
 
-fn fmt_ns(ns: u64) -> String {
+/// A duration in ns, rendered in the largest unit that keeps it ≥ 1.
+pub(crate) fn fmt_ns(ns: u64) -> String {
     let ns = ns as f64;
     if ns >= 1e9 {
         format!("{:.3} s", ns / 1e9)

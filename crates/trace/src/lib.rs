@@ -33,10 +33,10 @@
 //!
 //! `MAJIC_TRACE=report | chrome:<path> | folded:<path> | off` selects
 //! the exporter (see [`TraceMode::parse`]); appending `,vm` (e.g.
-//! `report,vm`) or setting `MAJIC_TRACE_VM=1` additionally enables VM
-//! execution profiling. `MAJIC_EXPLAIN=report | json:<path>` enables
-//! the compilation [`audit`] flight recorder (see [`ExplainMode`]) and
-//! emits it at [`finish`] alongside whatever `MAJIC_TRACE` selected.
+//! `report,vm`) additionally enables VM execution profiling.
+//! `MAJIC_EXPLAIN=report | json:<path>` enables the compilation
+//! [`audit`] flight recorder (see [`ExplainMode`]) and emits it at
+//! [`finish`] alongside whatever `MAJIC_TRACE` selected.
 //! The bench binaries call [`init_from_env`] at startup and [`finish`]
 //! before exiting.
 
@@ -354,20 +354,14 @@ pub fn snapshot() -> TraceSnapshot {
     }
 }
 
-/// Drain and return the recorded events (counters are untouched).
-pub fn take_events() -> Vec<SpanEvent> {
-    std::mem::take(
-        &mut EVENTS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    )
-}
-
 /// Clear events and zero every counter and histogram. Open spans on
 /// other threads still record when they close; `reset` is meant for
 /// quiescent points (session start, between bench arms).
 pub fn reset() {
-    take_events();
+    EVENTS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .clear();
     DROPPED.store(0, Ordering::Relaxed);
     reset_metrics();
 }
@@ -486,7 +480,7 @@ impl ExplainMode {
 static ENV_MODE: OnceLock<TraceMode> = OnceLock::new();
 static ENV_EXPLAIN: OnceLock<ExplainMode> = OnceLock::new();
 
-/// Read `MAJIC_TRACE` / `MAJIC_TRACE_VM` / `MAJIC_EXPLAIN`, enable
+/// Read `MAJIC_TRACE` and `MAJIC_EXPLAIN`, enable
 /// recording accordingly, and remember the exporters for [`finish`].
 /// Idempotent: the first call wins (matching the process-lifetime
 /// semantics of an env var).
@@ -509,9 +503,7 @@ pub fn init_from_env() -> &'static TraceMode {
             epoch(); // anchor timestamps before any work happens
             set_enabled(true);
         }
-        if req.vm_profile
-            || std::env::var("MAJIC_TRACE_VM").is_ok_and(|v| v != "0" && !v.is_empty())
-        {
+        if req.vm_profile {
             set_vm_profile(true);
         }
         req.mode

@@ -50,16 +50,6 @@ impl Type {
         }
     }
 
-    /// The type of a logical scalar constant.
-    pub fn bool_constant(b: bool) -> Type {
-        Type {
-            intrinsic: Intrinsic::Bool,
-            min_shape: Shape::scalar(),
-            max_shape: Shape::scalar(),
-            range: Range::constant(if b { 1.0 } else { 0.0 }),
-        }
-    }
-
     /// A matrix of exactly known shape and unknown values.
     pub fn matrix(intrinsic: Intrinsic, rows: u64, cols: u64) -> Type {
         let s = Shape::new(rows, cols);

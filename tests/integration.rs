@@ -189,6 +189,35 @@ fn globals_fall_back_to_interpreter() {
 }
 
 #[test]
+fn interpreter_fallback_follows_redefinitions() {
+    // Whether a call interprets is decided per load: once `inner` reads
+    // a global, `outer`'s closure cannot compile; once it is pure again,
+    // `outer` compiles again.
+    let outer = "function y = outer(x)\ny = inner(x) * 2;\n";
+    let mut m = Majic::with_mode(ExecMode::Jit);
+    m.load_source(&format!("{outer}function y = inner(x)\ny = x + 1;\n"))
+        .unwrap();
+    let versions = |m: &Majic| {
+        m.repository()
+            .version_count_ns("outer", m.namespace("outer"))
+    };
+    let call = |m: &mut Majic| scalar(&m.call("outer", &[Value::scalar(3.0)], 1).unwrap()[0]);
+    assert_eq!(call(&mut m), 8.0);
+    assert_eq!(versions(&m), 1);
+
+    m.load_source("function y = inner(x)\nglobal offset\ny = x + offset;\n")
+        .unwrap();
+    m.eval("global offset\noffset = 10;").unwrap();
+    assert_eq!(call(&mut m), 26.0);
+    assert_eq!(versions(&m), 0, "outer must run in the interpreter");
+
+    m.load_source("function y = inner(x)\ny = x + 2;\n")
+        .unwrap();
+    assert_eq!(call(&mut m), 10.0);
+    assert_eq!(versions(&m), 1, "outer must compile again");
+}
+
+#[test]
 fn repository_reuses_compiled_code() {
     let mut m = Majic::with_mode(ExecMode::Jit);
     m.load_source("function y = f(x)\ny = x + 1;\n").unwrap();
