@@ -1,5 +1,7 @@
 //! Symbol disambiguation by reaching-definitions dataflow (paper §2.1).
 
+use crate::flow::{run_flow, Dataflow};
+use crate::inline::assigned_names;
 use majic_ast::{Expr, ExprKind, Function, LValue, NodeId, Stmt, StmtKind};
 use majic_runtime::builtins::Builtin;
 use std::collections::{HashMap, HashSet};
@@ -75,10 +77,9 @@ pub struct DisambiguatedFunction {
 }
 
 /// Is a variable defined at a program point?
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fact {
     /// On no path reaching the point.
-    #[default]
     Undefined,
     /// On some paths only.
     Maybe,
@@ -86,75 +87,41 @@ enum Fact {
     Definite,
 }
 
-/// The dataflow state: one fact per [`VarId`]. Ids past the end are
-/// `Undefined`, so a state taken before a variable was interned needs
-/// no resizing.
-#[derive(Clone, Debug)]
-struct State {
-    facts: Vec<Fact>,
-    /// Cleared when the current path has returned or jumped (`break` /
-    /// `continue`); a join then ignores this side.
-    reachable: bool,
-}
-
-impl State {
-    fn fact(&self, v: VarId) -> Fact {
-        self.facts.get(v.index()).copied().unwrap_or_default()
-    }
-
-    fn define(&mut self, v: VarId) {
-        if self.facts.len() <= v.index() {
-            self.facts.resize(v.index() + 1, Fact::Undefined);
-        }
-        self.facts[v.index()] = Fact::Definite;
-    }
-
-    /// Join of two path states (at control-flow merges): equal facts
-    /// stay, different facts become `Maybe`.
-    fn join(&self, other: &State) -> State {
-        if !self.reachable {
-            return other.clone();
-        }
-        if !other.reachable {
-            return self.clone();
-        }
-        let len = self.facts.len().max(other.facts.len());
-        let facts = (0..len)
-            .map(|i| {
-                let v = VarId(i as u32);
-                let (a, b) = (self.fact(v), other.fact(v));
-                if a == b {
-                    a
-                } else {
-                    Fact::Maybe
-                }
-            })
-            .collect();
-        State {
-            facts,
-            reachable: true,
-        }
-    }
-}
+/// The dataflow state: one fact per [`VarId`].
+type State = Vec<Fact>;
 
 struct Analyzer<'a> {
     known_functions: &'a HashSet<String>,
     table: SymbolTable,
     var_index: HashMap<String, VarId>,
-    /// States captured at `break` / `continue` sites of the innermost loop.
-    break_states: Vec<State>,
-    continue_states: Vec<State>,
 }
 
 impl<'a> Analyzer<'a> {
-    fn intern(&mut self, name: &str) -> VarId {
-        if let Some(&id) = self.var_index.get(name) {
-            return id;
+    /// The analyzer for `function` and its entry state. Every variable is
+    /// interned up front: parameters first, then outputs, then locals in
+    /// order of first definition. Parameters are defined at entry.
+    fn new(function: &Function, known_functions: &'a HashSet<String>) -> (Self, State) {
+        let mut a = Analyzer {
+            known_functions,
+            table: SymbolTable::default(),
+            var_index: HashMap::new(),
+        };
+        let params_and_outputs = function.params.iter().chain(&function.outputs);
+        for name in params_and_outputs
+            .map(String::as_str)
+            .chain(assigned_names(&function.body))
+        {
+            if !a.var_index.contains_key(name) {
+                let id = VarId(a.table.vars.len() as u32);
+                a.var_index.insert(name.to_owned(), id);
+                a.table.vars.push(name.to_owned());
+            }
         }
-        let id = VarId(self.table.vars.len() as u32);
-        self.table.vars.push(name.to_owned());
-        self.var_index.insert(name.to_owned(), id);
-        id
+        let mut entry = vec![Fact::Undefined; a.table.var_count()];
+        for p in &function.params {
+            entry[a.var_index[p].index()] = Fact::Definite;
+        }
+        (a, entry)
     }
 
     /// What `name` means when it is not a variable.
@@ -170,7 +137,7 @@ impl<'a> Analyzer<'a> {
 
     fn record_use(&mut self, id: NodeId, name: &str, state: &State) {
         let var = self.var_index.get(name).copied();
-        let kind = match var.map(|v| (v, state.fact(v))) {
+        let kind = match var.map(|v| (v, state[v.index()])) {
             Some((v, Fact::Definite)) => SymbolKind::Variable(v),
             Some((v, Fact::Maybe)) => SymbolKind::Ambiguous(v),
             _ => self.callable(name),
@@ -196,71 +163,34 @@ impl<'a> Analyzer<'a> {
                 self.visit_expr(a, state);
             }
         }
-        let vid = self.intern(lv.name());
-        state.define(vid);
+        let vid = self.var_index[lv.name()];
+        state[vid.index()] = Fact::Definite;
         self.table
             .symbols
             .insert(lv.id(), SymbolKind::Variable(vid));
     }
+}
 
-    fn visit_block(&mut self, stmts: &[Stmt], mut state: State) -> State {
-        for s in stmts {
-            // Dead code after return/break is still analyzed, with the
-            // facts of the path that ended, so annotations exist.
-            state.reachable = true;
-            state = self.visit_stmt(s, state);
-        }
-        state
+/// Reaching definitions on the three-point lattice
+/// `Undefined`/`Definite` < `Maybe`: equal facts stay at a join,
+/// different facts become `Maybe`.
+impl Dataflow for Analyzer<'_> {
+    type State = State;
+    type ForVar = VarId;
+
+    fn join(&self, a: &State, b: &State) -> State {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| if x == y { x } else { Fact::Maybe })
+            .collect()
     }
 
-    /// A `while` loop (with its condition) or a `for` loop. `entry`
-    /// reaches the loop, `body_in` the top of the first iteration. Two
-    /// passes reach the fixpoint (facts have bounded height): the loop
-    /// head is `body_in` joined with the first pass's body end and
-    /// `continue` states, and the second pass, from the head, records
-    /// the final annotations. The loop exits from its head, a `break`
-    /// or (through the head) a `continue`.
-    fn visit_loop(
-        &mut self,
-        cond: Option<&Expr>,
-        body: &[Stmt],
-        entry: State,
-        body_in: State,
-    ) -> State {
-        if let Some(c) = cond {
-            self.visit_expr(c, &entry);
-        }
-        let saved_breaks = std::mem::take(&mut self.break_states);
-        let saved_continues = std::mem::take(&mut self.continue_states);
-        let first = self.visit_block(body, body_in.clone());
-        let mut head = body_in.join(&first);
-        for c in self.continue_states.drain(..) {
-            head = head.join(&c);
-        }
-        self.break_states.clear();
-        if let Some(c) = cond {
-            self.visit_expr(c, &head);
-        }
-        let second = self.visit_block(body, head.clone());
-        let mut exit = entry.join(&head).join(&second);
-        let breaks = std::mem::replace(&mut self.break_states, saved_breaks);
-        let continues = std::mem::replace(&mut self.continue_states, saved_continues);
-        for jump in breaks.iter().chain(&continues) {
-            exit = exit.join(jump);
-        }
-        exit
-    }
-
-    fn visit_stmt(&mut self, s: &Stmt, mut state: State) -> State {
+    fn transfer(&mut self, s: &Stmt, state: &mut State) {
         match &s.kind {
-            StmtKind::Expr { expr, .. } => {
-                self.visit_expr(expr, &state);
-                state
-            }
+            StmtKind::Expr { expr, .. } => self.visit_expr(expr, state),
             StmtKind::Assign { lhs, rhs, .. } => {
-                self.visit_expr(rhs, &state);
-                self.define_lvalue(lhs, &mut state);
-                state
+                self.visit_expr(rhs, state);
+                self.define_lvalue(lhs, state);
             }
             StmtKind::MultiAssign {
                 lhs,
@@ -270,95 +200,48 @@ impl<'a> Analyzer<'a> {
                 ..
             } => {
                 for a in args {
-                    self.visit_expr(a, &state);
+                    self.visit_expr(a, state);
                 }
                 // Multi-assign callees are always calls, never indexing.
                 let kind = self.callable(callee);
                 self.table.symbols.insert(*id, kind);
                 for lv in lhs {
-                    self.define_lvalue(lv, &mut state);
+                    self.define_lvalue(lv, state);
                 }
-                state
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                let mut out: Option<State> = None;
-                for (cond, body) in branches {
-                    // Every arm's condition is reached with the `if`'s
-                    // incoming state.
-                    self.visit_expr(cond, &state);
-                    let branch_out = self.visit_block(body, state.clone());
-                    out = Some(match out {
-                        Some(o) => o.join(&branch_out),
-                        None => branch_out,
-                    });
-                }
-                let else_out = match else_body {
-                    Some(body) => self.visit_block(body, state),
-                    None => state,
-                };
-                match out {
-                    Some(o) => o.join(&else_out),
-                    None => else_out,
-                }
-            }
-            StmtKind::While { cond, body } => {
-                self.visit_loop(Some(cond), body, state.clone(), state)
-            }
-            StmtKind::For {
-                var,
-                var_id,
-                iter,
-                body,
-            } => {
-                self.visit_expr(iter, &state);
-                let vid = self.intern(var);
-                self.table
-                    .symbols
-                    .insert(*var_id, SymbolKind::Variable(vid));
-                // The induction variable is definitely assigned inside the
-                // body; after the loop it is only maybe-assigned (empty
-                // ranges skip the body entirely).
-                let mut body_in = state.clone();
-                body_in.define(vid);
-                self.visit_loop(None, body, state, body_in)
-            }
-            StmtKind::Break => {
-                self.break_states.push(state.clone());
-                state.reachable = false;
-                state
-            }
-            StmtKind::Continue => {
-                self.continue_states.push(state.clone());
-                state.reachable = false;
-                state
-            }
-            StmtKind::Return => {
-                state.reachable = false;
-                state
             }
             StmtKind::Global(names) => {
                 for n in names {
-                    let vid = self.intern(n);
-                    state.define(vid);
+                    state[self.var_index[n].index()] = Fact::Definite;
                 }
-                state
             }
             StmtKind::Clear(names) => {
                 if names.is_empty() {
-                    state.facts.clear();
+                    state.fill(Fact::Undefined);
                 }
-                for n in names {
-                    let v = self.var_index.get(n);
-                    if let Some(fact) = v.and_then(|v| state.facts.get_mut(v.index())) {
-                        *fact = Fact::Undefined;
-                    }
+                for v in names.iter().filter_map(|n| self.var_index.get(n)) {
+                    state[v.index()] = Fact::Undefined;
                 }
-                state
             }
+            _ => unreachable!("control flow is the flow driver's"),
         }
+    }
+
+    fn condition(&mut self, cond: &Expr, state: &State) {
+        self.visit_expr(cond, state);
+    }
+
+    fn enter_for(&mut self, var: &str, var_id: NodeId, iter: &Expr, entry: &State) -> VarId {
+        self.visit_expr(iter, entry);
+        let vid = self.var_index[var];
+        self.table.symbols.insert(var_id, SymbolKind::Variable(vid));
+        vid
+    }
+
+    /// The induction variable is definitely assigned inside the body;
+    /// after the loop it is only maybe-assigned (empty ranges skip the
+    /// body entirely).
+    fn bind_for(&mut self, vid: &VarId, state: &mut State) {
+        state[vid.index()] = Fact::Definite;
     }
 }
 
@@ -371,26 +254,8 @@ pub fn disambiguate(
     known_functions: &HashSet<String>,
 ) -> DisambiguatedFunction {
     let _sp = majic_trace::Span::enter_with("disambig", || vec![("fn", function.name.clone())]);
-    let mut a = Analyzer {
-        known_functions,
-        table: SymbolTable::default(),
-        var_index: HashMap::new(),
-        break_states: Vec::new(),
-        continue_states: Vec::new(),
-    };
-    let mut state = State {
-        facts: Vec::new(),
-        reachable: true,
-    };
-    // Formal parameters are defined at entry.
-    for p in &function.params {
-        let vid = a.intern(p);
-        state.define(vid);
-    }
-    for o in &function.outputs {
-        a.intern(o);
-    }
-    a.visit_block(&function.body, state);
+    let (mut a, entry) = Analyzer::new(function, known_functions);
+    run_flow(&mut a, &function.body, entry);
     DisambiguatedFunction {
         function: function.clone(),
         table: a.table,
@@ -577,6 +442,64 @@ mod tests {
                 kinds[..],
                 [SymbolKind::Ambiguous(_), SymbolKind::Ambiguous(_)]
             ),
+            "got {kinds:?}"
+        );
+    }
+
+    /// Disambiguation counting the straight-line statements it visits.
+    struct Counting<'a>(Analyzer<'a>, usize);
+
+    impl Dataflow for Counting<'_> {
+        type State = State;
+        type ForVar = VarId;
+
+        fn join(&self, a: &State, b: &State) -> State {
+            self.0.join(a, b)
+        }
+
+        fn transfer(&mut self, s: &Stmt, state: &mut State) {
+            self.1 += 1;
+            self.0.transfer(s, state);
+        }
+
+        fn condition(&mut self, cond: &Expr, state: &State) {
+            self.0.condition(cond, state);
+        }
+
+        fn enter_for(&mut self, var: &str, id: NodeId, iter: &Expr, entry: &State) -> VarId {
+            self.0.enter_for(var, id, iter, entry)
+        }
+
+        fn bind_for(&mut self, v: &VarId, state: &mut State) {
+            self.0.bind_for(v, state);
+        }
+    }
+
+    #[test]
+    fn a_depth_12_loop_nest_is_visited_depth_plus_one_times() {
+        let mut src = "function f()\n".to_owned();
+        for k in 0..12 {
+            src += &format!("for k{k} = 1:2\n");
+        }
+        src += "x = 1;\n";
+        src += &"end\n".repeat(12);
+        let f = &parse_source(&src).unwrap().functions[0];
+        let known = HashSet::new();
+        let (a, entry) = Analyzer::new(f, &known);
+        let mut counting = Counting(a, 0);
+        run_flow(&mut counting, &f.body, entry);
+        assert_eq!(counting.1, 13);
+    }
+
+    #[test]
+    fn dead_code_after_return_is_annotated_but_reaches_no_join() {
+        // `t = 1` follows `return`: the `w = t` beside it is annotated
+        // from the returned path, but only the fall-through path, where
+        // `t` is undefined, reaches `u = t`.
+        let d = analyze("function f(c)\nif c > 0\n return\n t = 1;\n w = t;\nend\nu = t;\n");
+        let kinds = kind_of(&d, "t");
+        assert!(
+            matches!(kinds[..], [SymbolKind::Variable(_), SymbolKind::Unknown]),
             "got {kinds:?}"
         );
     }

@@ -20,7 +20,7 @@
 //! formals skip even the binding.
 
 use majic_ast::{
-    walk_stmts, BinOp, Expr, ExprKind, Function, LValue, NodeId, Span, Stmt, StmtKind,
+    walk_exprs, walk_stmts, BinOp, Expr, ExprKind, Function, LValue, NodeId, Span, Stmt, StmtKind,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -100,21 +100,27 @@ pub fn global_or_clear(stmts: &[Stmt]) -> Option<&Stmt> {
     walk_stmts(stmts).find(|s| matches!(s.kind, StmtKind::Global(_) | StmtKind::Clear(_)))
 }
 
+/// Does `stmts` index or call `name` (`name(…)`), nested bodies included?
+fn applies(stmts: &[Stmt], name: &str) -> bool {
+    walk_exprs(stmts).any(|e| {
+        let mut found = false;
+        e.walk(&mut |e| {
+            found |= matches!(&e.kind, ExprKind::Apply { callee, .. } if callee == name)
+        });
+        found
+    })
+}
+
+/// Does a `return` occur in `stmts`, nested bodies included?
+fn has_return(stmts: &[Stmt]) -> bool {
+    walk_stmts(stmts).any(|s| matches!(s.kind, StmtKind::Return))
+}
+
 /// Does a `return` occur inside one of the function's own loops (which
 /// would break the single-trip-loop lowering)?
-fn has_return_in_loop(stmts: &[Stmt], in_loop: bool) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Return => in_loop,
-        StmtKind::While { body, .. } | StmtKind::For { body, .. } => has_return_in_loop(body, true),
-        StmtKind::If {
-            branches,
-            else_body,
-        } => {
-            branches.iter().any(|(_, b)| has_return_in_loop(b, in_loop))
-                || else_body
-                    .as_ref()
-                    .is_some_and(|b| has_return_in_loop(b, in_loop))
-        }
+fn has_return_in_loop(stmts: &[Stmt]) -> bool {
+    walk_stmts(stmts).any(|s| match &s.kind {
+        StmtKind::While { body, .. } | StmtKind::For { body, .. } => has_return(body),
         _ => false,
     })
 }
@@ -195,10 +201,7 @@ impl<'a> Inliner<'a> {
                 self.opts.max_statements
             )));
         }
-        if f.outputs.is_empty() && !f.params.is_empty() {
-            // Pure side-effect functions are rare; allow them anyway.
-        }
-        if has_return_in_loop(&f.body, false) {
+        if has_return_in_loop(&f.body) {
             return Err(Some(
                 "return inside a callee loop (breaks the single-trip-loop lowering)".to_owned(),
             ));
@@ -637,11 +640,12 @@ impl<'a> Inliner<'a> {
                 // parameters are not copied". An identifier actual
                 // qualifies only when it is definitely assigned:
                 // substituting a possibly-undefined name would delay its
-                // `Undefined` error from the call site into the body.
+                // `Undefined` error from the call site into the body. A
+                // literal cannot stand where the body indexes the formal.
                 Some(a)
                     if read_only
                         && match &a.kind {
-                            ExprKind::Number { .. } => true,
+                            ExprKind::Number { .. } => !applies(&callee.body, formal),
                             ExprKind::Ident(n) => self.defined.contains(n),
                             _ => false,
                         } =>
@@ -691,8 +695,9 @@ impl<'a> Inliner<'a> {
             .map(|s| self.rewrite_stmt(s, &rename))
             .collect();
 
-        // Wrap in a single-trip loop so top-level `return` becomes `break`.
-        if body_has_return(&body) {
+        // Wrap in a single-trip loop so `return` becomes `break` (returns
+        // inside the callee's own loops rule inlining out).
+        if has_return(&body) {
             replace_returns(&mut body);
             let guard = self.fresh_tmp("once");
             let one = |me: &mut Self| Expr {
@@ -874,21 +879,14 @@ impl<'a> Inliner<'a> {
                         args: new_args,
                     },
                     Some(RenameTo::Expr(sub)) => {
-                        if let ExprKind::Ident(n) = &sub.kind {
-                            // Indexing through a directly-substituted
-                            // read-only parameter.
-                            ExprKind::Apply {
-                                callee: n.clone(),
-                                args: new_args,
-                            }
-                        } else {
-                            // A numeric literal can't be applied; keep the
-                            // original name (runtime will error, matching
-                            // MATLAB's behavior for such programs).
-                            ExprKind::Apply {
-                                callee: callee.clone(),
-                                args: new_args,
-                            }
+                        // Indexing through a directly-substituted
+                        // read-only parameter.
+                        let ExprKind::Ident(n) = &sub.kind else {
+                            unreachable!("indexed formals are never bound to literals")
+                        };
+                        ExprKind::Apply {
+                            callee: n.clone(),
+                            args: new_args,
                         }
                     }
                     None => ExprKind::Apply {
@@ -962,22 +960,6 @@ impl<'a> Inliner<'a> {
 enum RenameTo {
     Name(String),
     Expr(Expr),
-}
-
-fn body_has_return(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Return => true,
-        StmtKind::If {
-            branches,
-            else_body,
-        } => {
-            branches.iter().any(|(_, b)| body_has_return(b))
-                || else_body.as_ref().is_some_and(|b| body_has_return(b))
-        }
-        // Returns inside loops disqualify inlining earlier; no need to
-        // look inside loops here.
-        _ => false,
-    })
 }
 
 fn replace_returns(stmts: &mut [Stmt]) {

@@ -257,6 +257,28 @@ pub fn walk_stmts(stmts: &[Stmt]) -> impl Iterator<Item = &Stmt> {
     }
 }
 
+/// Every expression the statements of [`walk_stmts`] evaluate directly:
+/// conditions, iteration spaces, right-hand sides, call arguments and
+/// assignment subscripts. [`Expr::walk`] reaches their sub-expressions.
+pub fn walk_exprs(stmts: &[Stmt]) -> impl Iterator<Item = &Expr> {
+    walk_stmts(stmts).flat_map(|s| {
+        let (lvalues, exprs): (&[LValue], Vec<&Expr>) = match &s.kind {
+            StmtKind::Expr { expr: e, .. }
+            | StmtKind::While { cond: e, .. }
+            | StmtKind::For { iter: e, .. } => (&[], vec![e]),
+            StmtKind::Assign { lhs, rhs, .. } => (std::slice::from_ref(lhs), vec![rhs]),
+            StmtKind::MultiAssign { lhs, args, .. } => (lhs, args.iter().collect()),
+            StmtKind::If { branches, .. } => (&[], branches.iter().map(|(c, _)| c).collect()),
+            _ => (&[], Vec::new()),
+        };
+        let subscripts = lvalues.iter().flat_map(|lv| match lv {
+            LValue::Index { args, .. } => args.as_slice(),
+            LValue::Var { .. } => &[],
+        });
+        exprs.into_iter().chain(subscripts)
+    })
+}
+
 /// The iterator behind [`walk_stmts`].
 struct StmtWalk<'a> {
     /// One iterator per open block; the innermost is last.

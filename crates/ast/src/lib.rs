@@ -31,7 +31,8 @@ mod parser;
 mod token;
 
 pub use ast::{
-    walk_stmts, BinOp, Expr, ExprKind, Function, LValue, NodeId, SourceFile, Stmt, StmtKind, UnOp,
+    walk_exprs, walk_stmts, BinOp, Expr, ExprKind, Function, LValue, NodeId, SourceFile, Stmt,
+    StmtKind, UnOp,
 };
 pub use error::ParseError;
 pub use lexer::Lexer;

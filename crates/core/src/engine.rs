@@ -12,7 +12,7 @@
 
 use crate::service::{CompilerService, Session};
 use majic_analysis::{disambiguate, inline_function, DisambiguatedFunction, InlineOptions};
-use majic_ast::{walk_stmts, ExprKind, Function, LValue, Stmt, StmtKind};
+use majic_ast::{walk_exprs, walk_stmts, ExprKind, Function, Stmt, StmtKind};
 use majic_codegen::{compile_executable, CodegenOptions};
 use majic_infer::{infer_jit, infer_speculative, Annotations, CalleeOracle, InferOptions};
 use majic_ir::passes::PassOptions;
@@ -396,44 +396,20 @@ pub(crate) fn signature_of(args: &[Value]) -> Signature {
 
 pub(crate) fn collect_callees(stmts: &[Stmt], known: &HashSet<String>, out: &mut Vec<String>) {
     for s in walk_stmts(stmts) {
-        match &s.kind {
-            StmtKind::Expr { expr, .. } => collect_expr(expr, known, out),
-            StmtKind::Assign { rhs, lhs, .. } => {
-                collect_expr(rhs, known, out);
-                if let LValue::Index { args, .. } = lhs {
-                    for a in args {
-                        collect_expr(a, known, out);
-                    }
-                }
+        if let StmtKind::MultiAssign { callee, .. } = &s.kind {
+            if known.contains(callee) {
+                out.push(callee.clone());
             }
-            StmtKind::MultiAssign { callee, args, .. } => {
-                if known.contains(callee) {
-                    out.push(callee.clone());
-                }
-                for a in args {
-                    collect_expr(a, known, out);
-                }
-            }
-            StmtKind::If { branches, .. } => {
-                for (c, _) in branches {
-                    collect_expr(c, known, out);
-                }
-            }
-            StmtKind::While { cond: e, .. } | StmtKind::For { iter: e, .. } => {
-                collect_expr(e, known, out)
-            }
-            _ => {}
         }
     }
-}
-
-fn collect_expr(e: &majic_ast::Expr, known: &HashSet<String>, out: &mut Vec<String>) {
-    e.walk(&mut |e| match &e.kind {
-        ExprKind::Apply { callee, .. } | ExprKind::Ident(callee) if known.contains(callee) => {
-            out.push(callee.clone());
-        }
-        _ => {}
-    });
+    for e in walk_exprs(stmts) {
+        e.walk(&mut |e| match &e.kind {
+            ExprKind::Apply { callee, .. } | ExprKind::Ident(callee) if known.contains(callee) => {
+                out.push(callee.clone());
+            }
+            _ => {}
+        });
+    }
 }
 
 /// A compiling session's identity: the sources it loaded, the

@@ -1,7 +1,7 @@
 //! The forward (JIT) type-inference engine (paper §2.3, §2.4).
 
 use crate::calculator::{self, SubTy};
-use majic_analysis::{DisambiguatedFunction, SymbolKind};
+use majic_analysis::{run_flow, Dataflow, DisambiguatedFunction, SymbolKind, VarId};
 use majic_ast::{Expr, ExprKind, LValue, NodeId, Stmt, StmtKind};
 use majic_types::{Dim, Intrinsic, Lattice, Range, Signature, Type};
 use std::collections::HashMap;
@@ -65,10 +65,6 @@ impl Annotations {
 /// Environment: one type per variable (`⊥` = undefined so far).
 type Env = Vec<Type>;
 
-fn join_env(a: &Env, b: &Env) -> Env {
-    a.iter().zip(b).map(|(x, y)| join_var(x, y)).collect()
-}
-
 /// Join two per-variable dataflow states.
 ///
 /// In the environment, `⊥` means "unbound on this path" — *not*
@@ -81,11 +77,21 @@ fn join_env(a: &Env, b: &Env) -> Env {
 /// `min_shape` let codegen remove store checks that the first iteration
 /// still needs (the unchecked store path refuses to vivify and raises
 /// `Undefined` where the interpreter succeeds).
+///
+/// A logical on one path and a non-logical value on the other join to
+/// `⊤`. The lattice's `bool ⊔ int = int` admits the logical value but
+/// not its class, which the program can observe (results, display,
+/// logical indexing): code generation keeps a variable's class only
+/// where its type says `bool`.
 fn join_var(x: &Type, y: &Type) -> Type {
     let j = x.join(y);
     let xb = x.intrinsic == Intrinsic::Bottom;
     let yb = y.intrinsic == Intrinsic::Bottom;
-    if xb == yb {
+    let xl = x.intrinsic == Intrinsic::Bool;
+    let yl = y.intrinsic == Intrinsic::Bool;
+    if xl != yl && !xb && !yb {
+        Type::top()
+    } else if xb == yb {
         j
     } else {
         Type {
@@ -95,13 +101,47 @@ fn join_var(x: &Type, y: &Type) -> Type {
     }
 }
 
-pub(crate) struct ForwardEngine<'a, O: CalleeOracle> {
-    pub(crate) d: &'a DisambiguatedFunction,
-    pub(crate) opts: InferOptions,
-    pub(crate) oracle: &'a O,
-    pub(crate) ann: Annotations,
-    pub(crate) break_envs: Vec<Env>,
-    pub(crate) continue_envs: Vec<Env>,
+struct ForwardEngine<'a, O: CalleeOracle> {
+    d: &'a DisambiguatedFunction,
+    opts: InferOptions,
+    oracle: &'a O,
+    ann: Annotations,
+}
+
+/// Forward inference of `d` from the parameter types `params`: the one
+/// pass behind [`infer_jit`] and the speculator's forward pass.
+pub(crate) fn infer_forward<O: CalleeOracle>(
+    d: &DisambiguatedFunction,
+    opts: InferOptions,
+    oracle: &O,
+    params: Vec<Type>,
+) -> Annotations {
+    let mut engine = ForwardEngine {
+        d,
+        opts,
+        oracle,
+        ann: Annotations::default(),
+    };
+    let mut env: Env = vec![Type::bottom(); d.table.var_count()];
+    for (k, p) in d.function.params.iter().enumerate() {
+        if let Some(v) = d.table.var_id(p) {
+            env[v.index()] = params.get(k).copied().unwrap_or_else(Type::bottom);
+        }
+    }
+    engine.ann.params = params;
+    let exit = run_flow(&mut engine, &d.function.body, env);
+    engine.ann.outputs = d
+        .function
+        .outputs
+        .iter()
+        .map(|o| {
+            d.table
+                .var_id(o)
+                .map(|v| exit[v.index()])
+                .unwrap_or_else(Type::top)
+        })
+        .collect();
+    engine.ann
 }
 
 /// JIT type inference: propagate the invocation's type signature through
@@ -130,61 +170,69 @@ pub fn infer_jit<O: CalleeOracle>(
                 .unwrap_or_else(Type::bottom)
         })
         .collect();
-    let mut engine = ForwardEngine {
-        d,
-        opts,
-        oracle,
-        ann: Annotations::default(),
-        break_envs: Vec::new(),
-        continue_envs: Vec::new(),
-    };
-    engine.run(params)
+    infer_forward(d, opts, oracle, params)
 }
 
-impl<O: CalleeOracle> ForwardEngine<'_, O> {
-    pub(crate) fn run(&mut self, params: Vec<Type>) -> Annotations {
-        let nvars = self.d.table.var_count();
-        let mut env: Env = vec![Type::bottom(); nvars];
-        for (k, p) in self.d.function.params.iter().enumerate() {
-            if let Some(v) = self.d.table.var_id(p) {
-                env[v.index()] = params.get(k).copied().unwrap_or_else(Type::bottom);
+/// The type lattice per variable, iterated under the loop cap with
+/// widening (paper §2.3).
+impl<O: CalleeOracle> Dataflow for ForwardEngine<'_, O> {
+    type State = Env;
+    /// The `for` variable's slot and its element type.
+    type ForVar = (Option<VarId>, Type);
+
+    fn join(&self, a: &Env, b: &Env) -> Env {
+        a.iter().zip(b).map(|(x, y)| join_var(x, y)).collect()
+    }
+
+    /// Past `MAX_LOOP_ITERATIONS - 2` passes, widen the components that
+    /// keep changing: moved range bounds jump to ±∞, grown shape bounds
+    /// to their lattice extremes. Each component widens at most once,
+    /// and stable components (e.g. an exact small-vector shape) survive
+    /// — they are what the unrolling optimizations feed on. Past the cap
+    /// itself, the soundness backstop sends every component that still
+    /// grows to ⊤: annotations must describe *every* iteration
+    /// (unchecked accesses rely on them), and ⊤ stops growing.
+    fn widen(&mut self, pass: usize, head: &Env, next: Env) -> Env {
+        if pass + 2 < MAX_LOOP_ITERATIONS {
+            return next;
+        }
+        let backstop = pass >= MAX_LOOP_ITERATIONS;
+        let mut out = head.clone();
+        for (i, (c, n)) in out.iter_mut().zip(next).enumerate() {
+            if n == *c || (backstop && join_var(c, &n) == *c) {
+                continue;
             }
+            let w = if backstop {
+                Type::top()
+            } else {
+                n.widen_from(c)
+            };
+            majic_trace::audit::widening(|| majic_trace::audit::Widening {
+                variable: self.d.table.vars.get(i).cloned().unwrap_or_default(),
+                from: c.to_string(),
+                to: w.to_string(),
+                reason: if backstop {
+                    "unstable at loop iteration cap → ⊤ (soundness backstop)".to_owned()
+                } else {
+                    format!(
+                        "join at loop header: still moving after {} iterations",
+                        pass + 1
+                    )
+                },
+            });
+            *c = w;
         }
-        self.ann.params = params;
-        let out_env = self.block(&self.d.function.body, env);
-        self.ann.outputs = self
-            .d
-            .function
-            .outputs
-            .iter()
-            .map(|o| {
-                self.d
-                    .table
-                    .var_id(o)
-                    .map(|v| out_env[v.index()])
-                    .unwrap_or_else(Type::top)
-            })
-            .collect();
-        std::mem::take(&mut self.ann)
+        out
     }
 
-    fn block(&mut self, stmts: &[Stmt], mut env: Env) -> Env {
-        for s in stmts {
-            env = self.stmt(s, env);
-        }
-        env
-    }
-
-    fn stmt(&mut self, s: &Stmt, mut env: Env) -> Env {
+    fn transfer(&mut self, s: &Stmt, env: &mut Env) {
         match &s.kind {
             StmtKind::Expr { expr, .. } => {
-                self.expr(expr, &env, None);
-                env
+                self.expr(expr, env, None);
             }
             StmtKind::Assign { lhs, rhs, .. } => {
-                let t = self.expr(rhs, &env, None);
-                self.assign(lhs, t, &mut env);
-                env
+                let t = self.expr(rhs, env, None);
+                self.assign(lhs, t, env);
             }
             StmtKind::MultiAssign {
                 lhs,
@@ -193,7 +241,7 @@ impl<O: CalleeOracle> ForwardEngine<'_, O> {
                 args,
                 ..
             } => {
-                let arg_tys: Vec<Type> = args.iter().map(|a| self.expr(a, &env, None)).collect();
+                let arg_tys: Vec<Type> = args.iter().map(|a| self.expr(a, env, None)).collect();
                 let outs = match self.d.table.kind(*id) {
                     SymbolKind::Builtin(b) => {
                         calculator::builtin(b, &arg_tys, lhs.len(), &self.opts)
@@ -209,77 +257,19 @@ impl<O: CalleeOracle> ForwardEngine<'_, O> {
                     .insert(*id, outs.first().copied().unwrap_or_else(Type::top));
                 for (k, lv) in lhs.iter().enumerate() {
                     let t = outs.get(k).copied().unwrap_or_else(Type::top);
-                    self.assign(lv, t, &mut env);
-                }
-                env
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                let mut out: Option<Env> = None;
-                for (cond, body) in branches {
-                    self.expr(cond, &env, None);
-                    let b_out = self.block(body, env.clone());
-                    out = Some(match out {
-                        Some(o) => join_env(&o, &b_out),
-                        None => b_out,
-                    });
-                }
-                let else_out = match else_body {
-                    Some(body) => self.block(body, env.clone()),
-                    None => env,
-                };
-                match out {
-                    Some(o) => join_env(&o, &else_out),
-                    None => else_out,
+                    self.assign(lv, t, env);
                 }
             }
-            StmtKind::While { cond, body } => self.fixpoint(env, |me, e| {
-                me.expr(cond, e, None);
-                me.block(body, e.clone())
-            }),
-            StmtKind::For {
-                var,
-                var_id,
-                iter,
-                body,
-            } => {
-                let iter_t = self.expr(iter, &env, None);
-                let elem_t = self.loop_element_type(&iter_t);
-                let vid = self.d.table.var_id(var);
-                self.ann.types.insert(*var_id, elem_t);
-                self.fixpoint(env, |me, e| {
-                    let mut e2 = e.clone();
-                    if let Some(v) = vid {
-                        e2[v.index()] = elem_t;
-                        me.ann.types.insert(*var_id, elem_t);
-                    }
-                    me.block(body, e2)
-                })
-            }
-            StmtKind::Break => {
-                self.break_envs.push(env.clone());
-                env
-            }
-            StmtKind::Continue => {
-                self.continue_envs.push(env.clone());
-                env
-            }
-            StmtKind::Return => env,
             StmtKind::Global(names) => {
                 for n in names {
                     if let Some(v) = self.d.table.var_id(n) {
                         env[v.index()] = Type::top();
                     }
                 }
-                env
             }
             StmtKind::Clear(names) => {
                 if names.is_empty() {
-                    for t in env.iter_mut() {
-                        *t = Type::bottom();
-                    }
+                    env.fill(Type::bottom());
                 } else {
                     for n in names {
                         if let Some(v) = self.d.table.var_id(n) {
@@ -287,122 +277,44 @@ impl<O: CalleeOracle> ForwardEngine<'_, O> {
                         }
                     }
                 }
-                env
             }
+            _ => unreachable!("control flow is the flow driver's"),
         }
     }
 
-    /// Iterate a loop body to a fixpoint under the iteration cap, widening
-    /// past it (paper §2.3: the engine "avoids symbolic computation and
-    /// caps the number of iterations").
-    fn fixpoint(&mut self, env_in: Env, mut body: impl FnMut(&mut Self, &Env) -> Env) -> Env {
-        let saved_breaks = std::mem::take(&mut self.break_envs);
-        let saved_continues = std::mem::take(&mut self.continue_envs);
-        let mut carried = env_in.clone();
-        let mut converged = false;
-        for iter in 0..MAX_LOOP_ITERATIONS {
-            self.break_envs.clear();
-            self.continue_envs.clear();
-            let out = body(self, &carried);
-            let mut next = join_env(&env_in, &out);
-            for c in &self.continue_envs {
-                next = join_env(&next, c);
-            }
-            if next == carried {
-                converged = true;
-                break;
-            }
-            if iter + 2 >= MAX_LOOP_ITERATIONS {
-                // Widen the components that keep changing: moved range
-                // bounds jump to ±∞, grown shape bounds to their lattice
-                // extremes. Each component widens at most once, so the
-                // iteration terminates; stable components (e.g. an exact
-                // small-vector shape) survive — they are what the
-                // unrolling optimizations feed on.
-                next = next
-                    .iter()
-                    .zip(&carried)
-                    .enumerate()
-                    .map(|(i, (n, c))| {
-                        if n == c {
-                            *n
-                        } else {
-                            let w = n.widen_from(c);
-                            majic_trace::audit::widening(|| majic_trace::audit::Widening {
-                                variable: self.d.table.vars.get(i).cloned().unwrap_or_default(),
-                                from: c.to_string(),
-                                to: w.to_string(),
-                                reason: format!(
-                                    "join at loop header: still moving after {} iterations",
-                                    iter + 1
-                                ),
-                            });
-                            w
-                        }
-                    })
-                    .collect();
-            }
-            carried = next;
-        }
-        if !converged {
-            // Soundness backstop: annotations must describe *every*
-            // iteration (unchecked accesses rely on them). If the cap was
-            // hit while still changing, send the unstable variables to ⊤
-            // and run one final annotation pass at the fixpoint.
-            self.break_envs.clear();
-            self.continue_envs.clear();
-            let out = body(self, &carried);
-            let probe = join_env(&env_in, &out);
-            for (i, (slot, p)) in carried.iter_mut().zip(&probe).enumerate() {
-                if slot != p {
-                    majic_trace::audit::widening(|| majic_trace::audit::Widening {
-                        variable: self.d.table.vars.get(i).cloned().unwrap_or_default(),
-                        from: slot.to_string(),
-                        to: Type::top().to_string(),
-                        reason: "unstable at loop iteration cap → ⊤ (soundness backstop)"
-                            .to_owned(),
-                    });
-                    *slot = Type::top();
-                }
-            }
-            self.break_envs.clear();
-            self.continue_envs.clear();
-            let _ = body(self, &carried);
-        }
-        let mut exit = carried;
-        for b in std::mem::replace(&mut self.break_envs, saved_breaks) {
-            exit = join_env(&exit, &b);
-        }
-        self.continue_envs = saved_continues;
-        exit
+    fn condition(&mut self, cond: &Expr, env: &Env) {
+        self.expr(cond, env, None);
     }
 
-    /// Type of the loop variable given the iteration-space type
-    /// (MATLAB iterates over columns).
+    fn enter_for(&mut self, var: &str, var_id: NodeId, iter: &Expr, env: &Env) -> Self::ForVar {
+        let iter_t = self.expr(iter, env, None);
+        let elem_t = self.loop_element_type(&iter_t);
+        self.ann.types.insert(var_id, elem_t);
+        (self.d.table.var_id(var), elem_t)
+    }
+
+    fn bind_for(&mut self, &(v, elem_t): &Self::ForVar, env: &mut Env) {
+        if let Some(v) = v {
+            env[v.index()] = elem_t;
+        }
+    }
+}
+
+impl<O: CalleeOracle> ForwardEngine<'_, O> {
+    /// Type of the loop variable given the iteration-space type: MATLAB
+    /// iterates over columns, so a row vector (the common `for i = 1:n`)
+    /// yields scalars. Elements keep the iteration range.
     fn loop_element_type(&self, iter_t: &Type) -> Type {
-        if iter_t.max_shape.rows == Dim::Finite(1) || iter_t.is_scalar() {
-            // Row vector (the common `for i = 1:n`): scalar elements whose
-            // range is the iteration range.
-            Type {
-                intrinsic: iter_t.intrinsic,
-                min_shape: majic_types::Shape::scalar(),
-                max_shape: majic_types::Shape::scalar(),
-                range: iter_t.range,
-            }
-        } else {
-            // Column-of-matrix iteration.
-            Type {
-                intrinsic: iter_t.intrinsic,
-                min_shape: majic_types::Shape {
-                    rows: iter_t.min_shape.rows,
-                    cols: Dim::Finite(1),
-                },
-                max_shape: majic_types::Shape {
-                    rows: iter_t.max_shape.rows,
-                    cols: Dim::Finite(1),
-                },
-                range: iter_t.range,
-            }
+        let row = iter_t.max_shape.rows == Dim::Finite(1) || iter_t.is_scalar();
+        let column = |rows: Dim| majic_types::Shape {
+            rows: if row { Dim::Finite(1) } else { rows },
+            cols: Dim::Finite(1),
+        };
+        Type {
+            intrinsic: iter_t.intrinsic,
+            min_shape: column(iter_t.min_shape.rows),
+            max_shape: column(iter_t.max_shape.rows),
+            range: iter_t.range,
         }
     }
 
@@ -838,5 +750,71 @@ mod tests {
         assert!(ann.outputs[0].as_constant().is_none());
         // Shape info survives.
         assert!(ann.outputs[0].is_scalar());
+    }
+
+    /// Inference counting the straight-line statements it visits.
+    struct Counting<'a>(ForwardEngine<'a, NoOracle>, usize);
+
+    impl Dataflow for Counting<'_> {
+        type State = Env;
+        type ForVar = (Option<VarId>, Type);
+
+        fn join(&self, a: &Env, b: &Env) -> Env {
+            self.0.join(a, b)
+        }
+
+        fn widen(&mut self, pass: usize, head: &Env, next: Env) -> Env {
+            self.0.widen(pass, head, next)
+        }
+
+        fn transfer(&mut self, s: &Stmt, env: &mut Env) {
+            self.1 += 1;
+            self.0.transfer(s, env);
+        }
+
+        fn condition(&mut self, cond: &Expr, env: &Env) {
+            self.0.condition(cond, env);
+        }
+
+        fn enter_for(&mut self, var: &str, id: NodeId, iter: &Expr, env: &Env) -> Self::ForVar {
+            self.0.enter_for(var, id, iter, env)
+        }
+
+        fn bind_for(&mut self, v: &Self::ForVar, env: &mut Env) {
+            self.0.bind_for(v, env);
+        }
+    }
+
+    /// How often inference visits the innermost statements of a depth-12
+    /// `for` nest around `inner`, with the parameter `y` the constant 0.
+    fn nest_visits(inner: &str) -> usize {
+        let mut src = "function x = f(y)\n".to_owned();
+        for k in 0..12 {
+            src += &format!("for k{k} = 1:2\n");
+        }
+        src += inner;
+        src += &"end\n".repeat(12);
+        let file = parse_source(&src).unwrap();
+        let d = disambiguate(&file.functions[0], &HashSet::new());
+        let mut env = vec![Type::bottom(); d.table.var_count()];
+        env[d.table.var_id("y").unwrap().index()] = Type::constant(0.0);
+        let engine = ForwardEngine {
+            d: &d,
+            opts: InferOptions::default(),
+            oracle: &NoOracle,
+            ann: Annotations::default(),
+        };
+        let mut counting = Counting(engine, 0);
+        run_flow(&mut counting, &d.function.body, env);
+        counting.1
+    }
+
+    #[test]
+    fn a_depth_12_loop_nest_is_visited_depth_plus_one_times() {
+        assert_eq!(nest_visits("x = 1;\n"), 13);
+        // A loop-carried range that widens needs more passes, but no
+        // more than the cap-bounded 21 visits of the `x` assignment.
+        let visits = nest_visits("x = y;\ny = y + 1;\n") / 2;
+        assert!(visits <= 21, "{visits} visits");
     }
 }

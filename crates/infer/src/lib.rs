@@ -1,10 +1,12 @@
 //! MaJIC type inference (paper §2.3–§2.5).
 //!
 //! The engine is an *iterative join-of-all-paths monotonic data analysis
-//! framework*: it walks a function's (structured) control-flow graph with
-//! a type environment mapping each variable to a [`majic_types::Type`],
-//! joining environments at merge points and iterating loops to a fixpoint
-//! under an iteration cap with widening.
+//! framework*: a type environment mapping each variable to a
+//! [`majic_types::Type`] runs on `majic-analysis`'s structured dataflow
+//! driver ([`majic_analysis::run_flow`]), which owns the joins at `if`
+//! merges, loop heads and exits, and function exit (`return` included).
+//! The engine supplies the lattice and the transfer functions, and caps
+//! each loop's iterations with widening.
 //!
 //! Transfer functions live in the [`calculator`]: a database of
 //! precondition-guarded rules per operator/builtin, tried from most to

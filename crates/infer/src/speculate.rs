@@ -30,7 +30,7 @@
 //! performance loss").
 
 use crate::calculator::InferOptions;
-use crate::engine::{Annotations, CalleeOracle, ForwardEngine};
+use crate::engine::{infer_forward, Annotations, CalleeOracle};
 use majic_analysis::{DisambiguatedFunction, SymbolKind};
 use majic_ast::{walk_stmts, BinOp, Expr, ExprKind, LValue, Stmt, StmtKind};
 use majic_runtime::builtins::Builtin;
@@ -63,9 +63,7 @@ fn real_scalar_hint() -> Type {
 fn real_matrix_hint() -> Type {
     Type {
         intrinsic: Intrinsic::Real,
-        min_shape: Shape::bottom(),
-        max_shape: Shape::top(),
-        range: Range::top(),
+        ..generic_guess()
     }
 }
 
@@ -128,16 +126,7 @@ pub fn infer_speculative<O: CalleeOracle>(
     }
 
     let sig = Signature::new(sig_types.clone());
-    let mut engine = ForwardEngine {
-        d,
-        opts,
-        oracle,
-        ann: Annotations::default(),
-        break_envs: Vec::new(),
-        continue_envs: Vec::new(),
-    };
-    let ann = engine.run(sig_types);
-    (sig, ann)
+    (sig, infer_forward(d, opts, oracle, sig_types))
 }
 
 /// Meet a hint into the map (most restrictive wins; contradictions keep
@@ -197,8 +186,10 @@ struct HintCollector<'a> {
 }
 
 impl HintCollector<'_> {
+    /// Collect the hints of every statement, nested bodies included. The
+    /// hints never conflict, so their order does not matter.
     fn block(&mut self, stmts: &[Stmt]) {
-        for s in stmts {
+        for s in walk_stmts(stmts) {
             self.stmt(s);
         }
     }
@@ -220,30 +211,19 @@ impl HintCollector<'_> {
                     self.expr(a);
                 }
             }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
+            StmtKind::If { branches, .. } => {
+                for (cond, _) in branches {
                     // Hint 2 (strong form): condition operands are real
                     // scalars.
                     self.condition_hints(cond);
                     self.expr(cond);
-                    self.block(body);
-                }
-                if let Some(b) = else_body {
-                    self.block(b);
                 }
             }
-            StmtKind::While { cond, body } => {
+            StmtKind::While { cond, .. } => {
                 self.condition_hints(cond);
                 self.expr(cond);
-                self.block(body);
             }
-            StmtKind::For { iter, body, .. } => {
-                self.expr(iter);
-                self.block(body);
-            }
+            StmtKind::For { iter, .. } => self.expr(iter),
             _ => {}
         }
     }

@@ -19,6 +19,9 @@
 //!   bounded even when `<expr>` turns out huge, `NaN`, or infinite;
 //! * every `while` loop carries a decrementing guard counter
 //!   (`g = k; while (g > 0) & cond; g = g - 1; …`);
+//! * `break` and `continue` end `if` arms only when the innermost loop
+//!   is a `for`, whose trip count is fixed on entry; `return` ends `if`
+//!   arms anywhere;
 //! * the call graph is a DAG — `f0` may call `f1`/`f2`, never itself.
 //!
 //! Infinity is also excluded from the entry-argument pool: a literal
@@ -118,6 +121,8 @@ pub enum Stmt {
         /// Body (guard decrement is emitted automatically).
         body: Vec<Stmt>,
     },
+    /// `break`, `continue` or `return`, kept as source text.
+    Jump(&'static str),
 }
 
 /// One generated function.
@@ -365,6 +370,7 @@ impl Stmt {
                 write_block(f, body, indent + 1)?;
                 writeln!(f, "{pad}end")
             }
+            Stmt::Jump(k) => writeln!(f, "{pad}{k};"),
         }
     }
 }
@@ -445,6 +451,9 @@ struct Scope {
     /// (either side) — the aliasing grammar's preferred mutation
     /// targets.
     aliases: Vec<String>,
+    /// Is the innermost enclosing loop a `for`? Only then may an `if`
+    /// arm end in `break` or `continue`.
+    in_for: bool,
 }
 
 impl Scope {
@@ -739,7 +748,22 @@ impl Gen {
             2 => {
                 let c = self.cond(sc);
                 let tlen = 1 + self.rng.below(2);
-                let then = self.block(sc, nesting + 1, tlen);
+                let mut then = self.block(sc, nesting + 1, tlen);
+                // Now and then the arm ends in a jump. A `return` first
+                // assigns the return value, usually of another type than
+                // the fall-through path's.
+                if self.rng.below(3) == 0 {
+                    let jumps: &[_] = if sc.in_for {
+                        &["break", "continue", "return"]
+                    } else {
+                        &["return"]
+                    };
+                    let k = *self.rng.choose(jumps);
+                    if k == "return" {
+                        then.push(Stmt::Assign("r".into(), self.expr(sc, 2)));
+                    }
+                    then.push(Stmt::Jump(k));
+                }
                 let els = if self.rng.coin() {
                     self.block(sc, nesting + 1, 1)
                 } else {
@@ -760,7 +784,9 @@ impl Gen {
                 };
                 let blen = 1 + self.rng.below(2);
                 sc.protected.push(var.clone());
+                let outer = std::mem::replace(&mut sc.in_for, true);
                 let body = self.block(sc, nesting + 1, blen);
+                sc.in_for = outer;
                 sc.protected.pop();
                 Stmt::For {
                     var,
@@ -777,7 +803,9 @@ impl Gen {
                 let cond = self.cond(sc);
                 let blen = 1 + self.rng.below(2);
                 sc.protected.push(guard.clone());
+                let outer = std::mem::replace(&mut sc.in_for, false);
                 let body = self.block(sc, nesting + 1, blen);
+                sc.in_for = outer;
                 sc.protected.pop();
                 Stmt::While {
                     guard,
@@ -828,6 +856,7 @@ pub fn generate_with(seed: u64, grammar: Grammar) -> Program {
             callees,
             protected: Vec::new(),
             aliases: Vec::new(),
+            in_for: false,
         };
         let len = if i == 0 {
             2 + g.rng.below(4)
@@ -1114,6 +1143,7 @@ fn stmt_variants(s: &Stmt) -> Vec<Stmt> {
                 });
             }
         }
+        Stmt::Jump(_) => {}
     }
     out
 }
@@ -1196,11 +1226,17 @@ fn expr_variants(e: &Expr) -> Vec<Expr> {
 mod tests {
     use super::*;
 
+    /// Programs compared by their `Debug` text: a NaN argument is unequal
+    /// to itself under `==`.
+    fn text(p: &Program) -> String {
+        format!("{p:?}")
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = generate(42);
         let b = generate(42);
-        assert_eq!(a, b);
+        assert_eq!(text(&a), text(&b));
         assert_eq!(a.render_corpus(), b.render_corpus());
         // Different seeds almost surely differ.
         assert_ne!(generate(1).render_corpus(), generate(2).render_corpus());
@@ -1224,11 +1260,14 @@ mod tests {
     #[test]
     fn aliasing_grammar_is_deterministic_and_leaves_default_alone() {
         assert_eq!(
-            generate_with(42, Grammar::Aliasing),
-            generate_with(42, Grammar::Aliasing)
+            text(&generate_with(42, Grammar::Aliasing)),
+            text(&generate_with(42, Grammar::Aliasing))
         );
         // `generate` is the default grammar, unchanged by the new mode.
-        assert_eq!(generate(42), generate_with(42, Grammar::Default));
+        assert_eq!(
+            text(&generate(42)),
+            text(&generate_with(42, Grammar::Default))
+        );
     }
 
     #[test]
@@ -1284,6 +1323,39 @@ mod tests {
             dup_calls > 5,
             "duplicated-actual calls are rare: {dup_calls}"
         );
+    }
+
+    #[test]
+    fn default_grammar_emits_jumps_where_termination_allows() {
+        /// Count the jumps in `stmts`, checking where each one sits.
+        fn walk(stmts: &[Stmt], in_for: bool, in_arm: bool, seen: &mut Vec<&'static str>) {
+            for s in stmts {
+                match s {
+                    Stmt::Jump(k) => {
+                        assert!(in_arm, "{k} outside an if arm");
+                        assert!(*k == "return" || in_for, "{k} outside a for body");
+                        seen.push(k);
+                    }
+                    Stmt::If(_, a, b) => {
+                        walk(a, in_for, true, seen);
+                        walk(b, in_for, true, seen);
+                    }
+                    Stmt::For { body, .. } => walk(body, true, false, seen),
+                    Stmt::While { body, .. } => walk(body, false, false, seen),
+                    _ => {}
+                }
+            }
+        }
+        let mut seen = Vec::new();
+        for seed in 0..300 {
+            for f in &generate(seed).funcs {
+                walk(&f.body, false, false, &mut seen);
+            }
+        }
+        for k in ["break", "continue", "return"] {
+            let n = seen.iter().filter(|&&s| s == k).count();
+            assert!(n > 5, "{k} is rare: {n}");
+        }
     }
 
     #[test]
