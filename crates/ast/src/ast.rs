@@ -103,11 +103,10 @@ impl BinOp {
     pub fn is_elementwise(self) -> bool {
         !matches!(self, BinOp::Mul | BinOp::Div | BinOp::LeftDiv | BinOp::Pow)
     }
-}
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+    /// The operator as written in source.
+    pub fn symbol(self) -> &'static str {
+        match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
             BinOp::Mul => "*",
@@ -128,7 +127,13 @@ impl fmt::Display for BinOp {
             BinOp::Or => "|",
             BinOp::ShortAnd => "&&",
             BinOp::ShortOr => "||",
-        })
+        }
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.symbol())
     }
 }
 

@@ -1898,7 +1898,7 @@ impl<'a> Gen<'a> {
         let b = self.to_operand(rv);
         let dst = self.fresh_slot();
         self.emit(Inst::Gen {
-            op: GenOp::Binary(binop_name(op)),
+            op: GenOp::Binary(op.symbol()),
             dsts: vec![dst],
             args: vec![a, b],
         });
@@ -2249,30 +2249,6 @@ fn decompose_gemv_term<'e>(g: &Gen<'_>, e: &'e Expr) -> Option<GemvTerm<'e>> {
             vec: Some(e),
         }),
         _ => None,
-    }
-}
-
-fn binop_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::LeftDiv => "\\",
-        BinOp::Pow => "^",
-        BinOp::ElemMul => ".*",
-        BinOp::ElemDiv => "./",
-        BinOp::ElemLeftDiv => ".\\",
-        BinOp::ElemPow => ".^",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::Eq => "==",
-        BinOp::Ne => "~=",
-        BinOp::And => "&",
-        BinOp::Or => "|",
-        BinOp::ShortAnd | BinOp::ShortOr => unreachable!("lowered as control flow"),
     }
 }
 

@@ -72,6 +72,10 @@ fn is_numeric(t: &Type) -> bool {
     t.intrinsic.is_numeric()
 }
 
+/// 2^52: `mod` and `rem` of integers no larger than this compute
+/// exactly in doubles.
+const EXACT_INT: f64 = 4_503_599_627_370_496.0;
+
 fn at_most(t: &Type, i: Intrinsic) -> bool {
     t.intrinsic.le(&i) && t.intrinsic != Intrinsic::Bottom
 }
@@ -1055,19 +1059,28 @@ pub fn builtin(b: Builtin, args: &[Type], nargout: usize, o: &InferOptions) -> V
             let a = arg(0);
             let bb = arg(1);
             let (min, max) = elem_shape(&a, &bb);
-            let intr = if at_most(&a, Intrinsic::Int) && at_most(&bb, Intrinsic::Int) {
-                Intrinsic::Int
-            } else {
-                Intrinsic::Real
-            };
-            // rule mod.bounded: result magnitude bounded by divisor.
-            let r = if bb.range.hi().is_finite() && bb.range.lo().is_finite() {
-                let m = bb.range.hi().abs().max(bb.range.lo().abs());
-                Range::new(-m, m)
-            } else {
-                Range::top()
-            };
-            one(with_shape(intr, min, max, r))
+            let mag = |r: Range| r.lo().abs().max(r.hi().abs());
+            // rule mod.bounded: integral operands of magnitude ≤ 2^52
+            // make every step exact, so the result is integral and no
+            // larger than the divisor. Otherwise rounding can carry it
+            // ulps past the divisor, and an overflowing quotient to ±∞
+            // (`mod(1e300, 1e-300)` is -Inf).
+            let exact = at_most(&a, Intrinsic::Int)
+                && at_most(&bb, Intrinsic::Int)
+                && mag(a.range) <= EXACT_INT
+                && mag(bb.range) <= EXACT_INT;
+            if !exact {
+                return one(with_shape(Intrinsic::Real, min, max, Range::top()));
+            }
+            let m = mag(bb.range);
+            let r = Range::new(-m, m);
+            // rule mod.by_zero: `mod(a, 0)` is `a` and `rem(a, 0)` is NaN.
+            let may_divide_by_zero = bb.range.lo() <= 0.0 && bb.range.hi() >= 0.0;
+            match (b, may_divide_by_zero) {
+                (Mod, true) => one(with_shape(Intrinsic::Int, min, max, r.join(&a.range))),
+                (Rem, true) => one(with_shape(Intrinsic::Real, min, max, r)),
+                _ => one(with_shape(Intrinsic::Int, min, max, r)),
+            }
         }
         Sum | Prod => one(reduction_type(&arg(0), b == Builtin::Prod)),
         Max | Min => {
@@ -1075,11 +1088,19 @@ pub fn builtin(b: Builtin, args: &[Type], nargout: usize, o: &InferOptions) -> V
                 let a = arg(0);
                 let bb = arg(1);
                 let (min, max) = elem_shape(&a, &bb);
-                let r = if b == Builtin::Max {
+                let mut r = if b == Builtin::Max {
                     a.range.max_with(bb.range)
                 } else {
                     a.range.min_with(bb.range)
                 };
+                // rule max.nan: a NaN operand yields the other operand,
+                // and only an integral intrinsic rules NaN out.
+                if !at_most(&a, Intrinsic::Int) {
+                    r = r.join(&bb.range);
+                }
+                if !at_most(&bb, Intrinsic::Int) {
+                    r = r.join(&a.range);
+                }
                 return one(with_shape(int_preserving(&a, &bb), min, max, r));
             }
             let a = arg(0);

@@ -1,7 +1,13 @@
 //! Instruction and function definitions.
 
 use majic_runtime::builtins::Builtin;
+use majic_runtime::{scalar, Complex};
 use std::fmt;
+
+/// Comparison operators: the runtime's relational selector, so compiled
+/// and interpreted comparisons share one [`CmpOp::apply`]. `FCmp` stores
+/// its result as the `F` value 0.0 or 1.0.
+pub use majic_runtime::ops::Cmp as CmpOp;
 
 /// A register number. Virtual before register allocation (unbounded),
 /// physical afterwards (within the machine's register-file size, or a
@@ -76,6 +82,26 @@ pub enum FBinOp {
     Rem,
 }
 
+impl FBinOp {
+    /// Evaluate on two doubles. The VM and the constant folder both call
+    /// this; the builtin cases share [`scalar`] with the runtime library.
+    #[inline]
+    pub fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            FBinOp::Add => a + b,
+            FBinOp::Sub => a - b,
+            FBinOp::Mul => a * b,
+            FBinOp::Div => a / b,
+            FBinOp::Pow => a.powf(b),
+            FBinOp::Atan2 => a.atan2(b),
+            FBinOp::Min => scalar::min(a, b),
+            FBinOp::Max => scalar::max(a, b),
+            FBinOp::Mod => scalar::modulo(a, b),
+            FBinOp::Rem => scalar::rem(a, b),
+        }
+    }
+}
+
 /// Unary operations on `F` registers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FUnOp {
@@ -117,21 +143,31 @@ pub enum FUnOp {
     Not,
 }
 
-/// Comparison operators (results are `F` values 0.0/1.0).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `==`
-    Eq,
-    /// `~=`
-    Ne,
+impl FUnOp {
+    /// Evaluate on a double (see [`FBinOp::apply`]).
+    #[inline]
+    pub fn apply(self, s: f64) -> f64 {
+        match self {
+            FUnOp::Neg => -s,
+            FUnOp::Abs => s.abs(),
+            FUnOp::Sqrt => s.sqrt(),
+            FUnOp::Sin => s.sin(),
+            FUnOp::Cos => s.cos(),
+            FUnOp::Tan => s.tan(),
+            FUnOp::Asin => s.asin(),
+            FUnOp::Acos => s.acos(),
+            FUnOp::Atan => s.atan(),
+            FUnOp::Exp => s.exp(),
+            FUnOp::Log => s.ln(),
+            FUnOp::Log10 => s.log10(),
+            FUnOp::Floor => s.floor(),
+            FUnOp::Ceil => s.ceil(),
+            FUnOp::Round => s.round(),
+            FUnOp::Fix => s.trunc(),
+            FUnOp::Sign => scalar::sign(s),
+            FUnOp::Not => f64::from(s == 0.0),
+        }
+    }
 }
 
 /// Binary operations on `C` registers.
@@ -147,6 +183,20 @@ pub enum CBinOp {
     Div,
     /// `a ^ b`
     Pow,
+}
+
+impl CBinOp {
+    /// Evaluate on two complex values.
+    #[inline]
+    pub fn apply(self, a: Complex, b: Complex) -> Complex {
+        match self {
+            CBinOp::Add => a + b,
+            CBinOp::Sub => a - b,
+            CBinOp::Mul => a * b,
+            CBinOp::Div => a / b,
+            CBinOp::Pow => a.powc(b),
+        }
+    }
 }
 
 /// Unary operations on `C` registers.
@@ -166,6 +216,22 @@ pub enum CUnOp {
     Sin,
     /// `cos a`
     Cos,
+}
+
+impl CUnOp {
+    /// Evaluate on a complex value.
+    #[inline]
+    pub fn apply(self, z: Complex) -> Complex {
+        match self {
+            CUnOp::Neg => -z,
+            CUnOp::Conj => z.conj(),
+            CUnOp::Sqrt => z.sqrt(),
+            CUnOp::Exp => z.exp(),
+            CUnOp::Log => z.ln(),
+            CUnOp::Sin => z.sin(),
+            CUnOp::Cos => z.cos(),
+        }
+    }
 }
 
 /// An argument to a generic (polymorphic) operation.

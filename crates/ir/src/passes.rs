@@ -66,86 +66,6 @@ pub fn optimize(f: &mut Function, opts: PassOptions) {
     }
 }
 
-fn eval_fbin(op: FBinOp, a: f64, b: f64) -> f64 {
-    match op {
-        FBinOp::Add => a + b,
-        FBinOp::Sub => a - b,
-        FBinOp::Mul => a * b,
-        FBinOp::Div => a / b,
-        FBinOp::Pow => a.powf(b),
-        FBinOp::Atan2 => a.atan2(b),
-        FBinOp::Min => {
-            if a.is_nan() {
-                b
-            } else if b.is_nan() || a < b {
-                a
-            } else {
-                b
-            }
-        }
-        FBinOp::Max => {
-            if a.is_nan() {
-                b
-            } else if b.is_nan() || a > b {
-                a
-            } else {
-                b
-            }
-        }
-        FBinOp::Mod => {
-            if b == 0.0 {
-                a
-            } else {
-                a - (a / b).floor() * b
-            }
-        }
-        FBinOp::Rem => {
-            if b == 0.0 {
-                f64::NAN
-            } else {
-                a - (a / b).trunc() * b
-            }
-        }
-    }
-}
-
-fn eval_fun(op: FUnOp, s: f64) -> f64 {
-    match op {
-        FUnOp::Neg => -s,
-        FUnOp::Abs => s.abs(),
-        FUnOp::Sqrt => s.sqrt(),
-        FUnOp::Sin => s.sin(),
-        FUnOp::Cos => s.cos(),
-        FUnOp::Tan => s.tan(),
-        FUnOp::Asin => s.asin(),
-        FUnOp::Acos => s.acos(),
-        FUnOp::Atan => s.atan(),
-        FUnOp::Exp => s.exp(),
-        FUnOp::Log => s.ln(),
-        FUnOp::Log10 => s.log10(),
-        FUnOp::Floor => s.floor(),
-        FUnOp::Ceil => s.ceil(),
-        FUnOp::Round => s.round(),
-        FUnOp::Fix => s.trunc(),
-        FUnOp::Sign => {
-            if s > 0.0 {
-                1.0
-            } else if s < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        }
-        FUnOp::Not => {
-            if s == 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
 /// Fold constant `F` computations, block-locally.
 pub fn const_fold(f: &mut Function) {
     for block in &mut f.blocks {
@@ -158,22 +78,12 @@ pub fn const_fold(f: &mut Function) {
                 }
                 Inst::FMov { d, s } => known.get(s).copied().map(|v| (*d, v)),
                 Inst::FBin { op, d, a, b } => match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => Some((*d, eval_fbin(*op, x, y))),
+                    (Some(&x), Some(&y)) => Some((*d, op.apply(x, y))),
                     _ => None,
                 },
-                Inst::FUn { op, d, s } => known.get(s).map(|&x| (*d, eval_fun(*op, x))),
+                Inst::FUn { op, d, s } => known.get(s).map(|&x| (*d, op.apply(x))),
                 Inst::FCmp { op, d, a, b } => match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => {
-                        let t = match op {
-                            crate::CmpOp::Lt => x < y,
-                            crate::CmpOp::Le => x <= y,
-                            crate::CmpOp::Gt => x > y,
-                            crate::CmpOp::Ge => x >= y,
-                            crate::CmpOp::Eq => x == y,
-                            crate::CmpOp::Ne => x != y,
-                        };
-                        Some((*d, if t { 1.0 } else { 0.0 }))
-                    }
+                    (Some(&x), Some(&y)) => Some((*d, f64::from(op.apply(x, y)))),
                     _ => None,
                 },
                 other => {

@@ -5,7 +5,7 @@
 //! Calls run against a [`CallCtx`] that owns the random-number generator
 //! and captures printed output.
 
-use crate::{linalg, Complex, Lcg, Matrix, RuntimeError, RuntimeResult, Value};
+use crate::{linalg, scalar, Complex, Lcg, Matrix, RuntimeError, RuntimeResult, Value};
 use std::fmt;
 
 /// Execution context threaded through builtin calls.
@@ -217,25 +217,8 @@ impl Builtin {
                 }
             }
             Log10 => real_only(args, "log10", |x| x.log10()),
-            Sin => complex_aware(
-                args,
-                "sin",
-                |x| x.sin(),
-                |z| {
-                    // sin(z) = (e^{iz} - e^{-iz}) / 2i
-                    let iz = Complex::I * z;
-                    (iz.exp() - (-iz).exp()) / Complex::new(0.0, 2.0)
-                },
-            ),
-            Cos => complex_aware(
-                args,
-                "cos",
-                |x| x.cos(),
-                |z| {
-                    let iz = Complex::I * z;
-                    (iz.exp() + (-iz).exp()) / Complex::from(2.0)
-                },
-            ),
+            Sin => complex_aware(args, "sin", f64::sin, Complex::sin),
+            Cos => complex_aware(args, "cos", f64::cos, Complex::cos),
             Tan => real_only(args, "tan", |x| x.tan()),
             Asin => real_only(args, "asin", |x| x.asin()),
             Acos => real_only(args, "acos", |x| x.acos()),
@@ -251,37 +234,17 @@ impl Builtin {
                 }
                 one(Value::Real(y.zip(&x, |&a, &b| a.atan2(b))))
             }
-            Floor => real_only(args, "floor", |x| x.floor()),
-            Ceil => real_only(args, "ceil", |x| x.ceil()),
-            Round => real_only(args, "round", |x| x.round()),
-            Fix => real_only(args, "fix", |x| x.trunc()),
-            Sign => real_only(args, "sign", |x| {
-                if x > 0.0 {
-                    1.0
-                } else if x < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                }
-            }),
-            Mod => binary_real(args, "mod", |a, b| {
-                if b == 0.0 {
-                    a
-                } else {
-                    a - (a / b).floor() * b
-                }
-            }),
-            Rem => binary_real(args, "rem", |a, b| {
-                if b == 0.0 {
-                    f64::NAN
-                } else {
-                    a - (a / b).trunc() * b
-                }
-            }),
+            Floor => real_only(args, "floor", f64::floor),
+            Ceil => real_only(args, "ceil", f64::ceil),
+            Round => real_only(args, "round", f64::round),
+            Fix => real_only(args, "fix", f64::trunc),
+            Sign => real_only(args, "sign", scalar::sign),
+            Mod => binary_real(args, "mod", scalar::modulo),
+            Rem => binary_real(args, "rem", scalar::rem),
             Sum => reduce(args, "sum", 0.0, |acc, v| acc + v, |acc, z| acc + z),
             Prod => reduce(args, "prod", 1.0, |acc, v| acc * v, |acc, z| acc * z),
-            Max => extremum(args, "max", true),
-            Min => extremum(args, "min", false),
+            Max => extremum(args, "max", scalar::max),
+            Min => extremum(args, "min", scalar::min),
             Real => {
                 let a = arg(args, 0, "real")?;
                 match a {
@@ -503,17 +466,7 @@ fn reduce(
 
 /// `max` / `min` with MATLAB's 1-argument (reduction) and 2-argument
 /// (elementwise) forms.
-fn extremum(args: &[Value], name: &str, is_max: bool) -> RuntimeResult<Vec<Value>> {
-    let pick = move |a: f64, b: f64| {
-        // NaN-ignoring, as in MATLAB.
-        if a.is_nan() {
-            b
-        } else if b.is_nan() || (a > b) == is_max {
-            a
-        } else {
-            b
-        }
-    };
+fn extremum(args: &[Value], name: &str, pick: fn(f64, f64) -> f64) -> RuntimeResult<Vec<Value>> {
     if args.len() >= 2 {
         return binary_real(args, name, pick);
     }

@@ -67,6 +67,20 @@ impl Complex {
         Complex::new(self.abs().ln(), self.arg())
     }
 
+    /// Complex sine, `(e^{iz} - e^{-iz}) / 2i`.
+    #[inline]
+    pub fn sin(self) -> Complex {
+        let iz = Complex::I * self;
+        (iz.exp() - (-iz).exp()) / Complex::new(0.0, 2.0)
+    }
+
+    /// Complex cosine, `(e^{iz} + e^{-iz}) / 2`.
+    #[inline]
+    pub fn cos(self) -> Complex {
+        let iz = Complex::I * self;
+        (iz.exp() + (-iz).exp()) / Complex::from(2.0)
+    }
+
     /// Complex power `self^exp`.
     pub fn powc(self, exp: Complex) -> Complex {
         if self == Complex::ZERO {

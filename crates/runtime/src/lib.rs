@@ -31,6 +31,7 @@ mod matrix;
 pub mod ops;
 pub mod par;
 mod rng;
+pub mod scalar;
 mod value;
 
 pub use complex::Complex;

@@ -12,7 +12,7 @@ use crate::par;
 use crate::{Complex, Matrix, RuntimeError, RuntimeResult, Value};
 
 /// Relational comparison selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Cmp {
     /// `<`
     Lt,
@@ -30,6 +30,7 @@ pub enum Cmp {
 
 impl Cmp {
     /// Apply to two doubles.
+    #[inline]
     pub fn apply(self, a: f64, b: f64) -> bool {
         match self {
             Cmp::Lt => a < b,
@@ -462,7 +463,12 @@ pub fn range(start: &Value, step: Option<&Value>, stop: &Value) -> RuntimeResult
 }
 
 /// Validate a 1-based subscript value and convert to 0-based.
-fn to_index(v: f64) -> RuntimeResult<usize> {
+///
+/// # Errors
+///
+/// [`RuntimeError::BadSubscript`] unless `v` is a finite integer ≥ 1.
+#[inline]
+pub fn to_index(v: f64) -> RuntimeResult<usize> {
     if v < 1.0 || v.fract() != 0.0 || !v.is_finite() {
         return Err(RuntimeError::BadSubscript(format!("{v}")));
     }

@@ -156,10 +156,19 @@ impl Range {
 
     /// Interval power for integral known exponents; `⊤` otherwise.
     pub fn powi(self, n: f64) -> Range {
+        // `x^0` is 1 for every `x`, NaN (the `⊥` range) included.
+        if n == 0.0 {
+            return Range::constant(1.0);
+        }
         if self.is_bottom() {
             return Range::bottom();
         }
         if n.fract() != 0.0 || !n.is_finite() {
+            return Range::top();
+        }
+        // A negative power has a pole at zero (`0^-1` is Inf, `-0^-1`
+        // is -Inf), so endpoint images bound nothing across it.
+        if n < 0.0 && self.lo <= 0.0 && self.hi >= 0.0 {
             return Range::top();
         }
         // `as i32` saturates for |n| beyond i32, silently turning e.g.

@@ -1,10 +1,7 @@
 //! The vcode executor: a program-counter dispatch loop over flattened
 //! register code.
 
-use majic_ir::{
-    serial, CBinOp, CUnOp, CmpOp, FBinOp, FUnOp, Function, GenOp, Inst, Operand, Reg, Slot,
-    Terminator, VarBinding,
-};
+use majic_ir::{serial, Function, GenOp, Inst, Operand, Reg, Slot, Terminator, VarBinding};
 use majic_runtime::builtins::{Builtin, CallCtx};
 use majic_runtime::ops::{self, Cmp, Subscript};
 use majic_runtime::{linalg, Complex, Matrix, RuntimeError, RuntimeResult, Value};
@@ -496,12 +493,56 @@ impl Machine {
     }
 }
 
-#[inline]
-fn check_index(x: f64) -> RuntimeResult<usize> {
-    if x < 1.0 || x.fract() != 0.0 || !x.is_finite() {
-        return Err(RuntimeError::BadSubscript(format!("{x}")));
+/// Resolve the 1-based subscripts `(i[, j])` of a `rows × cols` array to
+/// a 0-based `(row, col)`. A checked access validates each subscript and
+/// yields `None` past the extent; an unchecked one was proven in bounds
+/// by type inference.
+#[inline(always)]
+fn resolve_rc(
+    i: f64,
+    j: Option<f64>,
+    rows: usize,
+    cols: usize,
+    checked: bool,
+) -> RuntimeResult<Option<(usize, usize)>> {
+    if !checked {
+        return Ok(Some(match j {
+            None => linear_rc(i as usize - 1, rows),
+            Some(j) => (i as usize - 1, j as usize - 1),
+        }));
     }
-    Ok(x as usize - 1)
+    Ok(match j {
+        None => {
+            let k = ops::to_index(i)?;
+            (k < rows * cols).then(|| linear_rc(k, rows))
+        }
+        Some(j) => {
+            let (r, c) = (ops::to_index(i)?, ops::to_index(j)?);
+            (r < rows && c < cols).then_some((r, c))
+        }
+    })
+}
+
+/// [`resolve_rc`] for a load, where a position past the extent is an
+/// error.
+#[inline(always)]
+fn load_rc(
+    i: f64,
+    j: Option<f64>,
+    rows: usize,
+    cols: usize,
+    checked: bool,
+) -> RuntimeResult<(usize, usize)> {
+    resolve_rc(i, j, rows, cols, checked)?.ok_or_else(|| match j {
+        None => RuntimeError::IndexOutOfBounds {
+            index: (i as usize).to_string(),
+            extent: (rows * cols).to_string(),
+        },
+        Some(j) => RuntimeError::IndexOutOfBounds {
+            index: format!("({}, {})", i as usize, j as usize),
+            extent: format!("{rows}x{cols}"),
+        },
+    })
 }
 
 #[inline]
@@ -761,101 +802,6 @@ fn to_complex_scalar(v: &Value) -> RuntimeResult<Complex> {
     }
 }
 
-#[inline]
-fn fbin(op: FBinOp, a: f64, b: f64) -> f64 {
-    match op {
-        FBinOp::Add => a + b,
-        FBinOp::Sub => a - b,
-        FBinOp::Mul => a * b,
-        FBinOp::Div => a / b,
-        FBinOp::Pow => a.powf(b),
-        FBinOp::Atan2 => a.atan2(b),
-        FBinOp::Min => {
-            if a.is_nan() || b < a {
-                b
-            } else {
-                a
-            }
-        }
-        FBinOp::Max => {
-            if a.is_nan() || b > a {
-                b
-            } else {
-                a
-            }
-        }
-        FBinOp::Mod => {
-            if b == 0.0 {
-                a
-            } else {
-                a - (a / b).floor() * b
-            }
-        }
-        FBinOp::Rem => {
-            if b == 0.0 {
-                f64::NAN
-            } else {
-                a - (a / b).trunc() * b
-            }
-        }
-    }
-}
-
-#[inline]
-fn fun(op: FUnOp, s: f64) -> f64 {
-    match op {
-        FUnOp::Neg => -s,
-        FUnOp::Abs => s.abs(),
-        FUnOp::Sqrt => s.sqrt(),
-        FUnOp::Sin => s.sin(),
-        FUnOp::Cos => s.cos(),
-        FUnOp::Tan => s.tan(),
-        FUnOp::Asin => s.asin(),
-        FUnOp::Acos => s.acos(),
-        FUnOp::Atan => s.atan(),
-        FUnOp::Exp => s.exp(),
-        FUnOp::Log => s.ln(),
-        FUnOp::Log10 => s.log10(),
-        FUnOp::Floor => s.floor(),
-        FUnOp::Ceil => s.ceil(),
-        FUnOp::Round => s.round(),
-        FUnOp::Fix => s.trunc(),
-        FUnOp::Sign => {
-            if s > 0.0 {
-                1.0
-            } else if s < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        }
-        FUnOp::Not => {
-            if s == 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
-#[inline]
-fn cmp(op: CmpOp, a: f64, b: f64) -> f64 {
-    let t = match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    };
-    if t {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 fn exec_inst(
     inst: &Inst,
     m: &mut Machine,
@@ -868,51 +814,16 @@ fn exec_inst(
             let v = m.rf(*s);
             m.wf(*d, v);
         }
-        Inst::FBin { op, d, a, b } => {
-            let v = fbin(*op, m.rf(*a), m.rf(*b));
-            m.wf(*d, v);
-        }
-        Inst::FUn { op, d, s } => {
-            let v = fun(*op, m.rf(*s));
-            m.wf(*d, v);
-        }
-        Inst::FCmp { op, d, a, b } => {
-            let v = cmp(*op, m.rf(*a), m.rf(*b));
-            m.wf(*d, v);
-        }
+        Inst::FBin { op, d, a, b } => m.wf(*d, op.apply(m.rf(*a), m.rf(*b))),
+        Inst::FUn { op, d, s } => m.wf(*d, op.apply(m.rf(*s))),
+        Inst::FCmp { op, d, a, b } => m.wf(*d, f64::from(op.apply(m.rf(*a), m.rf(*b)))),
         Inst::FSpillLoad { d, slot } => m.f[d.index()] = m.fspill[*slot as usize],
         Inst::FSpillStore { slot, s } => m.fspill[*slot as usize] = m.f[s.index()],
 
         Inst::CConst { d, re, im } => m.c[d.index()] = Complex::new(*re, *im),
         Inst::CMov { d, s } => m.c[d.index()] = m.c[s.index()],
-        Inst::CBin { op, d, a, b } => {
-            let (x, y) = (m.c[a.index()], m.c[b.index()]);
-            m.c[d.index()] = match op {
-                CBinOp::Add => x + y,
-                CBinOp::Sub => x - y,
-                CBinOp::Mul => x * y,
-                CBinOp::Div => x / y,
-                CBinOp::Pow => x.powc(y),
-            };
-        }
-        Inst::CUn { op, d, s } => {
-            let z = m.c[s.index()];
-            m.c[d.index()] = match op {
-                CUnOp::Neg => -z,
-                CUnOp::Conj => z.conj(),
-                CUnOp::Sqrt => z.sqrt(),
-                CUnOp::Exp => z.exp(),
-                CUnOp::Log => z.ln(),
-                CUnOp::Sin => {
-                    let iz = Complex::I * z;
-                    (iz.exp() - (-iz).exp()) / Complex::new(0.0, 2.0)
-                }
-                CUnOp::Cos => {
-                    let iz = Complex::I * z;
-                    (iz.exp() + (-iz).exp()) / Complex::from(2.0)
-                }
-            };
-        }
+        Inst::CBin { op, d, a, b } => m.c[d.index()] = op.apply(m.c[a.index()], m.c[b.index()]),
+        Inst::CUn { op, d, s } => m.c[d.index()] = op.apply(m.c[s.index()]),
         Inst::CAbs { d, s } => m.f[d.index()] = m.c[s.index()].abs(),
         Inst::CPart { d, s, imag } => {
             let z = m.c[s.index()];
@@ -931,6 +842,7 @@ fn exec_inst(
             j,
             checked,
         } => {
+            let (iv, jv) = (m.f[i.index()], j.map(|j| m.f[j.index()]));
             let slot = m.slots[arr.index()]
                 .as_ref()
                 .ok_or_else(|| undefined(*arr))?;
@@ -939,46 +851,12 @@ fn exec_inst(
                 other => {
                     // Inference proved "real matrix", but a generic path
                     // may have produced e.g. Bool; fall back gently.
-                    let v = ops::index_get(
-                        other,
-                        &subs_from_regs(m.f[i.index()], j.map(|j| m.f[j.index()])),
-                    )?;
+                    let v = ops::index_get(other, &subs_from_regs(iv, jv))?;
                     m.f[d.index()] = v.to_scalar()?;
                     return Ok(());
                 }
             };
-            let (rows, cols) = (mat.rows(), mat.cols());
-            let (r, c) = match j {
-                None => {
-                    if *checked {
-                        let k = check_index(m.f[i.index()])?;
-                        if k >= rows * cols {
-                            return Err(RuntimeError::IndexOutOfBounds {
-                                index: (k + 1).to_string(),
-                                extent: (rows * cols).to_string(),
-                            });
-                        }
-                        linear_rc(k, rows)
-                    } else {
-                        linear_rc(m.f[i.index()] as usize - 1, rows)
-                    }
-                }
-                Some(j) => {
-                    if *checked {
-                        let r = check_index(m.f[i.index()])?;
-                        let c = check_index(m.f[j.index()])?;
-                        if r >= rows || c >= cols {
-                            return Err(RuntimeError::IndexOutOfBounds {
-                                index: format!("({}, {})", r + 1, c + 1),
-                                extent: format!("{rows}x{cols}"),
-                            });
-                        }
-                        (r, c)
-                    } else {
-                        (m.f[i.index()] as usize - 1, m.f[j.index()] as usize - 1)
-                    }
-                }
-            };
+            let (r, c) = load_rc(iv, jv, mat.rows(), mat.cols(), *checked)?;
             // SAFETY: checked paths validated above; unchecked paths were
             // proven in-bounds by type inference (subscript-check
             // removal, §2.4) and guarded by the repository's signature
@@ -1006,27 +884,7 @@ fn exec_inst(
             }
             let value = slot.as_mut().expect("initialized above");
             if let Value::Real(mat) = value {
-                let (rows, cols) = (mat.rows(), mat.cols());
-                let in_bounds_rc: Option<(usize, usize)> = match jv {
-                    None => {
-                        if *checked {
-                            let k = check_index(iv)?;
-                            (k < rows * cols).then(|| linear_rc(k, rows))
-                        } else {
-                            Some(linear_rc(iv as usize - 1, rows))
-                        }
-                    }
-                    Some(jv) => {
-                        if *checked {
-                            let r = check_index(iv)?;
-                            let c = check_index(jv)?;
-                            (r < rows && c < cols).then_some((r, c))
-                        } else {
-                            Some((iv as usize - 1, jv as usize - 1))
-                        }
-                    }
-                };
-                if let Some((r, c)) = in_bounds_rc {
+                if let Some((r, c)) = resolve_rc(iv, jv, mat.rows(), mat.cols(), *checked)? {
                     // SAFETY: bounds established just above (or proven by
                     // inference on the unchecked path).
                     unsafe { mat.set_unchecked(r, c, val) };
@@ -1045,53 +903,18 @@ fn exec_inst(
             j,
             checked,
         } => {
+            let (iv, jv) = (m.f[i.index()], j.map(|j| m.f[j.index()]));
             let slot = m.slots[arr.index()]
                 .as_ref()
                 .ok_or_else(|| undefined(*arr))?;
             match slot {
                 Value::Complex(mat) => {
-                    let (rows, cols) = (mat.rows(), mat.cols());
-                    let (r, c) = match j {
-                        None => {
-                            let k = if *checked {
-                                let k = check_index(m.f[i.index()])?;
-                                if k >= rows * cols {
-                                    return Err(RuntimeError::IndexOutOfBounds {
-                                        index: (k + 1).to_string(),
-                                        extent: (rows * cols).to_string(),
-                                    });
-                                }
-                                k
-                            } else {
-                                m.f[i.index()] as usize - 1
-                            };
-                            linear_rc(k, rows)
-                        }
-                        Some(j) => {
-                            let (r, c) = if *checked {
-                                let r = check_index(m.f[i.index()])?;
-                                let c = check_index(m.f[j.index()])?;
-                                if r >= rows || c >= cols {
-                                    return Err(RuntimeError::IndexOutOfBounds {
-                                        index: format!("({}, {})", r + 1, c + 1),
-                                        extent: format!("{rows}x{cols}"),
-                                    });
-                                }
-                                (r, c)
-                            } else {
-                                (m.f[i.index()] as usize - 1, m.f[j.index()] as usize - 1)
-                            };
-                            (r, c)
-                        }
-                    };
+                    let (r, c) = load_rc(iv, jv, mat.rows(), mat.cols(), *checked)?;
                     // SAFETY: as for ALoadF.
                     m.c[d.index()] = unsafe { mat.get_unchecked(r, c) };
                 }
                 other => {
-                    let v = ops::index_get(
-                        other,
-                        &subs_from_regs(m.f[i.index()], j.map(|j| m.f[j.index()])),
-                    )?;
+                    let v = ops::index_get(other, &subs_from_regs(iv, jv))?;
                     m.c[d.index()] = to_complex_scalar(&v)?;
                 }
             }
@@ -1476,7 +1299,7 @@ fn exec_gen(
 mod tests {
     use super::*;
     use crate::regalloc::{allocate, RegAllocMode};
-    use majic_ir::{Block, BlockId, FBinOp};
+    use majic_ir::{Block, BlockId, CBinOp, CmpOp, FBinOp};
 
     fn run(f: &Function, args: &[Value]) -> RuntimeResult<Vec<Value>> {
         let mut f = f.clone();
