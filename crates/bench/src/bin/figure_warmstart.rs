@@ -195,6 +195,7 @@ fn main() {
     println!("median shared / cold first-call latency: {median:.2} (target ≤ 0.50)");
     assert!(
         median <= 0.5,
-        "warm sessions must at least halve first-call latency (median {median:.2})"
+        "shared sessions must at least halve first-call latency \
+         (median shared / cold {median:.2})"
     );
 }

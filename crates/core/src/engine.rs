@@ -256,32 +256,6 @@ impl PhaseTimes {
     }
 }
 
-/// Cumulative accounting of one service's persistent-cache activity.
-///
-/// Mirrored into the `repo.cache.*` trace counters; this struct is the
-/// authoritative per-service record (trace counters are
-/// process-global).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheReport {
-    /// Entries that decoded and checksummed cleanly from disk.
-    pub loaded: usize,
-    /// Entries installed into the live repository after their function's
-    /// source hash matched (`repo.cache.warm_hit`).
-    pub installed: usize,
-    /// Whole-file rejections: bad magic or container version
-    /// (`repo.cache.reject.version`).
-    pub rejected_version: usize,
-    /// Whole-file rejections: compiler build fingerprint mismatch
-    /// (`repo.cache.reject.fingerprint`).
-    pub rejected_fingerprint: usize,
-    /// Entries dropped for checksum/framing/decode damage
-    /// (`repo.cache.reject.checksum`).
-    pub rejected_checksum: usize,
-    /// Entries whose function was reloaded with different source
-    /// (`repo.cache.reject.source_hash`).
-    pub rejected_source_hash: usize,
-}
-
 /// Everything the audit log knows about one function, as returned by
 /// [`Session::explain`].
 #[derive(Clone, Debug)]

@@ -74,10 +74,10 @@ mod spec;
 
 pub use diff::{DiffCase, DiffReport, Divergence, DivergenceKind, ModeOutcome};
 pub use engine::{
-    CacheReport, EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, Majic, PhaseTimes,
-    Platform, TierOptions,
+    EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, Majic, PhaseTimes, Platform,
+    TierOptions,
 };
-pub use majic_repo::cache::{LoadReport, RepoCache};
+pub use majic_repo::cache::{CacheReport, RepoCache};
 pub use majic_repo::{RepoStats, Tier};
 pub use service::{Background, CompilerService, Session};
 pub use spec::SpecStats;

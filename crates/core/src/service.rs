@@ -49,14 +49,14 @@
 //! what makes the next session on the same source warm.
 
 use crate::engine::{
-    collect_callees, compile_and_publish, quality_name, signature_of, take_outputs, CacheReport,
+    collect_callees, compile_and_publish, quality_name, signature_of, take_outputs,
     EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes, SessionCtx, Trigger,
 };
 use crate::spec::{JobSpec, SpecStats, SpecWorkerPool};
 use majic_analysis::global_or_clear;
 use majic_ast::{parse_source, parse_statements, ExprKind, Function, LValue, Stmt, StmtKind};
 use majic_interp::Interp;
-use majic_repo::cache::{CacheEntry, RepoCache};
+use majic_repo::cache::{CacheEntry, CacheReport, RepoCache};
 use majic_repo::{Repository, DEFAULT_NS};
 use majic_runtime::{RuntimeError, RuntimeResult, Value};
 use majic_types::Signature;
@@ -277,10 +277,7 @@ impl ServiceState {
         let (entries, load) = cache.load();
         let mut cs = self.cache.lock().expect("cache state poisoned");
         cs.cache = Some(cache);
-        cs.report.loaded += load.loaded;
-        cs.report.rejected_version += load.rejected_version;
-        cs.report.rejected_fingerprint += load.rejected_fingerprint;
-        cs.report.rejected_checksum += load.rejected_checksum;
+        cs.report += load;
         for e in entries {
             cs.pending.entry(e.name.clone()).or_default().push(e);
         }

@@ -716,6 +716,175 @@ impl Function {
     }
 }
 
+/// Whether an instruction reads or writes a register operand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Access {
+    /// The instruction reads the register.
+    Read,
+    /// The instruction writes the register.
+    Write,
+}
+
+/// One operand of an instruction, as [`Inst::for_each_operand`] reports
+/// it: `R`, `S` and `N` are references to a [`Reg`], a [`Slot`] and a
+/// spill index (`&mut` ones from [`Inst::for_each_operand_mut`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum InstOperand<R, S, N> {
+    /// An `F` register.
+    F(R, Access),
+    /// A `C` register.
+    C(R, Access),
+    /// A value slot.
+    Slot(S),
+    /// An `F` spill-area index.
+    FSpill(N),
+    /// A `C` spill-area index.
+    CSpill(N),
+}
+
+/// An operand borrowed from an instruction.
+pub type OperandRef<'a> = InstOperand<&'a Reg, &'a Slot, &'a u32>;
+/// An operand borrowed mutably from an instruction.
+pub type OperandMut<'a> = InstOperand<&'a mut Reg, &'a mut Slot, &'a mut u32>;
+
+impl VarBinding {
+    /// The binding as an operand: `access` says whether the function
+    /// writes it (a parameter) or reads it (an output).
+    pub fn operand(&self, access: Access) -> OperandRef<'_> {
+        match self {
+            VarBinding::F(r) => InstOperand::F(r, access),
+            VarBinding::C(r) => InstOperand::C(r, access),
+            VarBinding::Slot(s) => InstOperand::Slot(s),
+            VarBinding::FSpill(n) => InstOperand::FSpill(n),
+            VarBinding::CSpill(n) => InstOperand::CSpill(n),
+        }
+    }
+}
+
+/// The operand table: every register, slot and spill index each [`Inst`]
+/// variant names, in one `match` with no catch-all arm, so a new variant
+/// does not compile until its operands are listed. Expanded twice, for
+/// shared and for mutable borrows; reads are reported before writes.
+macro_rules! operand_table {
+    ($(#[$doc:meta])* $name:ident, $Op:ident, $($mut:tt)?) => {
+        $(#[$doc])*
+        pub fn $name<'a>(&'a $($mut)? self, mut f: impl FnMut($Op<'a>)) {
+            use Access::{Read, Write};
+            use InstOperand::{CSpill, FSpill, Slot as S, C, F};
+            match self {
+                Inst::FConst { d, .. } => f(F(d, Write)),
+                Inst::FMov { d, s } | Inst::FUn { d, s, .. } => {
+                    f(F(s, Read));
+                    f(F(d, Write));
+                }
+                Inst::FBin { d, a, b, .. } | Inst::FCmp { d, a, b, .. } => {
+                    f(F(a, Read));
+                    f(F(b, Read));
+                    f(F(d, Write));
+                }
+                Inst::FSpillLoad { d, slot } => {
+                    f(FSpill(slot));
+                    f(F(d, Write));
+                }
+                Inst::FSpillStore { slot, s } => {
+                    f(F(s, Read));
+                    f(FSpill(slot));
+                }
+                Inst::CConst { d, .. } => f(C(d, Write)),
+                Inst::CMov { d, s } | Inst::CUn { d, s, .. } => {
+                    f(C(s, Read));
+                    f(C(d, Write));
+                }
+                Inst::CBin { d, a, b, .. } => {
+                    f(C(a, Read));
+                    f(C(b, Read));
+                    f(C(d, Write));
+                }
+                Inst::CAbs { d, s } | Inst::CPart { d, s, .. } => {
+                    f(C(s, Read));
+                    f(F(d, Write));
+                }
+                Inst::CMake { d, re, im } => {
+                    f(F(re, Read));
+                    f(F(im, Read));
+                    f(C(d, Write));
+                }
+                Inst::CSpillLoad { d, slot } => {
+                    f(CSpill(slot));
+                    f(C(d, Write));
+                }
+                Inst::CSpillStore { slot, s } => {
+                    f(C(s, Read));
+                    f(CSpill(slot));
+                }
+                Inst::ALoadF { d, arr, i, j, .. } => {
+                    f(S(arr));
+                    f(F(i, Read));
+                    j.into_iter().for_each(|j| f(F(j, Read)));
+                    f(F(d, Write));
+                }
+                Inst::ALoadC { d, arr, i, j, .. } => {
+                    f(S(arr));
+                    f(F(i, Read));
+                    j.into_iter().for_each(|j| f(F(j, Read)));
+                    f(C(d, Write));
+                }
+                Inst::AStoreF { arr, i, j, v, .. } => {
+                    f(S(arr));
+                    f(F(i, Read));
+                    j.into_iter().for_each(|j| f(F(j, Read)));
+                    f(F(v, Read));
+                }
+                Inst::AStoreC { arr, i, j, v, .. } => {
+                    f(S(arr));
+                    f(F(i, Read));
+                    j.into_iter().for_each(|j| f(F(j, Read)));
+                    f(C(v, Read));
+                }
+                Inst::FToSlot { slot, s }
+                | Inst::FToSlotBool { slot, s }
+                | Inst::AStoreConstF { arr: slot, v: s, .. } => {
+                    f(F(s, Read));
+                    f(S(slot));
+                }
+                Inst::CToSlot { slot, s } => {
+                    f(C(s, Read));
+                    f(S(slot));
+                }
+                Inst::SlotToF { d, slot }
+                | Inst::TruthF { d, slot }
+                | Inst::ExtentF { d, arr: slot, .. }
+                | Inst::ALoadConstF { d, arr: slot, .. } => {
+                    f(S(slot));
+                    f(F(d, Write));
+                }
+                Inst::SlotToC { d, slot } => {
+                    f(S(slot));
+                    f(C(d, Write));
+                }
+                Inst::SlotMov { d, s } | Inst::SlotTake { d, s } => {
+                    f(S(s));
+                    f(S(d));
+                }
+                Inst::Gen { dsts, args, .. } => {
+                    for a in args {
+                        match a {
+                            Operand::Slot(s) => f(S(s)),
+                            Operand::F(r) => f(F(r, Read)),
+                            Operand::C(r) => f(C(r, Read)),
+                            Operand::FSpill(n) => f(FSpill(n)),
+                            Operand::CSpill(n) => f(CSpill(n)),
+                            Operand::Str(_) | Operand::Colon => {}
+                        }
+                    }
+                    dsts.into_iter().for_each(|d| f(S(d)));
+                }
+                Inst::ErrUndefined(_) => {}
+            }
+        }
+    };
+}
+
 impl Inst {
     /// Is this a pure `F`-class computation (no side effects, result
     /// depends only on `F` inputs)? These are the CSE/LICM/DCE
@@ -731,66 +900,13 @@ impl Inst {
         )
     }
 
-    /// The `F`-class destination register, if any.
-    pub fn f_dest(&self) -> Option<Reg> {
-        match self {
-            Inst::FConst { d, .. }
-            | Inst::FMov { d, .. }
-            | Inst::FBin { d, .. }
-            | Inst::FUn { d, .. }
-            | Inst::FCmp { d, .. }
-            | Inst::FSpillLoad { d, .. }
-            | Inst::CAbs { d, .. }
-            | Inst::CPart { d, .. }
-            | Inst::ALoadF { d, .. }
-            | Inst::ALoadConstF { d, .. }
-            | Inst::TruthF { d, .. }
-            | Inst::ExtentF { d, .. }
-            | Inst::SlotToF { d, .. } => Some(*d),
-            _ => None,
-        }
-    }
-
-    /// `F`-class source registers.
-    pub fn f_sources(&self) -> Vec<Reg> {
-        match self {
-            Inst::FMov { s, .. } | Inst::FUn { s, .. } | Inst::FSpillStore { s, .. } => {
-                vec![*s]
-            }
-            Inst::FBin { a, b, .. } | Inst::FCmp { a, b, .. } => vec![*a, *b],
-            Inst::CMake { re, im, .. } => vec![*re, *im],
-            Inst::ALoadF { i, j, .. } | Inst::ALoadC { i, j, .. } => {
-                let mut v = vec![*i];
-                if let Some(j) = j {
-                    v.push(*j);
-                }
-                v
-            }
-            Inst::AStoreF { i, j, v, .. } => {
-                let mut out = vec![*i, *v];
-                if let Some(j) = j {
-                    out.push(*j);
-                }
-                out
-            }
-            Inst::AStoreC { i, j, .. } => {
-                let mut out = vec![*i];
-                if let Some(j) = j {
-                    out.push(*j);
-                }
-                out
-            }
-            Inst::AStoreConstF { v, .. }
-            | Inst::FToSlot { s: v, .. }
-            | Inst::FToSlotBool { s: v, .. } => vec![*v],
-            Inst::Gen { args, .. } => args
-                .iter()
-                .filter_map(|a| match a {
-                    Operand::F(r) => Some(*r),
-                    _ => None,
-                })
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
+    operand_table!(
+        /// Report every operand of the instruction to `f`.
+        for_each_operand, OperandRef,
+    );
+    operand_table!(
+        /// Report every operand of the instruction to `f`, mutably: the
+        /// register allocator rewrites registers in place through this.
+        for_each_operand_mut, OperandMut, mut
+    );
 }

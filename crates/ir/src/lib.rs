@@ -32,6 +32,6 @@ pub mod passes;
 pub mod serial;
 
 pub use inst::{
-    Block, BlockId, CBinOp, CUnOp, CmpOp, FBinOp, FUnOp, Function, GenOp, Inst, LoopInfo, Operand,
-    Reg, Slot, Terminator, VarBinding,
+    Access, Block, BlockId, CBinOp, CUnOp, CmpOp, FBinOp, FUnOp, Function, GenOp, Inst,
+    InstOperand, LoopInfo, Operand, OperandMut, OperandRef, Reg, Slot, Terminator, VarBinding,
 };

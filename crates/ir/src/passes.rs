@@ -9,8 +9,30 @@
 //! performed" there (§2.6) — which is exactly the JIT-vs-optimized gap
 //! the evaluation measures.
 
-use crate::inst::{FBinOp, FUnOp, Function, Inst, Reg, Terminator, VarBinding};
+use crate::inst::{
+    Access, FBinOp, FUnOp, Function, Inst, InstOperand, Reg, Terminator, VarBinding,
+};
 use std::collections::HashMap;
+
+/// The `F` register `i` writes, if any (an instruction writes at most one).
+fn f_def(i: &Inst) -> Option<Reg> {
+    let mut def = None;
+    i.for_each_operand(|op| {
+        if let InstOperand::F(r, Access::Write) = op {
+            def = Some(*r);
+        }
+    });
+    def
+}
+
+/// Call `use_reg` on each `F` register `i` reads.
+fn for_each_f_use(i: &Inst, mut use_reg: impl FnMut(Reg)) {
+    i.for_each_operand(|op| {
+        if let InstOperand::F(r, Access::Read) = op {
+            use_reg(*r);
+        }
+    });
+}
 
 /// Which passes to run.
 #[derive(Clone, Copy, Debug)]
@@ -72,10 +94,7 @@ pub fn const_fold(f: &mut Function) {
         let mut known: HashMap<Reg, f64> = HashMap::new();
         for inst in &mut block.insts {
             let replacement = match &*inst {
-                Inst::FConst { d, v } => {
-                    known.insert(*d, *v);
-                    None
-                }
+                Inst::FConst { d, v } => Some((*d, *v)),
                 Inst::FMov { d, s } => known.get(s).copied().map(|v| (*d, v)),
                 Inst::FBin { op, d, a, b } => match (known.get(a), known.get(b)) {
                     (Some(&x), Some(&y)) => Some((*d, op.apply(x, y))),
@@ -86,20 +105,13 @@ pub fn const_fold(f: &mut Function) {
                     (Some(&x), Some(&y)) => Some((*d, f64::from(op.apply(x, y)))),
                     _ => None,
                 },
-                other => {
-                    if let Some(d) = other.f_dest() {
-                        known.remove(&d);
-                    }
-                    None
-                }
+                _ => None,
             };
             if let Some((d, v)) = replacement {
                 known.insert(d, v);
                 *inst = Inst::FConst { d, v };
-            } else if let Some(d) = inst.f_dest() {
-                if !matches!(inst, Inst::FConst { .. }) {
-                    known.remove(&d);
-                }
+            } else if let Some(d) = f_def(inst) {
+                known.remove(&d);
             }
         }
     }
@@ -126,25 +138,15 @@ pub fn local_cse(f: &mut Function) {
                 Inst::FConst { v, .. } => Some(ExprKey::Const(v.to_bits())),
                 _ => None,
             };
-            let dest = inst.f_dest();
-            if let (Some(key), Some(d)) = (key, dest) {
-                if let Some(&prev) = available.get(&key) {
-                    if prev != d {
-                        *inst = Inst::FMov { d, s: prev };
-                    }
-                    // The redefinition of d invalidates entries built on d.
-                    available.retain(|k, v| *v != d && !key_uses(k, d));
-                    if !key_uses(&key, d) {
-                        available.insert(key, if prev == d { d } else { prev });
-                    }
-                    continue;
-                }
-                available.retain(|k, v| *v != d && !key_uses(k, d));
-                if !key_uses(&key, d) {
-                    available.insert(key, d);
-                }
-            } else if let Some(d) = dest {
-                available.retain(|k, v| *v != d && !key_uses(k, d));
+            let Some(d) = f_def(inst) else { continue };
+            let prev = key.and_then(|k| available.get(&k).copied());
+            if let Some(prev) = prev.filter(|&p| p != d) {
+                *inst = Inst::FMov { d, s: prev };
+            }
+            // The redefinition of d invalidates entries built on d.
+            available.retain(|k, v| *v != d && !key_uses(k, d));
+            if let Some(key) = key.filter(|k| !key_uses(k, d)) {
+                available.insert(key, prev.unwrap_or(d));
             }
         }
     }
@@ -166,7 +168,7 @@ pub fn licm(f: &mut Function) {
     let mut def_count: HashMap<Reg, u32> = HashMap::new();
     for b in &f.blocks {
         for i in &b.insts {
-            if let Some(d) = i.f_dest() {
+            if let Some(d) = f_def(i) {
                 *def_count.entry(d).or_default() += 1;
             }
         }
@@ -184,7 +186,7 @@ pub fn licm(f: &mut Function) {
             let mut in_loop_defs: HashMap<Reg, u32> = HashMap::new();
             for &bid in &lp.blocks {
                 for i in &f.blocks[bid.index()].insts {
-                    if let Some(d) = i.f_dest() {
+                    if let Some(d) = f_def(i) {
                         *in_loop_defs.entry(d).or_default() += 1;
                     }
                 }
@@ -196,11 +198,13 @@ pub fn licm(f: &mut Function) {
                     if !i.pure_f() {
                         continue;
                     }
-                    let Some(d) = i.f_dest() else { continue };
+                    let Some(d) = f_def(i) else { continue };
                     if def_count.get(&d).copied().unwrap_or(0) != 1 {
                         continue;
                     }
-                    if i.f_sources().iter().any(|s| in_loop_defs.contains_key(s)) {
+                    let mut variant = false;
+                    for_each_f_use(i, |s| variant |= in_loop_defs.contains_key(&s));
+                    if variant {
                         continue;
                     }
                     found = Some((bid.index(), k));
@@ -226,9 +230,7 @@ pub fn dce(f: &mut Function) {
         let mut bump = |r: Reg| *used.entry(r).or_default() += 1;
         for b in &f.blocks {
             for i in &b.insts {
-                for s in i.f_sources() {
-                    bump(s);
-                }
+                for_each_f_use(i, &mut bump);
             }
             if let Terminator::Branch { cond, .. } = &b.term {
                 bump(*cond);
@@ -239,15 +241,13 @@ pub fn dce(f: &mut Function) {
                 bump(*r);
             }
         }
-        // C-class uses keep their F feeders alive through CMake, which
-        // f_sources already covers; C registers themselves are kept
-        // conservatively (C code is rare and cheap).
+        // CMake's `F` operands count as uses above; C registers
+        // themselves are kept conservatively (C code is rare and cheap).
         let mut removed = false;
         for b in &mut f.blocks {
             b.insts.retain(|i| {
-                let dead = i.pure_f()
-                    && i.f_dest()
-                        .is_some_and(|d| used.get(&d).copied().unwrap_or(0) == 0);
+                let dead =
+                    i.pure_f() && f_def(i).is_some_and(|d| used.get(&d).copied().unwrap_or(0) == 0);
                 if dead {
                     removed = true;
                 }

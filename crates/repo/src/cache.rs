@@ -63,29 +63,41 @@ pub struct CacheEntry {
     pub version: CompiledVersion,
 }
 
-/// What happened during [`RepoCache::load`]. All counts are also
-/// mirrored into `majic-trace` counters; the struct is the authoritative
-/// per-call record (trace counters are global and may aggregate several
-/// caches).
+/// Cumulative accounting of persistent-cache activity: what
+/// [`RepoCache::load`] found, plus what the engine installed from it.
+///
+/// Mirrored into the `repo.cache.*` trace counters; this struct is the
+/// authoritative per-service record (trace counters are
+/// process-global).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Entries decoded, validated, and returned.
+pub struct CacheReport {
+    /// Entries that decoded and checksummed cleanly from disk.
     pub loaded: usize,
-    /// Whole-file rejections for a bad magic or container version
+    /// Entries installed into the live repository after their function's
+    /// source hash matched (`repo.cache.warm_hit`).
+    pub installed: usize,
+    /// Whole-file rejections: bad magic or container version
     /// (`repo.cache.reject.version`).
     pub rejected_version: usize,
-    /// Whole-file rejections for a build-fingerprint mismatch
+    /// Whole-file rejections: compiler build fingerprint mismatch
     /// (`repo.cache.reject.fingerprint`).
     pub rejected_fingerprint: usize,
     /// Entries (or the file's tail) dropped for checksum, framing,
-    /// truncation, or decode failures (`repo.cache.reject.checksum`).
+    /// truncation, or decode damage (`repo.cache.reject.checksum`).
     pub rejected_checksum: usize,
+    /// Entries whose function was reloaded with different source
+    /// (`repo.cache.reject.source_hash`).
+    pub rejected_source_hash: usize,
 }
 
-impl LoadReport {
-    /// True when nothing at all was rejected.
-    pub fn clean(&self) -> bool {
-        self.rejected_version == 0 && self.rejected_fingerprint == 0 && self.rejected_checksum == 0
+impl std::ops::AddAssign for CacheReport {
+    fn add_assign(&mut self, o: CacheReport) {
+        self.loaded += o.loaded;
+        self.installed += o.installed;
+        self.rejected_version += o.rejected_version;
+        self.rejected_fingerprint += o.rejected_fingerprint;
+        self.rejected_checksum += o.rejected_checksum;
+        self.rejected_source_hash += o.rejected_source_hash;
     }
 }
 
@@ -125,14 +137,14 @@ impl RepoCache {
     }
 
     /// Read the cache, returning every entry that survives all integrity
-    /// gates plus a report of what was rejected.
+    /// gates plus a report of what was loaded and rejected.
     ///
     /// A missing file is an ordinary cold start (empty result, clean
     /// report). A malformed file degrades: header problems reject the
     /// whole file, per-entry problems skip that entry and keep going.
     /// This function never panics and never returns an error.
-    pub fn load(&self) -> (Vec<CacheEntry>, LoadReport) {
-        let mut report = LoadReport::default();
+    pub fn load(&self) -> (Vec<CacheEntry>, CacheReport) {
+        let mut report = CacheReport::default();
         let bytes = match fs::read(&self.path) {
             Ok(b) => b,
             Err(_) => return (Vec::new(), report), // cold start
@@ -187,7 +199,7 @@ impl RepoCache {
         (entries, report)
     }
 
-    fn parse(&self, bytes: &[u8], report: &mut LoadReport) -> Vec<CacheEntry> {
+    fn parse(&self, bytes: &[u8], report: &mut CacheReport) -> Vec<CacheEntry> {
         let mut r = Reader::new(bytes);
         // Gate 1a: container magic + version.
         let header_ok = (|| -> WireResult<bool> {
@@ -424,6 +436,11 @@ mod tests {
         }
     }
 
+    /// True when nothing at all was rejected.
+    fn nothing_rejected(r: &CacheReport) -> bool {
+        r.rejected_version == 0 && r.rejected_fingerprint == 0 && r.rejected_checksum == 0
+    }
+
     fn entry(name: &str, source_hash: u64) -> CacheEntry {
         let exe = Executable::new(
             &Function {
@@ -454,8 +471,8 @@ mod tests {
         let cache = RepoCache::new(&t.path, "fp");
         let (entries, report) = cache.load();
         assert!(entries.is_empty());
-        assert_eq!(report, LoadReport::default());
-        assert!(report.clean());
+        assert_eq!(report, CacheReport::default());
+        assert!(nothing_rejected(&report));
     }
 
     #[test]
@@ -465,7 +482,7 @@ mod tests {
         let wrote = vec![entry("f", 11), entry("g", 22)];
         cache.save(&wrote).unwrap();
         let (got, report) = cache.load();
-        assert!(report.clean());
+        assert!(nothing_rejected(&report));
         assert_eq!(report.loaded, 2);
         assert_eq!(got.len(), 2);
         for (a, b) in wrote.iter().zip(&got) {
@@ -545,7 +562,7 @@ mod tests {
             // Whatever survives decoded from an intact prefix; the
             // damage is always accounted for.
             assert!(entries.len() <= 2);
-            assert!((n == 0) || !report.clean() || entries.len() == 2);
+            assert!((n == 0) || !nothing_rejected(&report) || entries.len() == 2);
         }
         // Trailing garbage is detected too.
         let mut padded = full.clone();
@@ -564,7 +581,7 @@ mod tests {
         fs::write(tmp_path(&t.path), b"half-written garbage").unwrap();
         cache.save(&[entry("f", 1)]).unwrap();
         let (entries, report) = cache.load();
-        assert!(report.clean());
+        assert!(nothing_rejected(&report));
         assert_eq!(entries.len(), 1);
         assert!(!tmp_path(&t.path).exists());
     }

@@ -1,7 +1,10 @@
 //! The vcode executor: a program-counter dispatch loop over flattened
 //! register code.
 
-use majic_ir::{serial, Function, GenOp, Inst, Operand, Reg, Slot, Terminator, VarBinding};
+use majic_ir::{
+    serial, Access, Function, GenOp, Inst, InstOperand, Operand, OperandRef, Reg, Slot, Terminator,
+    VarBinding,
+};
 use majic_runtime::builtins::{Builtin, CallCtx};
 use majic_runtime::ops::{self, Cmp, Subscript};
 use majic_runtime::{linalg, Complex, Matrix, RuntimeError, RuntimeResult, Value};
@@ -144,7 +147,7 @@ impl Executable {
                 }
             }
         }
-        Executable {
+        let exe = Executable {
             name: f.name.clone(),
             steps,
             f_spill,
@@ -153,7 +156,9 @@ impl Executable {
             params: f.params.clone(),
             outputs: f.outputs.clone(),
             counters: ExecCounters::default(),
-        }
+        };
+        debug_assert_eq!(exe.validate(), Ok(()), "{}: invalid code", exe.name);
+        exe
     }
 
     /// Number of flattened steps (diagnostics / benches).
@@ -281,17 +286,12 @@ impl Executable {
         Ok(exe)
     }
 
-    /// Bounds-check every reference in the decoded program (see
-    /// [`Executable::decode`]). Sound code never trips these.
+    /// Bounds-check every reference in the program (see
+    /// [`Executable::decode`]): each operand the instruction table
+    /// reports, every binding and every jump target. Sound code never
+    /// trips these; debug builds also check every executable
+    /// [`Executable::new`] flattens.
     fn validate(&self) -> WireResult<()> {
-        let v = Validator {
-            f_spill: self.f_spill,
-            c_spill: self.c_spill,
-            slots: self.slots,
-        };
-        for b in self.params.iter().chain(&self.outputs) {
-            v.binding(*b)?;
-        }
         // `run_loop` advances the pc with unchecked reads; a program that
         // can fall through its final step would walk off the end. The
         // flattener always ends blocks with an explicit terminator, so
@@ -301,165 +301,63 @@ impl Executable {
             Some(Step::Ret) | Some(Step::Jump(_)) => {}
             _ => return Err(WireError::new("executable must end in ret or jump")),
         }
+        let target = |t: u32| {
+            ((t as usize) < self.steps.len())
+                .then_some(())
+                .ok_or(WireError::new("jump target out of range"))
+        };
+        let mut bad = None;
+        let mut check = |op: OperandRef| {
+            let (ok, what) = match op {
+                InstOperand::F(r, _) => (r.0 < NUM_F_REGS, "f register out of range"),
+                InstOperand::C(r, _) => (r.0 < NUM_C_REGS, "c register out of range"),
+                InstOperand::Slot(s) => (s.0 < self.slots, "slot out of range"),
+                InstOperand::FSpill(n) => (*n < self.f_spill, "f spill out of range"),
+                InstOperand::CSpill(n) => (*n < self.c_spill, "c spill out of range"),
+            };
+            if !ok {
+                bad.get_or_insert(what);
+            }
+        };
+        for p in &self.params {
+            check(p.operand(Access::Write));
+        }
+        for o in &self.outputs {
+            check(o.operand(Access::Read));
+        }
         for s in &self.steps {
             match s {
                 Step::Ret => {}
-                Step::Jump(t) => v.target(*t, self.steps.len())?,
-                Step::BranchZero { cond, target } => {
-                    v.f_reg(*cond)?;
-                    v.target(*target, self.steps.len())?;
+                Step::Jump(t) => target(*t)?,
+                Step::BranchZero { cond, target: t } => {
+                    check(InstOperand::F(cond, Access::Read));
+                    target(*t)?;
                 }
-                Step::I(i) => v.inst(i)?,
+                Step::I(i) => {
+                    i.for_each_operand(&mut check);
+                    // `exec_gen` indexes some operand lists directly;
+                    // enforce the minimum arity each op assumes so corrupt
+                    // code errors here instead of panicking there.
+                    if let Inst::Gen { op, dsts, args } = i {
+                        let (min_args, min_dsts) = match op {
+                            GenOp::Binary(_) => (2, 0),
+                            GenOp::Unary(_) | GenOp::Transpose(_) => (1, 0),
+                            GenOp::IndexGet | GenOp::ResolveAmbiguous(_) | GenOp::Display(_) => {
+                                (1, 0)
+                            }
+                            GenOp::IndexSet { .. } => (2, 0),
+                            GenOp::Gemv => (5, 0),
+                            GenOp::EnsureReal { .. } => (0, 1),
+                            _ => (0, 0),
+                        };
+                        if args.len() < min_args || dsts.len() < min_dsts {
+                            return Err(WireError::new("genop arity"));
+                        }
+                    }
+                }
             }
         }
-        Ok(())
-    }
-}
-
-/// Bounds context for [`Executable::validate`].
-struct Validator {
-    f_spill: u32,
-    c_spill: u32,
-    slots: u32,
-}
-
-impl Validator {
-    fn f_reg(&self, r: Reg) -> WireResult<()> {
-        (r.0 < NUM_F_REGS)
-            .then_some(())
-            .ok_or(WireError::new("f register out of range"))
-    }
-
-    fn c_reg(&self, r: Reg) -> WireResult<()> {
-        (r.0 < NUM_C_REGS)
-            .then_some(())
-            .ok_or(WireError::new("c register out of range"))
-    }
-
-    fn f_sp(&self, s: u32) -> WireResult<()> {
-        (s < self.f_spill)
-            .then_some(())
-            .ok_or(WireError::new("f spill out of range"))
-    }
-
-    fn c_sp(&self, s: u32) -> WireResult<()> {
-        (s < self.c_spill)
-            .then_some(())
-            .ok_or(WireError::new("c spill out of range"))
-    }
-
-    fn slot(&self, s: Slot) -> WireResult<()> {
-        (s.0 < self.slots)
-            .then_some(())
-            .ok_or(WireError::new("slot out of range"))
-    }
-
-    fn target(&self, t: u32, len: usize) -> WireResult<()> {
-        ((t as usize) < len)
-            .then_some(())
-            .ok_or(WireError::new("jump target out of range"))
-    }
-
-    fn binding(&self, b: VarBinding) -> WireResult<()> {
-        match b {
-            VarBinding::F(r) => self.f_reg(r),
-            VarBinding::C(r) => self.c_reg(r),
-            VarBinding::Slot(s) => self.slot(s),
-            VarBinding::FSpill(s) => self.f_sp(s),
-            VarBinding::CSpill(s) => self.c_sp(s),
-        }
-    }
-
-    fn operand(&self, a: &Operand) -> WireResult<()> {
-        match a {
-            Operand::Slot(s) => self.slot(*s),
-            Operand::F(r) => self.f_reg(*r),
-            Operand::C(r) => self.c_reg(*r),
-            Operand::FSpill(s) => self.f_sp(*s),
-            Operand::CSpill(s) => self.c_sp(*s),
-            Operand::Str(_) | Operand::Colon => Ok(()),
-        }
-    }
-
-    fn inst(&self, i: &Inst) -> WireResult<()> {
-        match i {
-            Inst::FConst { d, .. } => self.f_reg(*d),
-            Inst::FMov { d, s } => self.f_reg(*d).and(self.f_reg(*s)),
-            Inst::FBin { d, a, b, .. } | Inst::FCmp { d, a, b, .. } => {
-                self.f_reg(*d).and(self.f_reg(*a)).and(self.f_reg(*b))
-            }
-            Inst::FUn { d, s, .. } => self.f_reg(*d).and(self.f_reg(*s)),
-            Inst::FSpillLoad { d, slot } => self.f_reg(*d).and(self.f_sp(*slot)),
-            Inst::FSpillStore { slot, s } => self.f_sp(*slot).and(self.f_reg(*s)),
-            Inst::CConst { d, .. } => self.c_reg(*d),
-            Inst::CMov { d, s } | Inst::CUn { d, s, .. } => self.c_reg(*d).and(self.c_reg(*s)),
-            Inst::CBin { d, a, b, .. } => self.c_reg(*d).and(self.c_reg(*a)).and(self.c_reg(*b)),
-            Inst::CAbs { d, s } | Inst::CPart { d, s, .. } => self.f_reg(*d).and(self.c_reg(*s)),
-            Inst::CMake { d, re, im } => self.c_reg(*d).and(self.f_reg(*re)).and(self.f_reg(*im)),
-            Inst::CSpillLoad { d, slot } => self.c_reg(*d).and(self.c_sp(*slot)),
-            Inst::CSpillStore { slot, s } => self.c_sp(*slot).and(self.c_reg(*s)),
-            Inst::ALoadF { d, arr, i, j, .. } => self
-                .f_reg(*d)
-                .and(self.slot(*arr))
-                .and(self.f_reg(*i))
-                .and(j.map_or(Ok(()), |j| self.f_reg(j))),
-            Inst::ALoadC { d, arr, i, j, .. } => self
-                .c_reg(*d)
-                .and(self.slot(*arr))
-                .and(self.f_reg(*i))
-                .and(j.map_or(Ok(()), |j| self.f_reg(j))),
-            Inst::AStoreF {
-                arr, i, j, v: val, ..
-            } => self
-                .slot(*arr)
-                .and(self.f_reg(*i))
-                .and(j.map_or(Ok(()), |j| self.f_reg(j)))
-                .and(self.f_reg(*val)),
-            Inst::AStoreC {
-                arr, i, j, v: val, ..
-            } => self
-                .slot(*arr)
-                .and(self.f_reg(*i))
-                .and(j.map_or(Ok(()), |j| self.f_reg(j)))
-                .and(self.c_reg(*val)),
-            Inst::ALoadConstF { d, arr, .. } => self.f_reg(*d).and(self.slot(*arr)),
-            Inst::AStoreConstF { arr, v, .. } => self.slot(*arr).and(self.f_reg(*v)),
-            Inst::FToSlot { slot, s } | Inst::FToSlotBool { slot, s } => {
-                self.slot(*slot).and(self.f_reg(*s))
-            }
-            Inst::SlotToF { d, slot } | Inst::TruthF { d, slot } => {
-                self.f_reg(*d).and(self.slot(*slot))
-            }
-            Inst::CToSlot { slot, s } => self.slot(*slot).and(self.c_reg(*s)),
-            Inst::SlotToC { d, slot } => self.c_reg(*d).and(self.slot(*slot)),
-            Inst::SlotMov { d, s } | Inst::SlotTake { d, s } => self.slot(*d).and(self.slot(*s)),
-            Inst::ExtentF { d, arr, .. } => self.f_reg(*d).and(self.slot(*arr)),
-            Inst::ErrUndefined(_) => Ok(()),
-            Inst::Gen { op, dsts, args } => {
-                for d in dsts {
-                    self.slot(*d)?;
-                }
-                for a in args {
-                    self.operand(a)?;
-                }
-                // `exec_gen` indexes some operand lists directly; enforce
-                // the minimum arity each op assumes so corrupt code errors
-                // here instead of panicking there.
-                let (min_args, min_dsts) = match op {
-                    GenOp::Binary(_) => (2, 0),
-                    GenOp::Unary(_) | GenOp::Transpose(_) => (1, 0),
-                    GenOp::IndexGet | GenOp::ResolveAmbiguous(_) | GenOp::Display(_) => (1, 0),
-                    GenOp::IndexSet { .. } => (2, 0),
-                    GenOp::Gemv => (5, 0),
-                    GenOp::EnsureReal { .. } => (0, 1),
-                    _ => (0, 0),
-                };
-                if args.len() < min_args || dsts.len() < min_dsts {
-                    return Err(WireError::new("genop arity"));
-                }
-                Ok(())
-            }
-        }
+        bad.map_or(Ok(()), |what| Err(WireError::new(what)))
     }
 }
 

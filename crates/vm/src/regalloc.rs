@@ -1,7 +1,6 @@
 //! Linear-scan register allocation (Poletto & Sarkar, TOPLAS 1999).
 
-use majic_ir::{Function, Inst, Reg, Terminator, VarBinding};
-use std::collections::HashMap;
+use majic_ir::{Access, Function, Inst, InstOperand, Operand, Reg, Terminator, VarBinding};
 
 /// Physical `F` register-file size.
 pub const NUM_F_REGS: u32 = 32;
@@ -52,6 +51,30 @@ enum Class {
     C,
 }
 
+impl Class {
+    /// The register `op` names in this class, if any.
+    fn reg<R, S, N>(self, op: InstOperand<R, S, N>) -> Option<(R, Access)> {
+        match (self, op) {
+            (Class::F, InstOperand::F(r, a)) | (Class::C, InstOperand::C(r, a)) => Some((r, a)),
+            _ => None,
+        }
+    }
+
+    fn spill_load(self, d: Reg, slot: u32) -> Inst {
+        match self {
+            Class::F => Inst::FSpillLoad { d, slot },
+            Class::C => Inst::CSpillLoad { d, slot },
+        }
+    }
+
+    fn spill_store(self, slot: u32, s: Reg) -> Inst {
+        match self {
+            Class::F => Inst::FSpillStore { slot, s },
+            Class::C => Inst::CSpillStore { slot, s },
+        }
+    }
+}
+
 /// Positions are instruction indices over the linearized block list,
 /// ×2 so that spill code slots between them conceptually.
 fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
@@ -62,29 +85,25 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
     if vreg_count == 0 {
         return 0;
     }
-    let (num_regs, scratch_base) = match class {
-        Class::F => (NUM_F_REGS - SCRATCH, NUM_F_REGS - SCRATCH),
-        Class::C => (NUM_C_REGS - SCRATCH, NUM_C_REGS - SCRATCH),
-    };
+    // Allocatable registers; the scratch registers sit above them.
+    let num_regs = match class {
+        Class::F => NUM_F_REGS,
+        Class::C => NUM_C_REGS,
+    } - SCRATCH;
+    let scratch_base = num_regs;
 
     // ---- build live intervals ----
-    let mut first: HashMap<u32, u32> = HashMap::new();
-    let mut last: HashMap<u32, u32> = HashMap::new();
-    let touch = |r: Reg, pos: u32, first: &mut HashMap<u32, u32>, last: &mut HashMap<u32, u32>| {
-        first.entry(r.0).or_insert(pos);
-        let e = last.entry(r.0).or_insert(pos);
-        if *e < pos {
-            *e = pos;
-        }
+    // `live[v]` is the `(first, last)` position of vreg `v`, if it occurs.
+    let mut live: Vec<Option<(u32, u32)>> = vec![None; vreg_count as usize];
+    let mut touch = |r: &Reg, pos: u32| {
+        let e = live[r.index()].get_or_insert((pos, pos));
+        e.1 = e.1.max(pos);
     };
 
     // Parameters are live from position 0.
     for b in &f.params {
-        match (class, b) {
-            (Class::F, VarBinding::F(r)) | (Class::C, VarBinding::C(r)) => {
-                touch(*r, 0, &mut first, &mut last);
-            }
-            _ => {}
+        if let Some((r, _)) = class.reg(b.operand(Access::Write)) {
+            touch(r, 0);
         }
     }
 
@@ -93,14 +112,16 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
     for block in &f.blocks {
         let start = pos;
         for inst in &block.insts {
-            for r in regs_of(inst, class) {
-                touch(r, pos, &mut first, &mut last);
-            }
+            inst.for_each_operand(|op| {
+                if let Some((r, _)) = class.reg(op) {
+                    touch(r, pos);
+                }
+            });
             pos += 1;
         }
         if class == Class::F {
             if let Terminator::Branch { cond, .. } = &block.term {
-                touch(*cond, pos, &mut first, &mut last);
+                touch(cond, pos);
             }
         }
         pos += 1;
@@ -110,11 +131,8 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
 
     // Outputs are live to the end.
     for b in &f.outputs {
-        match (class, b) {
-            (Class::F, VarBinding::F(r)) | (Class::C, VarBinding::C(r)) => {
-                touch(*r, end_pos, &mut first, &mut last);
-            }
-            _ => {}
+        if let Some((r, _)) = class.reg(b.operand(Access::Read)) {
+            touch(r, end_pos);
         }
     }
 
@@ -135,13 +153,12 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
         })
         .collect();
 
-    let mut intervals: Vec<Interval> = first
-        .iter()
-        .map(|(&vreg, &s)| Interval {
-            vreg,
-            start: s,
-            end: last[&vreg],
-        })
+    // In vreg order, so equal `(start, end)` keys below break ties
+    // towards the lower vreg and the output does not depend on anything
+    // but the input.
+    let mut intervals: Vec<Interval> = (0..)
+        .zip(&live)
+        .filter_map(|(vreg, r)| r.map(|(start, end)| Interval { vreg, start, end }))
         .collect();
     // Iterate: extension into one loop may overlap another.
     let mut changed = true;
@@ -168,12 +185,13 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
     }
 
     // ---- linear scan ----
-    let mut assignment: HashMap<u32, Loc> = HashMap::new();
+    // Indexed by vreg; a vreg that never occurs keeps the placeholder.
+    let mut assignment: Vec<Loc> = vec![Loc::Reg(0); vreg_count as usize];
     let mut next_spill = 0u32;
     match mode {
         RegAllocMode::SpillEverything => {
             for iv in &intervals {
-                assignment.insert(iv.vreg, Loc::Spill(next_spill));
+                assignment[iv.vreg as usize] = Loc::Spill(next_spill);
                 next_spill += 1;
             }
         }
@@ -185,8 +203,8 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
                 // Expire old intervals.
                 active.retain(|a| {
                     if a.end < iv.start {
-                        if let Some(Loc::Reg(r)) = assignment.get(&a.vreg) {
-                            free.push(*r);
+                        if let Loc::Reg(r) = assignment[a.vreg as usize] {
+                            free.push(r);
                         }
                         false
                     } else {
@@ -194,7 +212,7 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
                     }
                 });
                 if let Some(r) = free.pop() {
-                    assignment.insert(iv.vreg, Loc::Reg(r));
+                    assignment[iv.vreg as usize] = Loc::Reg(r);
                     active.push(*iv);
                 } else {
                     // Spill the interval with the furthest end.
@@ -205,17 +223,17 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
                         .map(|(i, a)| (i, *a))
                         .expect("active nonempty when out of registers");
                     if far.end > iv.end {
-                        let r = match assignment[&far.vreg] {
+                        let r = match assignment[far.vreg as usize] {
                             Loc::Reg(r) => r,
                             Loc::Spill(_) => unreachable!("active holds registers"),
                         };
-                        assignment.insert(far.vreg, Loc::Spill(next_spill));
+                        assignment[far.vreg as usize] = Loc::Spill(next_spill);
                         next_spill += 1;
-                        assignment.insert(iv.vreg, Loc::Reg(r));
+                        assignment[iv.vreg as usize] = Loc::Reg(r);
                         active.remove(far_idx);
                         active.push(*iv);
                     } else {
-                        assignment.insert(iv.vreg, Loc::Spill(next_spill));
+                        assignment[iv.vreg as usize] = Loc::Spill(next_spill);
                         next_spill += 1;
                     }
                 }
@@ -224,7 +242,7 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
     }
 
     // ---- rewrite ----
-    let loc = |r: Reg| -> Loc { assignment.get(&r.0).copied().unwrap_or(Loc::Reg(0)) };
+    let loc = |r: Reg| assignment[r.index()];
     for block in &mut f.blocks {
         let mut out: Vec<Inst> = Vec::with_capacity(block.insts.len());
         for mut inst in block.insts.drain(..) {
@@ -234,13 +252,13 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
             if let Inst::Gen { args, .. } = &mut inst {
                 for a in args.iter_mut() {
                     match (class, &a) {
-                        (Class::F, majic_ir::Operand::F(r)) => match loc(*r) {
-                            Loc::Reg(p) => *a = majic_ir::Operand::F(Reg(p)),
-                            Loc::Spill(s) => *a = majic_ir::Operand::FSpill(s),
+                        (Class::F, Operand::F(r)) => match loc(*r) {
+                            Loc::Reg(p) => *a = Operand::F(Reg(p)),
+                            Loc::Spill(s) => *a = Operand::FSpill(s),
                         },
-                        (Class::C, majic_ir::Operand::C(r)) => match loc(*r) {
-                            Loc::Reg(p) => *a = majic_ir::Operand::C(Reg(p)),
-                            Loc::Spill(s) => *a = majic_ir::Operand::CSpill(s),
+                        (Class::C, Operand::C(r)) => match loc(*r) {
+                            Loc::Reg(p) => *a = Operand::C(Reg(p)),
+                            Loc::Spill(s) => *a = Operand::CSpill(s),
                         },
                         _ => {}
                     }
@@ -248,39 +266,28 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
                 out.push(inst);
                 continue;
             }
+            // A spilled read reloads through the next scratch register; a
+            // spilled write goes through the last one and is stored after.
             let mut scratch_used = 0u32;
-            let sources = regs_of_mut(&mut inst, class, RegRole::Source);
             let mut loads: Vec<Inst> = Vec::new();
-            for r in sources {
-                match loc(*r) {
-                    Loc::Reg(p) => *r = Reg(p),
-                    Loc::Spill(slot) => {
-                        // Re-use a scratch if this vreg was already loaded
-                        // for this instruction.
-                        let phys = scratch_base + scratch_used;
-                        scratch_used = (scratch_used + 1) % SCRATCH;
-                        loads.push(match class {
-                            Class::F => Inst::FSpillLoad { d: Reg(phys), slot },
-                            Class::C => Inst::CSpillLoad { d: Reg(phys), slot },
-                        });
-                        *r = Reg(phys);
-                    }
-                }
-            }
             let mut stores: Vec<Inst> = Vec::new();
-            for r in regs_of_mut(&mut inst, class, RegRole::Dest) {
-                match loc(*r) {
-                    Loc::Reg(p) => *r = Reg(p),
-                    Loc::Spill(slot) => {
-                        let phys = scratch_base + SCRATCH - 1; // last scratch for defs
-                        stores.push(match class {
-                            Class::F => Inst::FSpillStore { slot, s: Reg(phys) },
-                            Class::C => Inst::CSpillStore { slot, s: Reg(phys) },
-                        });
-                        *r = Reg(phys);
+            inst.for_each_operand_mut(|op| {
+                let Some((r, access)) = class.reg(op) else {
+                    return;
+                };
+                match (loc(*r), access) {
+                    (Loc::Reg(p), _) => *r = Reg(p),
+                    (Loc::Spill(slot), Access::Read) => {
+                        *r = Reg(scratch_base + scratch_used);
+                        scratch_used = (scratch_used + 1) % SCRATCH;
+                        loads.push(class.spill_load(*r, slot));
+                    }
+                    (Loc::Spill(slot), Access::Write) => {
+                        *r = Reg(scratch_base + SCRATCH - 1);
+                        stores.push(class.spill_store(slot, *r));
                     }
                 }
-            }
+            });
             out.extend(loads);
             out.push(inst);
             out.extend(stores);
@@ -291,9 +298,8 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
                 match loc(*cond) {
                     Loc::Reg(p) => *cond = Reg(p),
                     Loc::Spill(slot) => {
-                        let phys = scratch_base;
-                        out.push(Inst::FSpillLoad { d: Reg(phys), slot });
-                        *cond = Reg(phys);
+                        *cond = Reg(scratch_base);
+                        out.push(class.spill_load(*cond, slot));
                     }
                 }
             }
@@ -302,292 +308,21 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
     }
 
     // Bindings.
-    let map_binding = |b: &mut VarBinding| {
-        let r = match (class, &b) {
-            (Class::F, VarBinding::F(r)) | (Class::C, VarBinding::C(r)) => *r,
-            _ => return,
+    for b in f.params.iter_mut().chain(&mut f.outputs) {
+        *b = match (class, *b) {
+            (Class::F, VarBinding::F(r)) => match loc(r) {
+                Loc::Reg(p) => VarBinding::F(Reg(p)),
+                Loc::Spill(s) => VarBinding::FSpill(s),
+            },
+            (Class::C, VarBinding::C(r)) => match loc(r) {
+                Loc::Reg(p) => VarBinding::C(Reg(p)),
+                Loc::Spill(s) => VarBinding::CSpill(s),
+            },
+            (_, other) => other,
         };
-        match loc(r) {
-            Loc::Reg(p) => {
-                *b = match class {
-                    Class::F => VarBinding::F(Reg(p)),
-                    Class::C => VarBinding::C(Reg(p)),
-                }
-            }
-            Loc::Spill(slot) => {
-                *b = match class {
-                    Class::F => VarBinding::FSpill(slot),
-                    Class::C => VarBinding::CSpill(slot),
-                }
-            }
-        }
-    };
-    for b in &mut f.params {
-        map_binding(b);
-    }
-    for b in &mut f.outputs {
-        map_binding(b);
     }
 
     next_spill
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RegRole {
-    Source,
-    Dest,
-}
-
-/// All register references of an instruction in the given class.
-fn regs_of(inst: &Inst, class: Class) -> Vec<Reg> {
-    let mut i = inst.clone();
-    let mut v: Vec<Reg> = regs_of_mut(&mut i, class, RegRole::Source)
-        .into_iter()
-        .map(|r| *r)
-        .collect();
-    v.extend(
-        regs_of_mut(&mut i, class, RegRole::Dest)
-            .into_iter()
-            .map(|r| *r),
-    );
-    v
-}
-
-/// Mutable references to the instruction's registers of one class/role.
-fn regs_of_mut(inst: &mut Inst, class: Class, role: RegRole) -> Vec<&mut Reg> {
-    use Inst::*;
-    let src = role == RegRole::Source;
-    let dst = role == RegRole::Dest;
-    match class {
-        Class::F => match inst {
-            FConst { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            FMov { d, s } | FUn { d, s, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(s);
-                }
-                if dst {
-                    v.push(d);
-                }
-                v
-            }
-            FBin { d, a, b, .. } | FCmp { d, a, b, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(a);
-                    v.push(b);
-                }
-                if dst {
-                    v.push(d);
-                }
-                v
-            }
-            CAbs { d, .. } | CPart { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            CMake { re, im, .. } => {
-                if src {
-                    vec![re, im]
-                } else {
-                    vec![]
-                }
-            }
-            ALoadF { d, i, j, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(i);
-                    if let Some(j) = j {
-                        v.push(j);
-                    }
-                }
-                if dst {
-                    v.push(d);
-                }
-                v
-            }
-            ALoadC { i, j, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(i);
-                    if let Some(j) = j {
-                        v.push(j);
-                    }
-                }
-                v
-            }
-            AStoreF { i, j, v: val, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(i);
-                    if let Some(j) = j {
-                        v.push(j);
-                    }
-                    v.push(val);
-                }
-                v
-            }
-            AStoreC { i, j, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(i);
-                    if let Some(j) = j {
-                        v.push(j);
-                    }
-                }
-                v
-            }
-            ALoadConstF { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            AStoreConstF { v, .. } | FToSlot { s: v, .. } | FToSlotBool { s: v, .. } => {
-                if src {
-                    vec![v]
-                } else {
-                    vec![]
-                }
-            }
-            SlotToF { d, .. } | TruthF { d, .. } | ExtentF { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            Gen { args, .. } => {
-                if src {
-                    args.iter_mut()
-                        .filter_map(|a| match a {
-                            majic_ir::Operand::F(r) => Some(r),
-                            _ => None,
-                        })
-                        .collect()
-                } else {
-                    vec![]
-                }
-            }
-            FSpillLoad { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            FSpillStore { s, .. } => {
-                if src {
-                    vec![s]
-                } else {
-                    vec![]
-                }
-            }
-            _ => vec![],
-        },
-        Class::C => match inst {
-            CConst { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            CMov { d, s } | CUn { d, s, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(s);
-                }
-                if dst {
-                    v.push(d);
-                }
-                v
-            }
-            CBin { d, a, b, .. } => {
-                let mut v = Vec::new();
-                if src {
-                    v.push(a);
-                    v.push(b);
-                }
-                if dst {
-                    v.push(d);
-                }
-                v
-            }
-            CAbs { s, .. } | CPart { s, .. } => {
-                if src {
-                    vec![s]
-                } else {
-                    vec![]
-                }
-            }
-            CMake { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            ALoadC { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            AStoreC { v, .. } | CToSlot { s: v, .. } => {
-                if src {
-                    vec![v]
-                } else {
-                    vec![]
-                }
-            }
-            SlotToC { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            Gen { args, .. } => {
-                if src {
-                    args.iter_mut()
-                        .filter_map(|a| match a {
-                            majic_ir::Operand::C(r) => Some(r),
-                            _ => None,
-                        })
-                        .collect()
-                } else {
-                    vec![]
-                }
-            }
-            CSpillLoad { d, .. } => {
-                if dst {
-                    vec![d]
-                } else {
-                    vec![]
-                }
-            }
-            CSpillStore { s, .. } => {
-                if src {
-                    vec![s]
-                } else {
-                    vec![]
-                }
-            }
-            _ => vec![],
-        },
-    }
 }
 
 #[cfg(test)]
@@ -637,9 +372,11 @@ mod tests {
         // All register numbers now within the physical file.
         for b in &f.blocks {
             for i in &b.insts {
-                if let Some(d) = i.f_dest() {
-                    assert!(d.0 < NUM_F_REGS);
-                }
+                i.for_each_operand(|op| {
+                    if let InstOperand::F(r, _) = op {
+                        assert!(r.0 < NUM_F_REGS);
+                    }
+                });
             }
         }
     }
