@@ -1,19 +1,32 @@
 //! Compiled code is a function of its input alone: compiling the same
 //! program twice in one process, in every compiling mode, yields
-//! byte-identical executables. Nothing in the pipeline (in particular
+//! identical executables. Nothing in the pipeline (in particular
 //! the register allocator's tie-breaking) may depend on hash-map
 //! iteration order, which `RandomState` seeds differently per map.
 
 use majic::{ExecMode, Majic};
 use majic_bench::{all, Benchmark};
+use majic_vm::Executable;
 use std::collections::BTreeMap;
 
 const SCALE: f64 = 0.02;
 
-/// Every repository version after one first call of `b`: encoded code
+/// An executable's whole `Debug` rendering — name, spill and slot
+/// counts, bindings and every step — up to its execution counters,
+/// the last field, which record how often the code ran rather than what
+/// it is.
+fn render(code: &Executable) -> String {
+    let full = format!("{code:?}");
+    let cut = full
+        .rfind(", counters: ")
+        .expect("Executable's Debug ends with its counters");
+    full[..cut].to_owned()
+}
+
+/// Every repository version after one first call of `b`: rendered code
 /// keyed by (function, signature, tier). A key holding several versions
-/// keeps their encodings sorted.
-fn compile(b: &Benchmark, mode: ExecMode) -> BTreeMap<(String, String, u8), Vec<Vec<u8>>> {
+/// keeps their renderings sorted.
+fn compile(b: &Benchmark, mode: ExecMode) -> BTreeMap<(String, String, u8), Vec<String>> {
     let mut m = Majic::with_mode(mode);
     m.load_source(b.source)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
@@ -23,13 +36,13 @@ fn compile(b: &Benchmark, mode: ExecMode) -> BTreeMap<(String, String, u8), Vec<
     m.call(b.entry, &(b.args)(SCALE), 1)
         .unwrap_or_else(|e| panic!("{} ({mode:?}): {e}", b.name));
     m.background().wait();
-    let mut versions: BTreeMap<_, Vec<Vec<u8>>> = BTreeMap::new();
+    let mut versions: BTreeMap<_, Vec<String>> = BTreeMap::new();
     for (name, _, vs) in m.repository().entries_ns() {
         for v in vs {
             versions
                 .entry((name.clone(), format!("{:?}", v.signature), v.tier.level()))
                 .or_default()
-                .push(v.code.encode());
+                .push(render(&v.code));
         }
     }
     for codes in versions.values_mut() {
@@ -63,7 +76,7 @@ fn every_mode_compiles_byte_identical_code_twice() {
                     for (key, code) in &first {
                         assert!(
                             second[key] == *code,
-                            "{} ({mode:?}): {key:?} compiled to different bytes",
+                            "{} ({mode:?}): {key:?} compiled to different code",
                             b.name
                         );
                     }

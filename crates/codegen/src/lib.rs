@@ -35,25 +35,6 @@ mod select;
 
 pub use select::{compile, CodegenError, CodegenOptions};
 
-/// Fingerprint of this compiler build, stamped into persistent
-/// repository caches (`docs/CACHE_FORMAT.md`).
-///
-/// Compiled code is only reusable by the exact pipeline that produced
-/// it: a different crate version may select different instructions, and
-/// a different serialization version lays the same instructions out
-/// differently. Combining the package version with the IR and wire
-/// format versions makes any such skew a whole-file cache rejection
-/// (`repo.cache.reject.fingerprint`) instead of a subtle
-/// misinterpretation.
-pub fn build_fingerprint() -> String {
-    format!(
-        "majic-{}/ir{}/wire{}",
-        env!("CARGO_PKG_VERSION"),
-        majic_ir::serial::IR_FORMAT_VERSION,
-        majic_types::wire::WIRE_VERSION,
-    )
-}
-
 use majic_analysis::DisambiguatedFunction;
 use majic_infer::Annotations;
 use majic_ir::passes::{self, PassOptions};

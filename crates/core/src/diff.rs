@@ -2,10 +2,10 @@
 //!
 //! The paper's central safety claim is that every execution mode —
 //! interpretation, `mcc`-style generic compilation, JIT compilation,
-//! speculative ahead-of-time compilation, and warm starts from the
-//! persistent cache — computes *the same program*: "wrong guesses are
-//! never executed, merely wasted". This module turns that claim into a
-//! checkable oracle. [`run_case`] executes one program through every
+//! speculative ahead-of-time compilation, and warm starts replayed
+//! from the persistent manifest — computes *the same program*: "wrong
+//! guesses are never executed, merely wasted". This module turns that
+//! claim into a checkable oracle. [`run_case`] executes one program through every
 //! mode in a fresh session each and demands:
 //!
 //! * **bitwise-identical results** — every output value equal down to
@@ -115,9 +115,9 @@ impl DiffReport {
 }
 
 /// Labels of the modes [`run_case`] exercises, in order. `"warm"` is
-/// the persistent-cache round trip: a JIT session saves its repository
-/// to disk and a second session reloads it and calls through the cached
-/// code.
+/// the persistent-cache round trip: a JIT session saves its repository's
+/// manifest to disk and a second session replays it and calls through
+/// the replayed tier-1 code.
 pub const DIFF_MODE_LABELS: [&str; 6] = ["interp", "mcc", "jit", "spec", "warm", "falcon"];
 
 /// Run `case` through every execution mode and compare behaviours.
@@ -206,10 +206,11 @@ fn run_mode(case: &DiffCase, mode: ExecMode, label: &'static str) -> ModeRun {
 }
 
 /// The warm-start round trip: session A JITs the entry and saves its
-/// repository to a private cache file; session B attaches the cache,
-/// reloads the source (installing the cached versions), and calls. The
-/// compared behaviour is session B's — the one actually executing code
-/// that crossed the serialization boundary.
+/// repository's manifest to a private cache file; session B attaches
+/// the cache, reloads the source (replaying the recorded signatures as
+/// background tier-1 compiles), waits for the pool, and calls. The
+/// compared behaviour is session B's, so every case runs the replayed
+/// tier-1 code wherever the manifest recorded the call's signature.
 fn run_warm(case: &DiffCase) -> ModeRun {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
@@ -252,6 +253,7 @@ fn run_warm(case: &DiffCase) -> ModeRun {
                 None,
             );
         }
+        b.background().wait();
         let result = b.call(&case.entry, &case.args, case.nargout);
         let printed = b.take_printed();
         let output_types = b

@@ -541,13 +541,15 @@ pub(crate) enum Trigger {
     Miss { widened: bool },
     /// [`Session::speculate_all`].
     SpecSync,
-    /// A background job: speculative (`sig = None`) or hot promotion.
+    /// A background job: speculative (`sig = None`) or promotion, of a
+    /// hot version or (`replay`) of a persistent-manifest signature.
     /// It publishes only if `(name, namespace)`'s invalidation generation
     /// is still `generation`, as captured at submit time — the source may
     /// have been redefined while the job waited or compiled.
     Job {
         generation: u64,
         queue_wait: Duration,
+        replay: bool,
     },
 }
 
@@ -558,6 +560,7 @@ impl Trigger {
             Trigger::Miss { widened: true } => "recompile_widened",
             Trigger::SpecSync => "spec_sync",
             Trigger::Job { .. } if speculative => "spec_worker",
+            Trigger::Job { replay: true, .. } => "warm_cache",
             Trigger::Job { .. } => "recompile_hot",
         }
     }

@@ -60,11 +60,13 @@
 //! # Warm start
 //!
 //! Attach a persistent cache ([`Session::attach_cache`]) and the service
-//! reloads previously compiled versions from disk, so the first call of
-//! a warm session skips JIT latency entirely; [`Session::save_cache`] (or
-//! service drop) flushes new versions back. Stale or damaged caches
-//! degrade to a cold start — see `docs/CACHE_FORMAT.md` for the
-//! integrity gates.
+//! reads a manifest of the signatures an earlier session compiled. As
+//! each function's source loads unchanged, its signatures go to the
+//! background pool as tier-1 promotions, so calls after the replay run
+//! optimized code without compiling on the session's thread;
+//! [`Session::save_cache`] (or service drop) writes the manifest back.
+//! Stale or damaged files degrade to a cold start — see
+//! `docs/CACHE_FORMAT.md` for the integrity gates.
 
 pub mod diff;
 mod engine;

@@ -49,8 +49,8 @@
 //! what makes the next session on the same source warm.
 
 use crate::engine::{
-    collect_callees, compile_and_publish, quality_name, signature_of, take_outputs,
-    EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes, SessionCtx, Trigger,
+    collect_callees, compile_and_publish, signature_of, take_outputs, EngineDispatcher,
+    EngineOptions, ExecMode, Explanation, PhaseTimes, SessionCtx, Trigger,
 };
 use crate::spec::{JobSpec, SpecStats, SpecWorkerPool};
 use majic_analysis::global_or_clear;
@@ -125,9 +125,9 @@ pub(crate) struct ServiceState {
 struct CacheState {
     /// Attached persistent cache, if any ([`Session::attach_cache`]).
     cache: Option<RepoCache>,
-    /// Cache entries loaded from disk but not yet tied to live source:
-    /// they install into the repository only when a session registers
-    /// the matching function with a matching closure hash.
+    /// Manifest entries loaded from disk but not yet tied to live
+    /// source: they replay only when a session registers the matching
+    /// function with a matching closure hash.
     pending: HashMap<String, Vec<CacheEntry>>,
     /// Running warm-start accounting ([`Session::cache_report`]).
     report: CacheReport,
@@ -273,7 +273,7 @@ impl ServiceState {
     }
 
     fn attach_cache(&self, path: std::path::PathBuf) -> CacheReport {
-        let cache = RepoCache::new(path, majic_codegen::build_fingerprint());
+        let cache = RepoCache::new(path);
         let (entries, load) = cache.load();
         let mut cs = self.cache.lock().expect("cache state poisoned");
         cs.cache = Some(cache);
@@ -289,30 +289,37 @@ impl ServiceState {
         let Some(cache) = &cs.cache else {
             return Ok(0);
         };
-        let mut entries: Vec<CacheEntry> = Vec::new();
-        for (name, ns, versions) in self.repo.entries_ns() {
-            // Only namespaced versions can be revalidated next session:
-            // their namespace key is the closure-source hash. Versions
-            // in the default namespace (compiled outside any session)
-            // carry no source pedigree and are not persisted.
-            if ns == DEFAULT_NS {
-                continue;
-            }
-            for version in versions {
-                entries.push(CacheEntry {
+        // Only namespaced versions can be revalidated next session: their
+        // namespace key is the closure-source hash. Versions in the
+        // default namespace (compiled outside any session) carry no
+        // source pedigree and are not persisted.
+        let live = self
+            .repo
+            .entries_ns()
+            .into_iter()
+            .filter(|(_, ns, _)| *ns != DEFAULT_NS)
+            .flat_map(|(name, ns, versions)| {
+                versions.into_iter().map(move |v| CacheEntry {
                     name: name.clone(),
                     source_hash: ns,
-                    version,
-                });
-            }
-        }
+                    signature: v.signature,
+                })
+            });
         let mut carried: Vec<&String> = cs.pending.keys().collect();
         carried.sort();
-        let carried: Vec<CacheEntry> = carried
+        let carried = carried
             .into_iter()
-            .flat_map(|n| cs.pending[n].iter().cloned())
-            .collect();
-        entries.extend(carried);
+            .flat_map(|n| cs.pending[n].iter().cloned());
+        // One entry per signature: a tier-0 and a tier-1 version of one
+        // signature replay as one promotion, and an entry carried over
+        // by a session that never replays must not pile up beside the
+        // same signature that session compiled itself.
+        let mut entries: Vec<CacheEntry> = Vec::new();
+        for e in live.chain(carried) {
+            if !entries.contains(&e) {
+                entries.push(e);
+            }
+        }
         cache.save(&entries)?;
         Ok(entries.len())
     }
@@ -431,6 +438,7 @@ impl Session {
         JobSpec {
             name: name.to_owned(),
             sig,
+            replay: false,
             ctx: Arc::clone(&self.ctx),
         }
     }
@@ -474,8 +482,7 @@ impl Session {
             ctx.hashes = new_hashes;
             ctx.interpreted = interpreted;
             // Warm start: now that the authoritative source is known,
-            // cached compiled versions whose closure hash still matches
-            // may install into the repository.
+            // manifest entries whose closure hash still matches replay.
             for f in &file.functions {
                 self.install_cached(&f.name);
             }
@@ -664,17 +671,18 @@ impl Session {
         let hot = std::mem::take(&mut disp.hot);
         drop(disp);
         for (hot_name, hot_sig) in hot {
-            self.promote(hot_name, hot_sig);
+            self.promote(hot_name, hot_sig, false);
         }
         take_outputs(name, r, nargout)
     }
 
     /// Enqueue a background tier-1 recompile of `name` for `sig`,
     /// starting the service's pool on first use (without the source
-    /// snoop: a pool a promotion started never speculates). Best-effort:
-    /// a rejected enqueue releases the dedup key so a later hot call can
-    /// retry.
-    fn promote(&mut self, name: String, sig: Signature) {
+    /// snoop: a pool a promotion started never speculates). `replay`
+    /// marks a signature read from the persistent manifest rather than
+    /// a hot version. Best-effort: a rejected enqueue releases the dedup
+    /// key so a later hot call can retry.
+    fn promote(&mut self, name: String, sig: Signature, replay: bool) {
         let key = (name.clone(), self.namespace(&name), sig.to_string());
         {
             let mut promoted = self
@@ -707,7 +715,9 @@ impl Session {
         // mutating `self.options` (platform, inference, regalloc)
         // mid-session applies to later recompiles instead of being
         // frozen at pool start.
-        let accepted = pool.submit(self.job_spec(&name, Some(sig)));
+        let mut job = self.job_spec(&name, Some(sig));
+        job.replay = replay;
+        let accepted = pool.submit(job);
         if !accepted {
             self.service
                 .state
@@ -793,17 +803,21 @@ impl Session {
         *self.service.state.pool.lock().expect("pool slot poisoned") = Some(pool);
     }
 
-    /// Attach a persistent repository cache at `path` and load whatever
-    /// it holds (see `docs/CACHE_FORMAT.md`).
+    /// Attach a persistent repository manifest at `path` and load
+    /// whatever it holds (see `docs/CACHE_FORMAT.md`).
     ///
     /// Loading is infallible: a missing file is a cold start, and any
-    /// corruption, truncation, version skew, or fingerprint mismatch
-    /// degrades to a cold start for the affected entries — never a
-    /// panic and never stale code. Loaded entries do **not** enter the
-    /// live repository yet; each installs only when
-    /// [`Session::load_source`] registers its function with an
-    /// unchanged closure-source hash (functions already registered are
-    /// checked immediately).
+    /// corruption, truncation or version skew degrades to a cold start
+    /// for the affected entries — never a panic. Each loaded entry names
+    /// a function, a closure-source hash and a signature. It replays
+    /// only when [`Session::load_source`] registers its function with an
+    /// unchanged closure hash (functions already registered are checked
+    /// immediately): the signature is then handed to the background
+    /// pool as a tier-1 promotion, exactly as if a hot version had asked
+    /// for it. Replay needs what promotion needs — tier promotion
+    /// enabled and a mode whose first-call code is tier-0 JIT code
+    /// ([`ExecMode::Jit`], [`ExecMode::Spec`]); other sessions leave the
+    /// entries pending, and a save carries them over.
     ///
     /// The cache belongs to the *service*: every session shares it, and
     /// it is flushed by [`Session::save_cache`] and, best-effort, when
@@ -845,9 +859,10 @@ impl Session {
         self.service.state.cache_report()
     }
 
-    /// Flush the repository to the attached cache (atomic write).
-    /// Returns the number of entries written, or 0 with no cache
-    /// attached.
+    /// Flush the repository's manifest to the attached cache (atomic
+    /// write): one `(function, closure hash, signature)` entry per
+    /// distinct compiled signature. Returns the number of entries
+    /// written, or 0 with no cache attached.
     ///
     /// Only namespaced (session-compiled) versions are saved — their
     /// namespace key *is* the closure-source hash the next process
@@ -866,14 +881,19 @@ impl Session {
         self.service.state.cache_report()
     }
 
-    /// Move `name`'s pending cache entries into the live repository if
-    /// their recorded closure hash matches the just-registered source;
-    /// reject them otherwise. This is the gate that guarantees a stale
-    /// cache is never executed.
+    /// Replay `name`'s pending manifest entries through
+    /// [`Session::promote`] if their recorded closure hash matches the
+    /// just-registered source; reject them otherwise. Sessions that
+    /// never promote leave the entries pending.
     fn install_cached(&mut self, name: &str) {
         let Some(&live) = self.ctx.hashes.get(name) else {
             return;
         };
+        if !(self.options.tier.enabled
+            && matches!(self.options.mode, ExecMode::Jit | ExecMode::Spec))
+        {
+            return;
+        }
         let entries = {
             let mut cs = self
                 .service
@@ -886,38 +906,13 @@ impl Session {
                 None => return,
             }
         };
-        self.sync_ctx();
-        let audit = self.ctx.audit;
         let mut installed = 0usize;
         let mut rejected = 0usize;
         for e in entries {
             if e.source_hash == live {
-                // A warm hit is a compilation the session never had to
-                // run; it gets a (zero-compile-time) record so `explain`
-                // shows where each installed version came from.
-                if audit {
-                    majic_trace::audit::begin(name);
-                    majic_trace::audit::session_id(self.ctx.session);
-                }
-                majic_trace::audit::tier(e.version.tier.level());
-                majic_trace::audit::commit(
-                    || e.version.signature.to_string(),
-                    "warm_cache",
-                    || {
-                        format!(
-                            "installed from persistent cache ({})",
-                            quality_name(e.version.quality)
-                        )
-                    },
-                    None,
-                    0,
-                );
-                self.service
-                    .state
-                    .repo
-                    .insert_ns(name, live, self.ctx.session, e.version);
                 installed += 1;
                 majic_trace::counter("repo.cache.warm_hit").inc();
+                self.promote(e.name, e.signature, true);
             } else {
                 rejected += 1;
                 majic_trace::counter("repo.cache.reject.source_hash").inc();

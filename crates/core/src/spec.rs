@@ -52,13 +52,15 @@ use std::time::{Duration, Instant};
 const QUEUE_CAPACITY: usize = 256;
 
 /// One background compile: `sig = None` is a speculative job (the
-/// signature is guessed); `sig = Some(_)` is a hot-promotion job that
-/// re-runs inference with the observed signature through the optimizing
-/// pipeline (tier-1 recompilation).
+/// signature is guessed); `sig = Some(_)` is a promotion job that
+/// re-runs inference with that signature through the optimizing
+/// pipeline (tier-1 recompilation), for a hot version or, when `replay`
+/// is set, for a signature replayed from the persistent manifest.
 #[derive(Debug)]
 pub(crate) struct JobSpec {
     pub(crate) name: String,
     pub(crate) sig: Option<Signature>,
+    pub(crate) replay: bool,
     /// The submitting session as it was at submit time: option changes
     /// between submits apply to later jobs instead of being frozen at
     /// pool start.
@@ -302,6 +304,7 @@ fn worker_loop(shared: &PoolShared) {
             Trigger::Job {
                 generation,
                 queue_wait,
+                replay: job.replay,
             },
             &mut scratch_ids,
             &mut PhaseTimes::default(),

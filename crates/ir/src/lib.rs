@@ -20,16 +20,10 @@
 //! numbers are virtual until `majic-vm`'s linear-scan allocator assigns
 //! physical registers and spill slots.
 
-//!
-//! The [`serial`] module gives instructions and variable bindings a
-//! canonical binary encoding, so flattened compiled code can persist in
-//! the on-disk repository cache (`docs/CACHE_FORMAT.md`).
-
 #![deny(missing_docs)]
 
 mod inst;
 pub mod passes;
-pub mod serial;
 
 pub use inst::{
     Access, Block, BlockId, CBinOp, CUnOp, CmpOp, FBinOp, FUnOp, Function, GenOp, Inst,

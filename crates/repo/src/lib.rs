@@ -50,9 +50,11 @@
 //!
 //! # Persistence
 //!
-//! The [`cache`] module persists repository contents across sessions in
-//! an integrity-checked on-disk file (`docs/CACHE_FORMAT.md`), turning
-//! speculative compilation into a cross-session asset.
+//! The [`cache`] module persists a manifest of the repository across
+//! sessions in an integrity-checked on-disk file
+//! (`docs/CACHE_FORMAT.md`): one `(function, closure hash, signature)`
+//! entry per compiled signature, no compiled code. A warm session replays the
+//! signatures whose source is unchanged as background tier-1 compiles.
 
 #![deny(missing_docs)]
 
@@ -134,7 +136,7 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Numeric level (0 or 1) for serialization and diagnostics.
+    /// Numeric level (0 or 1) for the audit log and diagnostics.
     pub fn level(self) -> u8 {
         match self {
             Tier::T0 => 0,
@@ -176,8 +178,7 @@ pub struct CompiledVersion {
     pub code: Arc<Executable>,
     /// Pipeline that produced it.
     pub quality: CodeQuality,
-    /// Dispatch-preference level (see [`Tier`]). Persisted across
-    /// sessions by the on-disk cache.
+    /// Dispatch-preference level (see [`Tier`]).
     pub tier: Tier,
     /// Inferred output types (fed back into inference as the callee
     /// oracle).
@@ -561,7 +562,7 @@ impl Repository {
     /// namespace key, sorted by `(name, ns)`. Empty namespaces (all
     /// versions invalidated) are skipped. This is the persistence
     /// walk: the namespace key *is* the closure hash a future session
-    /// revalidates cached entries against.
+    /// revalidates manifest entries against.
     pub fn entries_ns(&self) -> Vec<(String, u64, Vec<CompiledVersion>)> {
         let mut all: Vec<(String, u64, Vec<CompiledVersion>)> = Vec::new();
         for s in &self.shards {
@@ -571,8 +572,7 @@ impl Repository {
                     if e.versions.is_empty() {
                         continue;
                     }
-                    // Deep clone: serialization walks the whole version
-                    // anyway, and this keeps `Arc` an internal detail.
+                    // Deep clone: this keeps `Arc` an internal detail.
                     all.push((
                         name.clone(),
                         ns,

@@ -177,8 +177,7 @@ pub struct LifecycleNote {
     pub detail: String,
 }
 
-/// One finished compilation attempt (or cache install) of one
-/// (function, signature) pair.
+/// One finished compilation attempt of one (function, signature) pair.
 #[derive(Clone, Debug, Default)]
 pub struct CompilationRecord {
     /// Function name.
@@ -192,8 +191,8 @@ pub struct CompilationRecord {
     /// JIT, 1 = optimizing backend). Absent when the compilation never
     /// produced an installable version.
     pub tier: Option<u8>,
-    /// How it ended: `published (…)`, `failed: …`, or
-    /// `installed from persistent cache`.
+    /// How it ended: `published (…)`, `dropped: …` (a background
+    /// version whose source was redefined in flight), or `failed: …`.
     pub outcome: String,
     /// Inference widenings, in the order they happened.
     pub widenings: Vec<Widening>,
@@ -224,11 +223,11 @@ pub struct CompilationRecord {
 /// runtime errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionEvent {
-    /// Machine-matchable kind, e.g. `cache.reject.fingerprint`,
+    /// Machine-matchable kind, e.g. `cache.reject.version`,
     /// `fallback.interpreter`, `repo.invalidate`, `vm.error`.
     pub kind: &'static str,
     /// Function the event concerns (empty for whole-file / session-wide
-    /// events such as a cache fingerprint rejection).
+    /// events such as a cache version rejection).
     pub function: String,
     /// Human-readable detail, including the reason.
     pub detail: String,
@@ -856,8 +855,8 @@ mod tests {
     fn session_events_filter_by_function_and_include_session_wide() {
         let _switch = lock_switch();
         set_enabled(true);
-        session_event("cache.reject.fingerprint", || {
-            (String::new(), "built by majic-0.0.0".into())
+        session_event("cache.reject.version", || {
+            (String::new(), "not a cache this build can read".into())
         });
         session_event("fallback.interpreter", || {
             ("audit_test_fb".into(), "reaches global".into())
@@ -868,7 +867,7 @@ mod tests {
         let evs = events_for("audit_test_fb");
         assert!(evs
             .iter()
-            .any(|e| e.kind == "cache.reject.fingerprint" && e.function.is_empty()));
+            .any(|e| e.kind == "cache.reject.version" && e.function.is_empty()));
         assert!(evs
             .iter()
             .any(|e| e.kind == "fallback.interpreter" && e.function == "audit_test_fb"));

@@ -16,9 +16,9 @@
 //! safety check (`Qi ⊑ Ti` for every actual parameter) and its
 //! Manhattan-distance best-match heuristic (paper §2.2.1).
 //!
-//! The [`wire`] module provides the zero-dependency binary codecs these
-//! types use when the repository persists compiled code across sessions
-//! (`docs/CACHE_FORMAT.md`).
+//! The [`wire`] module provides the zero-dependency binary codec for
+//! signatures that the repository's persistent manifest uses to carry
+//! compiled signatures across sessions (`docs/CACHE_FORMAT.md`).
 //!
 //! # Examples
 //!

@@ -1,24 +1,20 @@
 //! Zero-dependency binary wire format used by the persistent repository
-//! cache (see `docs/CACHE_FORMAT.md` for the byte-level specification).
+//! manifest (see `docs/CACHE_FORMAT.md` for the byte-level
+//! specification).
 //!
 //! The format is deliberately primitive: little-endian fixed-width
 //! integers, IEEE-754 bit patterns for floats, length-prefixed UTF-8
 //! strings, and one-byte tags for enums. Every `decode` is total — a
 //! malformed byte stream produces a [`WireError`], never a panic and
-//! never an oversized allocation — because the repository cache treats
+//! never an oversized allocation — because the manifest loader treats
 //! any decoding failure as a cold start.
 //!
 //! Encoding is *canonical*: a value has exactly one byte representation,
 //! so `encode ∘ decode ∘ encode` is bitwise idempotent. The cache's
-//! round-trip property tests rely on this.
+//! round-trip property tests rely on this. Changing any encoding here
+//! bumps `CACHE_FORMAT_VERSION` in `majic-repo`.
 
 use crate::{Dim, Intrinsic, Range, Shape, Signature, Type};
-
-/// Version of the primitive wire layer. Bump on any change to the
-/// primitive encodings or to the `majic-types` codecs below; the
-/// compiler build fingerprint embeds it, so a bump invalidates every
-/// existing cache file.
-pub const WIRE_VERSION: u32 = 1;
 
 /// A decoding failure: the byte stream does not describe a value.
 ///
@@ -66,11 +62,6 @@ impl Writer {
         self.bytes
     }
 
-    /// Borrow the bytes written so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// Write one byte.
     pub fn u8(&mut self, v: u8) {
         self.bytes.push(v);
@@ -90,11 +81,6 @@ impl Writer {
     /// preserved exactly).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
-    }
-
-    /// Write a bool as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
     }
 
     /// Write a length-prefixed UTF-8 string.
@@ -167,15 +153,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Read a bool; any byte other than 0 or 1 is malformed.
-    pub fn bool(&mut self) -> WireResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::new("bool")),
-        }
-    }
-
     /// Read a length-prefixed UTF-8 string. The declared length is
     /// validated against the remaining input before any allocation.
     pub fn str(&mut self) -> WireResult<String> {
@@ -207,7 +184,7 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// Encode an [`Intrinsic`] (one tag byte, declaration order).
-pub fn encode_intrinsic(w: &mut Writer, v: Intrinsic) {
+fn encode_intrinsic(w: &mut Writer, v: Intrinsic) {
     w.u8(match v {
         Intrinsic::Bottom => 0,
         Intrinsic::Bool => 1,
@@ -220,7 +197,7 @@ pub fn encode_intrinsic(w: &mut Writer, v: Intrinsic) {
 }
 
 /// Decode an [`Intrinsic`].
-pub fn decode_intrinsic(r: &mut Reader<'_>) -> WireResult<Intrinsic> {
+fn decode_intrinsic(r: &mut Reader<'_>) -> WireResult<Intrinsic> {
     Ok(match r.u8()? {
         0 => Intrinsic::Bottom,
         1 => Intrinsic::Bool,
@@ -234,7 +211,7 @@ pub fn decode_intrinsic(r: &mut Reader<'_>) -> WireResult<Intrinsic> {
 }
 
 /// Encode a [`Dim`]: tag 0 + extent for finite, tag 1 for `∞`.
-pub fn encode_dim(w: &mut Writer, v: Dim) {
+fn encode_dim(w: &mut Writer, v: Dim) {
     match v {
         Dim::Finite(n) => {
             w.u8(0);
@@ -245,7 +222,7 @@ pub fn encode_dim(w: &mut Writer, v: Dim) {
 }
 
 /// Decode a [`Dim`].
-pub fn decode_dim(r: &mut Reader<'_>) -> WireResult<Dim> {
+fn decode_dim(r: &mut Reader<'_>) -> WireResult<Dim> {
     Ok(match r.u8()? {
         0 => Dim::Finite(r.u64()?),
         1 => Dim::Inf,
@@ -254,13 +231,13 @@ pub fn decode_dim(r: &mut Reader<'_>) -> WireResult<Dim> {
 }
 
 /// Encode a [`Shape`] (rows then cols).
-pub fn encode_shape(w: &mut Writer, v: Shape) {
+fn encode_shape(w: &mut Writer, v: Shape) {
     encode_dim(w, v.rows);
     encode_dim(w, v.cols);
 }
 
 /// Decode a [`Shape`].
-pub fn decode_shape(r: &mut Reader<'_>) -> WireResult<Shape> {
+fn decode_shape(r: &mut Reader<'_>) -> WireResult<Shape> {
     Ok(Shape {
         rows: decode_dim(r)?,
         cols: decode_dim(r)?,
@@ -269,7 +246,7 @@ pub fn decode_shape(r: &mut Reader<'_>) -> WireResult<Shape> {
 
 /// Encode a [`Range`] as its two bounds' bit patterns (`⊥` is the NaN
 /// pair produced by [`Lattice::bottom`](crate::Lattice::bottom)).
-pub fn encode_range(w: &mut Writer, v: Range) {
+fn encode_range(w: &mut Writer, v: Range) {
     w.f64(v.lo());
     w.f64(v.hi());
 }
@@ -277,14 +254,14 @@ pub fn encode_range(w: &mut Writer, v: Range) {
 /// Decode a [`Range`]. Reconstructed through [`Range::new`], so a
 /// malformed pair (`lo > hi`, stray NaN) canonicalizes to `⊥` exactly
 /// as it would at construction time.
-pub fn decode_range(r: &mut Reader<'_>) -> WireResult<Range> {
+fn decode_range(r: &mut Reader<'_>) -> WireResult<Range> {
     let lo = r.f64()?;
     let hi = r.f64()?;
     Ok(Range::new(lo, hi))
 }
 
 /// Encode a [`Type`] (intrinsic, min shape, max shape, range).
-pub fn encode_type(w: &mut Writer, v: &Type) {
+fn encode_type(w: &mut Writer, v: &Type) {
     encode_intrinsic(w, v.intrinsic);
     encode_shape(w, v.min_shape);
     encode_shape(w, v.max_shape);
@@ -292,7 +269,7 @@ pub fn encode_type(w: &mut Writer, v: &Type) {
 }
 
 /// Decode a [`Type`].
-pub fn decode_type(r: &mut Reader<'_>) -> WireResult<Type> {
+fn decode_type(r: &mut Reader<'_>) -> WireResult<Type> {
     Ok(Type {
         intrinsic: decode_intrinsic(r)?,
         min_shape: decode_shape(r)?,
@@ -344,7 +321,6 @@ mod tests {
         w.u64(u64::MAX);
         w.f64(-0.0);
         w.f64(f64::NAN);
-        w.bool(true);
         w.str("héllo");
         w.blob(&[1, 2, 3]);
         let bytes = w.into_bytes();
@@ -354,7 +330,6 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.f64().unwrap().is_nan());
-        assert!(r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.blob().unwrap(), &[1, 2, 3]);
         assert!(r.is_empty());
@@ -387,7 +362,6 @@ mod tests {
     fn bad_tags_rejected() {
         assert!(decode_intrinsic(&mut Reader::new(&[9])).is_err());
         assert!(decode_dim(&mut Reader::new(&[2])).is_err());
-        assert!(Reader::new(&[3]).bool().is_err());
     }
 
     #[test]

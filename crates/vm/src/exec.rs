@@ -2,13 +2,12 @@
 //! register code.
 
 use majic_ir::{
-    serial, Access, Function, GenOp, Inst, InstOperand, Operand, OperandRef, Reg, Slot, Terminator,
+    Access, Function, GenOp, Inst, InstOperand, Operand, OperandRef, Reg, Slot, Terminator,
     VarBinding,
 };
 use majic_runtime::builtins::{Builtin, CallCtx};
 use majic_runtime::ops::{self, Cmp, Subscript};
 use majic_runtime::{linalg, Complex, Matrix, RuntimeError, RuntimeResult, Value};
-use majic_types::wire::{Reader, WireError, WireResult, Writer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::regalloc::{NUM_C_REGS, NUM_F_REGS};
@@ -110,9 +109,14 @@ pub struct Executable {
     slots: u32,
     params: Vec<VarBinding>,
     outputs: Vec<VarBinding>,
-    /// Execution profile (not serialized: decoded code starts cold).
+    /// Execution profile.
     counters: ExecCounters,
 }
+
+/// Why [`Executable::validate`] refused a program: the first
+/// out-of-range reference or malformed step it found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct InvalidCode(&'static str);
 
 impl Executable {
     /// Flatten an already register-allocated [`Function`].
@@ -168,7 +172,7 @@ impl Executable {
 
     /// Execution counts so far: `(invocations, loop back-edges)`.
     ///
-    /// Both are monotone (only [`Executable::new`]/`decode` start at
+    /// Both are monotone (only [`Executable::new`] starts them at
     /// zero) and shared across every thread running this version.
     pub fn exec_counts(&self) -> (u64, u64) {
         (
@@ -186,125 +190,26 @@ impl Executable {
             .saturating_add(backedges)
     }
 
-    /// Serialize into the canonical binary form used by the on-disk
-    /// repository cache (`docs/CACHE_FORMAT.md`).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.str(&self.name);
-        w.u32(self.f_spill);
-        w.u32(self.c_spill);
-        w.u32(self.slots);
-        w.u32(self.params.len() as u32);
-        for p in &self.params {
-            serial::encode_binding(&mut w, *p);
-        }
-        w.u32(self.outputs.len() as u32);
-        for o in &self.outputs {
-            serial::encode_binding(&mut w, *o);
-        }
-        w.u32(self.steps.len() as u32);
-        for s in &self.steps {
-            match s {
-                Step::I(i) => {
-                    w.u8(0);
-                    serial::encode_inst(&mut w, i);
-                }
-                Step::Jump(t) => {
-                    w.u8(1);
-                    w.u32(*t);
-                }
-                Step::BranchZero { cond, target } => {
-                    w.u8(2);
-                    w.u32(cond.0);
-                    w.u32(*target);
-                }
-                Step::Ret => w.u8(3),
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Deserialize an [`Executable`] and **validate** it.
-    ///
-    /// The executor's hot loop uses unchecked register-file and
-    /// program-counter accesses that are sound only for code produced by
-    /// our own flattener. Decoded bytes are untrusted (a cache file may be
-    /// corrupt in ways its checksum cannot see, e.g. written by a buggy
-    /// build with a matching fingerprint), so after structural decoding
-    /// every register, spill, slot, and jump reference is bounds-checked
-    /// here. A failed check is a [`WireError`] — the cache loader treats
-    /// it like any other corruption and falls back to a cold compile.
-    ///
-    /// # Errors
-    ///
-    /// Any truncation, bad tag, trailing bytes, or out-of-bounds
-    /// reference.
-    pub fn decode(bytes: &[u8]) -> WireResult<Executable> {
-        let mut r = Reader::new(bytes);
-        let name = r.str()?;
-        let f_spill = r.u32()?;
-        let c_spill = r.u32()?;
-        let slots = r.u32()?;
-        let np = r.seq_len(1)?;
-        let mut params = Vec::with_capacity(np);
-        for _ in 0..np {
-            params.push(serial::decode_binding(&mut r)?);
-        }
-        let no = r.seq_len(1)?;
-        let mut outputs = Vec::with_capacity(no);
-        for _ in 0..no {
-            outputs.push(serial::decode_binding(&mut r)?);
-        }
-        let ns = r.seq_len(1)?;
-        let mut steps = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            steps.push(match r.u8()? {
-                0 => Step::I(serial::decode_inst(&mut r)?),
-                1 => Step::Jump(r.u32()?),
-                2 => Step::BranchZero {
-                    cond: Reg(r.u32()?),
-                    target: r.u32()?,
-                },
-                3 => Step::Ret,
-                _ => return Err(WireError::new("step tag")),
-            });
-        }
-        if !r.is_empty() {
-            return Err(WireError::new("trailing bytes after executable"));
-        }
-        let exe = Executable {
-            name,
-            steps,
-            f_spill,
-            c_spill,
-            slots,
-            params,
-            outputs,
-            counters: ExecCounters::default(),
-        };
-        exe.validate()?;
-        Ok(exe)
-    }
-
-    /// Bounds-check every reference in the program (see
-    /// [`Executable::decode`]): each operand the instruction table
-    /// reports, every binding and every jump target. Sound code never
-    /// trips these; debug builds also check every executable
-    /// [`Executable::new`] flattens.
-    fn validate(&self) -> WireResult<()> {
+    /// Bounds-check every reference in the program: each operand the
+    /// instruction table reports, every binding and every jump target.
+    /// The executor's hot loop reads registers and steps without bounds
+    /// checks, which is sound only for code that passes here. Sound
+    /// allocator output never trips these; debug builds check every
+    /// executable [`Executable::new`] flattens.
+    fn validate(&self) -> Result<(), InvalidCode> {
         // `run_loop` advances the pc with unchecked reads; a program that
         // can fall through its final step would walk off the end. The
         // flattener always ends blocks with an explicit terminator, so
-        // require the same of decoded code: the last step must be an
+        // require it: the last step must be an
         // unconditional control transfer.
         match self.steps.last() {
             Some(Step::Ret) | Some(Step::Jump(_)) => {}
-            _ => return Err(WireError::new("executable must end in ret or jump")),
+            _ => return Err(InvalidCode("executable must end in ret or jump")),
         }
         let target = |t: u32| {
             ((t as usize) < self.steps.len())
                 .then_some(())
-                .ok_or(WireError::new("jump target out of range"))
+                .ok_or(InvalidCode("jump target out of range"))
         };
         let mut bad = None;
         let mut check = |op: OperandRef| {
@@ -336,7 +241,7 @@ impl Executable {
                 Step::I(i) => {
                     i.for_each_operand(&mut check);
                     // `exec_gen` indexes some operand lists directly;
-                    // enforce the minimum arity each op assumes so corrupt
+                    // enforce the minimum arity each op assumes so bad
                     // code errors here instead of panicking there.
                     if let Inst::Gen { op, dsts, args } = i {
                         let (min_args, min_dsts) = match op {
@@ -351,13 +256,13 @@ impl Executable {
                             _ => (0, 0),
                         };
                         if args.len() < min_args || dsts.len() < min_dsts {
-                            return Err(WireError::new("genop arity"));
+                            return Err(InvalidCode("genop arity"));
                         }
                     }
                 }
             }
         }
-        bad.map_or(Ok(()), |what| Err(WireError::new(what)))
+        bad.map_or(Ok(()), |what| Err(InvalidCode(what)))
     }
 }
 
@@ -1438,39 +1343,20 @@ mod tests {
         assert_eq!(out[0], Value::complex_scalar(Complex::new(-5.0, 10.0)));
     }
 
-    /// Flatten `sum_loop`, encode, decode, and run the decoded copy: it
-    /// must execute identically and re-encode to identical bytes.
+    /// `validate` accepts what the allocator and flattener produce and
+    /// rejects hand-corrupted programs whose references the executor
+    /// would follow without bounds checks.
     #[test]
-    fn executable_round_trips_and_still_runs() {
+    fn validate_rejects_out_of_range_code() {
         let mut f = sum_loop();
         let (fs, cs) = allocate(&mut f, RegAllocMode::LinearScan);
         let exe = Executable::new(&f, fs, cs);
-        let bytes = exe.encode();
-        let back = Executable::decode(&bytes).unwrap();
-        assert_eq!(bytes, back.encode());
-        let out = execute(
-            &back,
-            &[Value::scalar(100.0)],
-            1,
-            &mut NoDispatch,
-            &mut CallCtx::new(),
-        )
-        .unwrap();
-        assert_eq!(out, vec![Value::scalar(5050.0)]);
-    }
-
-    /// Decode rejects structurally valid programs with out-of-range
-    /// references (the executor would hit UB on them).
-    #[test]
-    fn decode_rejects_out_of_range_code() {
-        let mut f = sum_loop();
-        let (fs, cs) = allocate(&mut f, RegAllocMode::LinearScan);
-        let exe = Executable::new(&f, fs, cs);
+        assert_eq!(exe.validate(), Ok(()));
 
         // Jump target beyond the program.
         let mut evil = exe.clone();
         evil.steps[3] = Step::Jump(evil.steps.len() as u32 + 7);
-        assert!(Executable::decode(&evil.encode()).is_err());
+        assert!(evil.validate().is_err());
 
         // Register beyond the fixed register file.
         let mut evil = exe.clone();
@@ -1478,22 +1364,32 @@ mod tests {
             d: Reg(NUM_F_REGS + 1),
             v: 0.0,
         });
-        assert!(Executable::decode(&evil.encode()).is_err());
+        assert!(evil.validate().is_err());
 
         // Program that can fall off the end.
         let mut evil = exe.clone();
         evil.steps.push(Step::I(Inst::FConst { d: Reg(0), v: 0.0 }));
-        assert!(Executable::decode(&evil.encode()).is_err());
+        assert!(evil.validate().is_err());
 
-        // Truncation at every prefix is an error, never a panic.
-        let bytes = exe.encode();
-        for n in 0..bytes.len() {
-            assert!(Executable::decode(&bytes[..n]).is_err());
-        }
-        // …and trailing garbage is rejected too.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(Executable::decode(&padded).is_err());
+        // Spill slot and array slot past the frame.
+        let mut evil = exe.clone();
+        evil.steps[0] = Step::I(Inst::FSpillLoad {
+            d: Reg(0),
+            slot: evil.f_spill,
+        });
+        assert!(evil.validate().is_err());
+        let mut evil = exe.clone();
+        evil.outputs = vec![VarBinding::Slot(Slot(evil.slots))];
+        assert!(evil.validate().is_err());
+
+        // A generic op with fewer operands than it indexes.
+        let mut evil = exe.clone();
+        evil.steps[0] = Step::I(Inst::Gen {
+            op: GenOp::Binary("+"),
+            dsts: vec![],
+            args: vec![],
+        });
+        assert!(evil.validate().is_err());
     }
 
     #[test]

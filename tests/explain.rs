@@ -9,7 +9,7 @@
 //! own test binary and every test uses function names unique to it; the
 //! tests never call `audit::reset()`, which would race with each other.
 
-use majic::{ExecMode, Majic, RepoCache, Value};
+use majic::{ExecMode, Majic, Value};
 use majic_testkit::json::Json;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,50 +170,6 @@ fn explain_reports_inliner_verdicts_with_reasons() {
     );
 }
 
-/// An IR-version bump (simulated by a cache written under a different
-/// build fingerprint) must show up in the explanation as the
-/// `cache.reject.fingerprint` bucket, with the session degrading to a
-/// clean cold start.
-#[test]
-fn explain_reports_cache_reject_bucket_after_ir_bump() {
-    let t = TempDir::new();
-    let path = t.file("stale.majiccache");
-    // A cache written by "another build": same container format, but the
-    // fingerprint an IR/wire/version bump would change.
-    RepoCache::new(&path, "majic-0.0.0/ir0/wire0")
-        .save(&[])
-        .unwrap();
-
-    let mut m = jit();
-    let report = m.attach_cache(&path);
-    assert_eq!(report.rejected_fingerprint, 1, "{report:?}");
-
-    m.load_source("function y = exstale(x)\ny = 2 * x;\n")
-        .unwrap();
-    assert_eq!(call1(&mut m, "exstale", 4.0), 8.0);
-
-    let ex = m.explain("exstale");
-    let reject = ex
-        .events
-        .iter()
-        .find(|e| e.kind == "cache.reject.fingerprint")
-        .expect("fingerprint rejection left no session event");
-    assert!(
-        reject.detail.contains("different compiler build"),
-        "reject event lost its why: {}",
-        reject.detail
-    );
-    // The cold start still compiled the function the ordinary way.
-    assert!(ex.records.iter().any(|r| r.trigger == "first_call"));
-    assert!(
-        ex.report.contains("cache.reject.fingerprint"),
-        "report does not surface the reject bucket:\n{}",
-        ex.report
-    );
-    // Session-wide view agrees.
-    assert!(m.explain_stats().contains("cache.reject.fingerprint"));
-}
-
 /// Warm hits and source-hash rejects are attributed per function.
 #[test]
 fn explain_reports_warm_cache_interactions() {
@@ -228,23 +184,26 @@ fn explain_reports_warm_cache_interactions() {
         assert!(m.save_cache().unwrap() > 0);
     }
 
-    // Warm session: the cached version installs without compiling.
+    // Warm session: the manifest's signature replays as a background
+    // tier-1 compile, and the first call runs that code.
     let mut m = jit();
     m.attach_cache(&path);
     m.load_source("function y = exwarm(x)\ny = x - 1;\n")
         .unwrap();
+    m.background().wait();
     let ex = m.explain("exwarm");
     let warm = ex
         .records
         .iter()
         .find(|r| r.trigger == "warm_cache")
-        .expect("warm install left no record");
-    assert!(
-        warm.outcome.contains("persistent cache"),
-        "{}",
-        warm.outcome
-    );
-    assert_eq!(warm.compile_ns, 0, "a warm hit compiled something");
+        .expect("warm replay left no record");
+    assert!(warm.outcome.starts_with("published"), "{}", warm.outcome);
+    assert_eq!(warm.tier, Some(1), "{}", ex.report);
+    assert!(warm.compile_ns > 0, "a replay records its compile time");
+    assert!(warm.queue_wait_ns.is_some(), "a replay is a background job");
+    assert_eq!(call1(&mut m, "exwarm", 3.0), 2.0);
+    assert!(m.repository().stats().tier1_hits >= 1);
+    assert_eq!(m.times.codegen, std::time::Duration::ZERO, "{:?}", m.times);
 
     // Changed source: the same cache is now refused for this function.
     let mut m = jit();

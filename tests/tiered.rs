@@ -6,8 +6,9 @@
 //! pipeline and publishes the result as tier-1. These tests pin the
 //! promotion policy: it fires at the threshold and not below, the
 //! promoted code is preferred on dispatch but never changes results,
-//! tier-1 entries survive a persistent-cache round trip, and a call the
-//! tier-1 version does not admit falls back to tier-0 compilation.
+//! a persistent-cache round trip replays the promoted signature as
+//! tier-1 code, and a call the tier-1 version does not admit falls back
+//! to tier-0 compilation.
 
 use majic::{ExecMode, Majic, Value};
 
@@ -104,21 +105,31 @@ fn tier1_survives_cache_round_trip() {
         out
     }; // drop saves the cache
 
-    // Session 2: the tier-1 entry installs warm — no recompilation, no
-    // re-promotion needed — and is preferred on dispatch.
+    // Session 2: the manifest replays the signature through the
+    // promotion path, and the first call dispatches the tier-1 version
+    // without compiling anything in the session.
     let mut m = Majic::with_mode(ExecMode::Jit);
     let report = m.attach_cache(&path);
-    assert_eq!(report.loaded, 2, "both tiers were persisted");
+    assert_eq!(report.loaded, 1, "both tiers share one signature entry");
     m.load_source(&src).unwrap();
+    m.background().wait();
     assert_eq!(
         m.repository().tier_versions(),
-        [1, 1],
-        "tier metadata lost across the cache round trip"
+        [0, 1],
+        "the replay compiled anything but one tier-1 version"
     );
+    let stats = m.background().stats().expect("replay started the pool");
+    assert_eq!((stats.enqueued, stats.published), (1, 1));
     let warm = scalar(&m.call("tier_warm", &[150.0f64.into()], 1).unwrap());
     assert_eq!(first.to_bits(), warm.to_bits());
     assert!(m.repository().stats().tier1_hits >= 1);
-    assert!(m.background().stats().is_none(), "warm tier-1 re-promoted");
+    assert_eq!(m.times.codegen, std::time::Duration::ZERO, "{:?}", m.times);
+    m.background().wait();
+    assert_eq!(
+        m.background().stats().unwrap().enqueued,
+        1,
+        "warm tier-1 re-promoted"
+    );
 
     drop(m);
     let _ = std::fs::remove_dir_all(&dir);
