@@ -266,11 +266,14 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
                 out.push(inst);
                 continue;
             }
-            // A spilled read reloads through the next scratch register; a
-            // spilled write goes through the last one and is stored after.
+            // A spilled read reloads through the next scratch register,
+            // once per slot: a second read of the same slot reuses the
+            // register the first one loaded. A spilled write goes through
+            // the last scratch register and is stored after.
             let mut scratch_used = 0u32;
             let mut loads: Vec<Inst> = Vec::new();
             let mut stores: Vec<Inst> = Vec::new();
+            let mut loaded: Vec<(u32, Reg)> = Vec::new();
             inst.for_each_operand_mut(|op| {
                 let Some((r, access)) = class.reg(op) else {
                     return;
@@ -278,8 +281,16 @@ fn allocate_class(f: &mut Function, class: Class, mode: RegAllocMode) -> u32 {
                 match (loc(*r), access) {
                     (Loc::Reg(p), _) => *r = Reg(p),
                     (Loc::Spill(slot), Access::Read) => {
+                        if let Some(&(_, s)) = loaded.iter().find(|(l, _)| *l == slot) {
+                            *r = s;
+                            return;
+                        }
                         *r = Reg(scratch_base + scratch_used);
                         scratch_used = (scratch_used + 1) % SCRATCH;
+                        // A wrapped-around scratch register no longer holds
+                        // the slot it loaded before.
+                        loaded.retain(|&(_, s)| s != *r);
+                        loaded.push((slot, *r));
                         loads.push(class.spill_load(*r, slot));
                     }
                     (Loc::Spill(slot), Access::Write) => {
@@ -403,6 +414,44 @@ mod tests {
         assert!(
             f.inst_count() > before * 2,
             "spill-everything must add heavy spill traffic"
+        );
+    }
+
+    /// `x*x` with `x` spilled reloads `x` once and reads the one
+    /// scratch register twice.
+    #[test]
+    fn repeated_spilled_read_loads_once() {
+        let mut f = Function {
+            name: "sq".into(),
+            blocks: vec![Block {
+                insts: vec![Inst::FBin {
+                    op: FBinOp::Mul,
+                    d: Reg(1),
+                    a: Reg(0),
+                    b: Reg(0),
+                }],
+                term: Terminator::Return,
+            }],
+            f_regs: 2,
+            params: vec![VarBinding::F(Reg(0))],
+            outputs: vec![VarBinding::F(Reg(1))],
+            ..Function::default()
+        };
+        allocate(&mut f, RegAllocMode::SpillEverything);
+        let insts = &f.blocks[0].insts;
+        let loads: Vec<&Inst> = insts
+            .iter()
+            .filter(|i| matches!(i, Inst::FSpillLoad { .. }))
+            .collect();
+        assert_eq!(loads.len(), 1, "{insts:?}");
+        let Inst::FSpillLoad { d, .. } = *loads[0] else {
+            unreachable!()
+        };
+        assert!(
+            insts
+                .iter()
+                .any(|i| matches!(i, Inst::FBin { a, b, .. } if *a == d && *b == d)),
+            "{insts:?}"
         );
     }
 
