@@ -712,15 +712,15 @@ pub(crate) fn compile_function(
 
     // Phase 3: code generation.
     let sp = majic_trace::Span::enter("codegen");
-    let mut cg = match quality {
-        CodeQuality::Generic => CodegenOptions::mcc(),
-        CodeQuality::Jit => CodegenOptions::jit(),
-        CodeQuality::Optimized => CodegenOptions::optimizing(),
+    // Generic code is the JIT pipeline run on the `⊤` annotations above:
+    // every operation becomes a library call, and `mcc` does not oversize.
+    let mut cg = if quality == CodeQuality::Optimized {
+        CodegenOptions::optimizing()
+    } else {
+        CodegenOptions::jit()
     };
     cg.regalloc = options.regalloc;
-    if quality != CodeQuality::Generic {
-        cg.oversize = options.oversize;
-    }
+    cg.oversize = options.oversize && quality != CodeQuality::Generic;
     if quality == CodeQuality::Optimized && options.platform == Platform::Sparc {
         // The SPARC native compiler "generates relatively poor code".
         cg.passes = PassOptions {
