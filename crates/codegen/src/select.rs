@@ -1001,12 +1001,6 @@ impl<'a> Gen<'a> {
             arr: space,
             dim: 2,
         });
-        let nrows = self.fresh_f();
-        self.emit(Inst::ExtentF {
-            d: nrows,
-            arr: space,
-            dim: 1,
-        });
         let i = self.fconst(1.0);
         // Element: row vectors bind scalars; matrices bind columns.
         let bind = |g: &mut Self| {
