@@ -16,7 +16,7 @@
 //! * [`inline_function`] — the function inliner (paper §2.6.1): calls to
 //!   small functions are expanded in place, preserving call-by-value by
 //!   copying actual parameters (but not read-only ones), with recursion
-//!   unrolled at most 3 levels deep.
+//!   unrolled at most 2 levels deep (the paper allows 3).
 //! * [`assigned_names`] and [`global_or_clear`] — the statement-block
 //!   queries the inliner, the engine and the code generator share.
 
