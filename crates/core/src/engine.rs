@@ -72,7 +72,7 @@ pub struct EngineOptions {
     pub regalloc: RegAllocMode,
     /// Array oversizing on resizes (§2.6.1).
     pub oversize: bool,
-    /// Function inlining (§2.6.1; recursion ≤ 3 levels).
+    /// Function inlining (§2.6.1; recursion ≤ 2 levels, the paper allows 3).
     pub inline: bool,
     /// Simulated platform (Figures 4 vs 5).
     pub platform: Platform,
