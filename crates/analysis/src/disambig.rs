@@ -253,7 +253,6 @@ pub fn disambiguate(
     function: &Function,
     known_functions: &HashSet<String>,
 ) -> DisambiguatedFunction {
-    let _sp = majic_trace::Span::enter_with("disambig", || vec![("fn", function.name.clone())]);
     let (mut a, entry) = Analyzer::new(function, known_functions);
     run_flow(&mut a, &function.body, entry);
     DisambiguatedFunction {

@@ -56,7 +56,6 @@ pub fn inline_function(
     opts: InlineOptions,
     next_node_id: &mut u32,
 ) -> Function {
-    let _sp = majic_trace::Span::enter_with("inline", || vec![("fn", function.name.clone())]);
     let mut ctx = Inliner {
         registry,
         opts,

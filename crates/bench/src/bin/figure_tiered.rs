@@ -19,10 +19,13 @@
 //! other arm (call-for-call, because some benchmarks advance the
 //! session's `rand` stream between calls).
 //!
-//! The acceptance target is a median steady-state speedup ≥ 1.15× on
-//! the loop-heavy Scalar group (dirich, finedif, icn, mandel, crnich) —
-//! the programs where the optimizing backend's preallocation and loop
-//! optimizations pay off most.
+//! The binary reports the median steady-state speedup on the
+//! loop-heavy Scalar group (dirich, finedif, icn, mandel, crnich) — the
+//! programs where the optimizing backend's preallocation and loop
+//! optimizations pay off most — and over all 16. Neither median is
+//! gated: the run asserts only bitwise agreement. The tier-1 gate is
+//! ROADMAP item 6 (no golden program below 0.95× tier 0 on either
+//! platform).
 //!
 //! ```text
 //! cargo run --release -p majic-bench --bin figure_tiered -- \
@@ -171,6 +174,9 @@ fn main() {
             .collect(),
     );
     let overall = median(speedups.iter().map(|&(_, s)| s).collect());
-    println!("\nmedian steady-state speedup, Scalar group: {scalar:.2} (target ≥ 1.15)");
+    println!(
+        "\nmedian steady-state speedup, Scalar group: {scalar:.2} (reported, not gated; \
+         ROADMAP item 6 holds the tier-1 gate)"
+    );
     println!("median steady-state speedup, all 16:       {overall:.2}");
 }

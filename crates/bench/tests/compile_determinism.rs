@@ -273,16 +273,16 @@ const EXPECTED: &[(&str, u64)] = &[
     ("galrkn:jit/no-min-shapes", 0x21f8c289b28460c1),
     ("galrkn:jit/spill-everything", 0x1890288753579bdf),
     ("icn:mcc/sparc", 0x12a84a25eaecedd0),
-    ("icn:jit/sparc", 0xf403c4b365990a9a),
+    ("icn:jit/sparc", 0x01961094109bd0f9),
     ("icn:spec/sparc", 0x7f3970d04d0fadfd),
-    ("icn:falcon/sparc", 0xb03556dd31d249c2),
+    ("icn:falcon/sparc", 0xa2a982862fada101),
     ("icn:mcc/mips", 0x12a84a25eaecedd0),
-    ("icn:jit/mips", 0xf403c4b365990a9a),
+    ("icn:jit/mips", 0x01961094109bd0f9),
     ("icn:spec/mips", 0x036edf0503809015),
-    ("icn:falcon/mips", 0x40252fd2c40a3550),
+    ("icn:falcon/mips", 0x489e767ccbb281e9),
     ("icn:jit/no-ranges", 0x1ab82ab2efd211e8),
     ("icn:jit/no-min-shapes", 0x85af0a573430cce2),
-    ("icn:jit/spill-everything", 0x68e90a22573f1024),
+    ("icn:jit/spill-everything", 0x006e8d219fa86865),
     ("mei:mcc/sparc", 0x416e9212a919319b),
     ("mei:jit/sparc", 0x74d89722b8e8d403),
     ("mei:spec/sparc", 0x945f4b4ae892f04d),

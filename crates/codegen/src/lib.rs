@@ -5,7 +5,8 @@
 //! rules, but build radically different code."
 //!
 //! This crate implements the shared **code selector** (typed AST →
-//! register IR) and the two pipelines built on it:
+//! register IR) and the option presets of the two pipelines built on
+//! it, which the engine runs one layer at a time:
 //!
 //! * the **JIT pipeline** — selection, then register allocation, then
 //!   flattening; "no loop optimizations or instruction scheduling are
@@ -41,55 +42,8 @@ mod select;
 
 pub use select::{compile, CodegenError, CodegenOptions};
 
-use majic_analysis::DisambiguatedFunction;
-use majic_infer::Annotations;
-use majic_ir::passes::{self, PassOptions};
-use majic_vm::{allocate, Executable, RegAllocMode};
-
-/// Compile a function all the way to executable VM code.
-///
-/// # Errors
-///
-/// Returns [`CodegenError`] when the function uses features compiled
-/// code cannot honor (`global`, `clear`); the engine falls back to the
-/// interpreter in that case.
-pub fn compile_executable(
-    d: &DisambiguatedFunction,
-    ann: &Annotations,
-    opts: &CodegenOptions,
-) -> Result<Executable, CodegenError> {
-    let sp = majic_trace::Span::enter_with("select", || vec![("fn", d.function.name.clone())]);
-    let mut func = compile(d, ann, opts)?;
-    sp.exit();
-    {
-        let _sp = majic_trace::Span::enter("passes");
-        passes::optimize(&mut func, opts.passes);
-    }
-    let (f_spill, c_spill) = allocate(&mut func, opts.regalloc);
-    majic_trace::audit::codegen_summary(|| {
-        let (mut slot_movs, mut slot_takes) = (0u64, 0u64);
-        for b in &func.blocks {
-            for i in &b.insts {
-                match i {
-                    majic_ir::Inst::SlotMov { .. } => slot_movs += 1,
-                    majic_ir::Inst::SlotTake { .. } => slot_takes += 1,
-                    _ => {}
-                }
-            }
-        }
-        majic_trace::audit::CodegenSummary {
-            instructions: func.inst_count() as u64,
-            slot_movs,
-            slot_takes,
-            f_regs: func.f_regs,
-            c_regs: func.c_regs,
-            slots: func.slots,
-            f_spills: f_spill,
-            c_spills: c_spill,
-        }
-    });
-    Ok(Executable::new(&func, f_spill, c_spill))
-}
+use majic_ir::passes::PassOptions;
+use majic_vm::RegAllocMode;
 
 impl CodegenOptions {
     /// The JIT pipeline: fast selection, no IR passes, linear scan
@@ -116,8 +70,10 @@ impl CodegenOptions {
 mod tests {
     use super::*;
     use majic_analysis::disambiguate;
+    use majic_infer::{infer_jit, Annotations, InferOptions, NoOracle};
     use majic_ir::{GenOp, Inst, VarBinding};
     use majic_runtime::builtins::Builtin;
+    use majic_types::{Intrinsic, Signature, Type};
     use std::collections::HashSet;
 
     /// Without type information selection produces the `mcc` baseline:
@@ -158,5 +114,32 @@ mod tests {
         // register.
         assert_eq!((literals, boxed), (4, 4));
         assert_eq!((func.f_regs, func.c_regs), (4, 0));
+    }
+
+    /// A complex element store drops its subscript check when inference
+    /// proves the subscript in bounds (§2.4), exactly as a real store
+    /// does; a subscript past the known extent keeps it.
+    #[test]
+    fn provably_in_bounds_complex_store_is_unchecked() {
+        let src = "function a = f(a, z)\na(2) = z;\na(4) = z;\n";
+        let file = majic_ast::parse_source(src).unwrap();
+        let known: HashSet<String> = file.functions.iter().map(|f| f.name.clone()).collect();
+        let d = disambiguate(&file.functions[0], &known);
+        let sig = Signature::new(vec![
+            Type::matrix(Intrinsic::Complex, 1, 3),
+            Type::scalar(Intrinsic::Complex),
+        ]);
+        let ann = infer_jit(&d, &sig, InferOptions::default(), &NoOracle);
+        let func = compile(&d, &ann, &CodegenOptions::jit()).unwrap();
+        let checked: Vec<bool> = func
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter_map(|i| match i {
+                Inst::AStoreC { checked, .. } => Some(*checked),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(checked, [false, true]);
     }
 }

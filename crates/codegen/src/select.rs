@@ -673,6 +673,7 @@ impl<'a> Gen<'a> {
                 };
                 let base_t = self.ann.base_ty(*id);
                 let scalar_subs = self.scalar_subscripts(args);
+                let checked = !in_bounds_provable(&base_t, args, self.ann);
                 let oversize = self.opts.oversize;
                 // A logical RHS takes the generic store path: storing a
                 // logical into a logical array keeps the array logical,
@@ -680,7 +681,6 @@ impl<'a> Gen<'a> {
                 match v {
                     RVal::F(v) if scalar_subs && base_t.intrinsic.le(&Intrinsic::Real) => {
                         let (i, j) = self.index_regs(arr, args);
-                        let checked = !in_bounds_provable(&base_t, args, self.ann);
                         self.emit(Inst::AStoreF {
                             arr,
                             i,
@@ -697,7 +697,7 @@ impl<'a> Gen<'a> {
                             i,
                             j,
                             v,
-                            checked: true,
+                            checked,
                             oversize,
                         });
                     }

@@ -13,18 +13,19 @@
 use crate::service::{CompilerService, Session};
 use majic_analysis::{disambiguate, inline_function, DisambiguatedFunction, InlineOptions};
 use majic_ast::{walk_exprs, walk_stmts, ExprKind, Function, Stmt, StmtKind};
-use majic_codegen::{compile_executable, CodegenOptions};
+use majic_codegen::CodegenOptions;
 use majic_infer::{infer_jit, infer_speculative, Annotations, CalleeOracle, InferOptions};
-use majic_ir::passes::PassOptions;
+use majic_ir::passes::{self, PassOptions};
+use majic_ir::Inst;
 use majic_repo::{CodeQuality, CompiledVersion, Repository, Tier};
 use majic_runtime::builtins::CallCtx;
 use majic_runtime::{RuntimeError, RuntimeResult, Value};
 use majic_types::{Lattice, Range, Signature, Type};
-use majic_vm::{execute, Dispatcher, RegAllocMode};
+use majic_vm::{allocate, execute, Dispatcher, Executable, RegAllocMode};
 use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How function calls execute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -231,16 +232,17 @@ impl Default for TierOptions {
 
 /// Cumulative per-phase timing, matching Figure 6's decomposition of JIT
 /// runtime into disambiguation / type inference / code generation /
-/// execution.
+/// execution. Each bucket is the sum of the trace spans named below.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Parser + disambiguation + inlining time.
+    /// Inlining + disambiguation (`analysis.inline`, `analysis.disambig`).
     pub disambiguation: Duration,
-    /// Type-inference time.
+    /// Type inference (`infer.jit` or `infer.speculative`).
     pub inference: Duration,
-    /// Code selection + passes + register allocation time.
+    /// Code selection + IR passes + register allocation + flattening
+    /// (`codegen.select`, `ir.passes`, `vm.regalloc`, `vm.flatten`).
     pub codegen: Duration,
-    /// Execution time of compiled code / interpreter.
+    /// Execution of compiled code or the interpreter (`execution`).
     pub execution: Duration,
 }
 
@@ -569,7 +571,9 @@ impl Trigger {
 /// Compile `name` for `sig` (`None`: speculative), record the
 /// compilation in the audit log when the session asks for it, and
 /// publish the version into the session's namespace. This is the one
-/// path into the repository for every compile trigger. Returns whether
+/// path into the repository for every compile trigger. One `compile`
+/// span times the compile; its duration is both the version's
+/// `compile_time` and the audit record's `compile_ns`. Returns whether
 /// the version was published (a background job's version is dropped
 /// when its source went stale).
 ///
@@ -600,17 +604,24 @@ pub(crate) fn compile_and_publish(
         majic_trace::audit::begin(name);
         majic_trace::audit::session_id(ctx.session);
     }
-    let t0 = Instant::now();
+    let sp = majic_trace::Span::enter_with("compile", || {
+        vec![
+            ("fn", name.to_owned()),
+            ("pipeline", quality_name(quality).to_owned()),
+            ("speculative", sig.is_none().to_string()),
+        ]
+    });
     let result = compile_function(ctx, repo, name, sig, quality, next_node_id, times);
-    let compile_ns = t0.elapsed().as_nanos() as u64;
+    let compile_time = sp.exit();
+    let compile_ns = compile_time.as_nanos() as u64;
     let queue_wait_ns = match trigger {
         Trigger::Job { queue_wait, .. } => Some(queue_wait.as_nanos() as u64),
         _ => None,
     };
     let trigger_name = trigger.name(sig.is_none());
     match result {
-        Ok(version) => {
-            let quality = version.quality;
+        Ok(mut version) => {
+            version.compile_time = compile_time;
             // The version moves into the repository below; render its
             // signature first, and only when a record is open.
             let signature = ctx.audit.then(|| version.signature.to_string());
@@ -674,46 +685,46 @@ pub(crate) fn compile_function(
         .registry
         .get(name)
         .ok_or_else(|| RuntimeError::Undefined(name.to_owned()))?;
-    // Every phase below is bracketed by a trace span whose `exit()`
-    // duration feeds `PhaseTimes` — the Figure 6 decomposition and the
-    // trace exporters therefore read the *same* measurement.
-    let sp_compile = majic_trace::Span::enter_with("compile", || {
-        vec![
-            ("fn", name.to_owned()),
-            ("pipeline", quality_name(quality).to_owned()),
-            ("speculative", sig.is_none().to_string()),
-        ]
-    });
+    // Each layer runs under exactly one span, named for its perfbench
+    // metric, and that span's `exit()` duration is added into its
+    // Figure 6 bucket of `PhaseTimes`: the trace and the figure read the
+    // same measurement.
 
-    // Phase 1: (inlining +) disambiguation.
-    let sp = majic_trace::Span::enter("disambiguation");
+    // Disambiguation = (inlining +) disambiguation.
     let inlined;
     let to_analyze = if options.inline && quality != CodeQuality::Generic {
-        inlined = inline_function(f, &ctx.registry, InlineOptions::default(), next_node_id);
+        inlined = timed("analysis.inline", &mut times.disambiguation, || {
+            inline_function(f, &ctx.registry, InlineOptions::default(), next_node_id)
+        });
         &inlined
     } else {
         f
     };
-    let d: DisambiguatedFunction = disambiguate(to_analyze, &ctx.known);
-    times.disambiguation += sp.exit();
+    let d: DisambiguatedFunction = timed("analysis.disambig", &mut times.disambiguation, || {
+        disambiguate(to_analyze, &ctx.known)
+    });
 
-    // Phase 2: type inference.
-    let sp = majic_trace::Span::enter("inference");
+    // Inference. Generic code infers nothing: it is the JIT pipeline run
+    // on the `⊤` annotations below.
     let oracle = RepoOracle {
         repo,
         hashes: &ctx.hashes,
     };
     let (signature, ann): (Signature, Annotations) = match (quality, sig) {
         (CodeQuality::Generic, s) => (s.cloned().unwrap_or_default(), Annotations::default()),
-        (_, Some(s)) => (s.clone(), infer_jit(&d, s, options.infer, &oracle)),
-        (_, None) => infer_speculative(&d, options.infer, &oracle),
+        (_, Some(s)) => (
+            s.clone(),
+            timed("infer.jit", &mut times.inference, || {
+                infer_jit(&d, s, options.infer, &oracle)
+            }),
+        ),
+        (_, None) => timed("infer.speculative", &mut times.inference, || {
+            infer_speculative(&d, options.infer, &oracle)
+        }),
     };
-    times.inference += sp.exit();
 
-    // Phase 3: code generation.
-    let sp = majic_trace::Span::enter("codegen");
-    // Generic code is the JIT pipeline run on the `⊤` annotations above:
-    // every operation becomes a library call, and `mcc` does not oversize.
+    // Codegen = selection + IR passes + register allocation + flattening.
+    // Generic code does not oversize (`mcc`).
     let mut cg = if quality == CodeQuality::Optimized {
         CodegenOptions::optimizing()
     } else {
@@ -728,8 +739,39 @@ pub(crate) fn compile_function(
             ..PassOptions::all()
         };
     }
-    let exe = compile_executable(&d, &ann, &cg).map_err(|e| RuntimeError::Raised(e.to_string()))?;
-    times.codegen += sp.exit();
+    let mut func = timed("codegen.select", &mut times.codegen, || {
+        majic_codegen::compile(&d, &ann, &cg)
+    })
+    .map_err(|e| RuntimeError::Raised(e.to_string()))?;
+    timed("ir.passes", &mut times.codegen, || {
+        passes::optimize(&mut func, cg.passes);
+    });
+    let (f_spill, c_spill) = timed("vm.regalloc", &mut times.codegen, || {
+        allocate(&mut func, cg.regalloc)
+    });
+    majic_trace::audit::codegen_summary(|| {
+        let (mut slot_movs, mut slot_takes) = (0u64, 0u64);
+        for i in func.blocks.iter().flat_map(|b| &b.insts) {
+            match i {
+                Inst::SlotMov { .. } => slot_movs += 1,
+                Inst::SlotTake { .. } => slot_takes += 1,
+                _ => {}
+            }
+        }
+        majic_trace::audit::CodegenSummary {
+            instructions: func.inst_count() as u64,
+            slot_movs,
+            slot_takes,
+            f_regs: func.f_regs,
+            c_regs: func.c_regs,
+            slots: func.slots,
+            f_spills: f_spill,
+            c_spills: c_spill,
+        }
+    });
+    let exe = timed("vm.flatten", &mut times.codegen, || {
+        Executable::new(&func, f_spill, c_spill)
+    });
 
     // The optimizing backend is the tier-1 product; everything else
     // (generic and fast-JIT code) sits at tier 0 and is promotion bait.
@@ -749,8 +791,18 @@ pub(crate) fn compile_function(
         quality,
         tier,
         output_types: outputs,
-        compile_time: sp_compile.exit(),
+        // Set by `compile_and_publish` from its `compile` span.
+        compile_time: Duration::ZERO,
     })
+}
+
+/// Run `f` under a span named `name` and add the span's duration into
+/// `bucket`.
+fn timed<T>(name: &'static str, bucket: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let sp = majic_trace::Span::enter(name);
+    let out = f();
+    *bucket += sp.exit();
+    out
 }
 
 /// The shared tail of a compiled call: keep at most `nargout` outputs
@@ -781,9 +833,6 @@ impl Dispatcher for EngineDispatcher<'_> {
     ) -> RuntimeResult<Vec<Value>> {
         if self.depth > 4000 {
             return Err(RuntimeError::Raised("recursion limit exceeded".to_owned()));
-        }
-        if majic_trace::enabled() {
-            majic_trace::counter("engine.call_user").inc();
         }
         let sig = signature_of(args);
         let version = self.ensure_code(name, &sig)?;

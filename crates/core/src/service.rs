@@ -613,9 +613,6 @@ impl Session {
                 ("mode", format!("{:?}", self.options.mode).to_lowercase()),
             ]
         });
-        if majic_trace::enabled() {
-            majic_trace::counter("engine.call").inc();
-        }
         // Apply the kernel-thread option cheaply (compare first) so
         // mid-session option mutations take effect on the next call.
         if let Some(threads) = self.options.threads {
@@ -911,11 +908,9 @@ impl Session {
         for e in entries {
             if e.source_hash == live {
                 installed += 1;
-                majic_trace::counter("repo.cache.warm_hit").inc();
                 self.promote(e.name, e.signature, true);
             } else {
                 rejected += 1;
-                majic_trace::counter("repo.cache.reject.source_hash").inc();
                 majic_trace::audit::session_event("cache.reject.source_hash", || {
                     (
                         name.to_owned(),

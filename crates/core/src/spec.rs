@@ -45,7 +45,7 @@ use majic_types::Signature;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Bounded queue capacity; when full, submits are rejected rather than
 /// blocking the session (background compilation is best-effort).
@@ -95,10 +95,6 @@ pub struct SpecStats {
     pub stale: u64,
     /// Enqueues rejected because the queue was full or closed.
     pub rejected: u64,
-    /// Exact queue-wait total across all completed jobs.
-    pub queue_wait_total: Duration,
-    /// Exact compile-time total across all completed jobs.
-    pub compile_total: Duration,
 }
 
 impl SpecStats {
@@ -288,12 +284,6 @@ fn worker_loop(shared: &PoolShared) {
         // Node ids are scratch — the inlined function is private to this
         // job — so a worker-local counter is safe.
         let mut scratch_ids: u32 = 1 << 24;
-        let sp = majic_trace::Span::enter_with("spec.compile", || {
-            vec![
-                ("fn", job.name.clone()),
-                ("session", job.ctx.session.to_string()),
-            ]
-        });
         // Failures (globals etc.) leave no background version; those
         // calls interpret or JIT later.
         let outcome = compile_and_publish(
@@ -309,7 +299,6 @@ fn worker_loop(shared: &PoolShared) {
             &mut scratch_ids,
             &mut PhaseTimes::default(),
         );
-        let compile = sp.exit();
 
         {
             let mut stats = shared.stats.lock().expect("spec stats poisoned");
@@ -318,8 +307,6 @@ fn worker_loop(shared: &PoolShared) {
                 Ok(false) => stats.stale += 1,
                 Err(_) => stats.failed += 1,
             }
-            stats.queue_wait_total += queue_wait;
-            stats.compile_total += compile;
         }
 
         let mut q = shared.queue.lock().expect("spec queue poisoned");

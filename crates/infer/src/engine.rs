@@ -156,7 +156,6 @@ pub fn infer_jit<O: CalleeOracle>(
     opts: InferOptions,
     oracle: &O,
 ) -> Annotations {
-    let _sp = majic_trace::Span::enter_with("infer.jit", || vec![("fn", d.function.name.clone())]);
     let params: Vec<Type> = d
         .function
         .params

@@ -75,9 +75,6 @@ pub fn infer_speculative<O: CalleeOracle>(
     opts: InferOptions,
     oracle: &O,
 ) -> (Signature, Annotations) {
-    let _sp = majic_trace::Span::enter_with("infer.speculative", || {
-        vec![("fn", d.function.name.clone())]
-    });
     let mut hints: HashMap<String, Type> = HashMap::new();
     // Alternate backward (hint collection) and forward passes until the
     // parameter guess converges (paper: "the alternating

@@ -16,12 +16,12 @@
 //!
 //! 1. **Container + per-entry checksums** — a file with bad magic or
 //!    another format version is rejected whole
-//!    (`repo.cache.reject.version`); corrupt or truncated entries are
-//!    skipped (`repo.cache.reject.checksum`).
+//!    ([`CacheReport::rejected_version`]); corrupt or truncated entries
+//!    are skipped ([`CacheReport::rejected_checksum`]).
 //! 2. **Source hashes** — every entry records the closure hash of the
 //!    source its version was compiled from; the engine replays an
 //!    entry only when the freshly loaded source hashes to the same
-//!    value (`repo.cache.reject.source_hash`).
+//!    value ([`CacheReport::rejected_source_hash`]).
 //!
 //! A recorded signature is safe under any compiler build: replaying it
 //! compiles fresh code, and the repository's signature check still
@@ -63,24 +63,20 @@ pub struct CacheEntry {
 /// Cumulative accounting of persistent-cache activity: what
 /// [`RepoCache::load`] found, plus what the engine replayed from it.
 ///
-/// Mirrored into the `repo.cache.*` trace counters; this struct is the
-/// authoritative per-service record (trace counters are
-/// process-global).
+/// This struct is the only count of these facts, kept per service; each
+/// rejection also leaves a `cache.reject.*` audit event saying why.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheReport {
     /// Entries that decoded and checksummed cleanly from disk.
     pub loaded: usize,
-    /// Entries replayed after their function's source hash matched
-    /// (`repo.cache.warm_hit`).
+    /// Entries replayed after their function's source hash matched.
     pub installed: usize,
-    /// Whole-file rejections: bad magic or container version
-    /// (`repo.cache.reject.version`).
+    /// Whole-file rejections: bad magic or container version.
     pub rejected_version: usize,
     /// Entries (or the file's tail) dropped for checksum, framing,
-    /// truncation, or decode damage (`repo.cache.reject.checksum`).
+    /// truncation, or decode damage.
     pub rejected_checksum: usize,
-    /// Entries whose function was reloaded with different source
-    /// (`repo.cache.reject.source_hash`).
+    /// Entries whose function was reloaded with different source.
     pub rejected_source_hash: usize,
 }
 
@@ -133,8 +129,6 @@ impl RepoCache {
             Err(_) => return (Vec::new(), report), // cold start
         };
         let entries = parse(&bytes, &mut report);
-        majic_trace::counter("repo.cache.reject.version").add(report.rejected_version as u64);
-        majic_trace::counter("repo.cache.reject.checksum").add(report.rejected_checksum as u64);
         if report.rejected_version > 0 {
             majic_trace::audit::session_event("cache.reject.version", || {
                 (

@@ -388,12 +388,6 @@ impl Repository {
             if let Some(d) = distance {
                 majic_trace::histogram("repo.lookup.distance").record(d);
             }
-            majic_trace::counter(if found.is_some() {
-                "repo.hits"
-            } else {
-                "repo.misses"
-            })
-            .inc();
             majic_trace::instant("repo.lookup", || {
                 let mut args = vec![
                     ("fn", name.to_owned()),

@@ -166,32 +166,26 @@ fn any_single_byte_flip_degrades_gracefully() {
     });
 }
 
+/// A flipped magic byte rejects the whole file once; a flipped last
+/// byte drops exactly the one entry it damages.
 #[test]
-fn reject_counters_reach_the_global_trace_registry() {
-    // Counters are process-global and other tests run in parallel, so
-    // assert on deltas of this test's own damage only.
+fn header_and_tail_damage_count_once_in_the_report() {
     let t = TempFile::new();
     let cache = RepoCache::new(&t.path);
     let mut rng = Rng::new(7);
     cache.save(&[random_entry(&mut rng, 0)]).unwrap();
     let clean = std::fs::read(&t.path).unwrap();
 
-    let before = majic_trace::counter("repo.cache.reject.version").get();
     let mut bytes = clean.clone();
     bytes[0] ^= 1;
     std::fs::write(&t.path, &bytes).unwrap();
     let (_, report) = cache.load();
     assert_eq!(report.rejected_version, 1);
-    let after = majic_trace::counter("repo.cache.reject.version").get();
-    assert!(after > before);
 
-    let before = majic_trace::counter("repo.cache.reject.checksum").get();
     let mut bytes = clean;
     let n = bytes.len();
     bytes[n - 1] ^= 1;
     std::fs::write(&t.path, &bytes).unwrap();
     let (_, report) = cache.load();
     assert_eq!(report.rejected_checksum, 1);
-    let after = majic_trace::counter("repo.cache.reject.checksum").get();
-    assert!(after > before);
 }

@@ -3,18 +3,20 @@
 //!
 //! The paper's entire evaluation is observability: Figure 6 decomposes
 //! JIT runtime into disambiguation / inference / codegen / execution,
-//! and Tables 1–2 hinge on repository hit/miss behaviour. This crate is
-//! the single substrate those signals flow through:
+//! and Tables 1–2 hinge on repository hit/miss behaviour. This crate
+//! carries the timing half and the process-wide facts; per-service
+//! facts (repository hits and misses, cache and background-pool
+//! counts) live only in that service's stats structs.
 //!
 //! * **Spans** — RAII guards ([`Span::enter`]) measuring one region of
 //!   one thread. Spans nest via a thread-local stack, so background
 //!   speculation workers trace correctly alongside the session thread.
-//!   A span *always* measures (its [`Span::exit`] duration feeds
-//!   `PhaseTimes`-style accounting); it only *records* an event into
-//!   the global collector when tracing is enabled.
+//!   A span *always* measures (the engine adds each compile layer's
+//!   [`Span::exit`] duration into its `PhaseTimes`); it only *records*
+//!   an event into the global collector when tracing is enabled.
 //! * **Counters and histograms** — named monotonic atomics
 //!   ([`counter`]) and log₂-bucketed histograms ([`histogram`]),
-//!   registered on first use.
+//!   registered on first use and shared by the whole process.
 //! * **Exporters** — a human-readable tree report
 //!   ([`export::render_report`]), Chrome trace-event JSON
 //!   ([`export::chrome_trace_json`], loadable in `chrome://tracing` /

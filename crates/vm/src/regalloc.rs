@@ -37,7 +37,6 @@ enum Loc {
 /// with spill loads/stores through scratch registers. Returns the spill
 /// area sizes `(f_spill, c_spill)`.
 pub fn allocate(f: &mut Function, mode: RegAllocMode) -> (u32, u32) {
-    let _sp = majic_trace::Span::enter_with("regalloc", || vec![("fn", f.name.clone())]);
     let f_spill = allocate_class(f, Class::F, mode);
     let c_spill = allocate_class(f, Class::C, mode);
     f.f_regs = NUM_F_REGS;
