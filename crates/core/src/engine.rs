@@ -203,11 +203,8 @@ impl EngineOptionsBuilder {
 /// mismatch, so promotion can only improve performance, never change
 /// results.
 ///
-/// Overridable per process through the `MAJIC_TIER` environment
-/// variable, read by [`Majic::new`] and
-/// [`crate::CompilerService::new`]: `off`/`0`/`false` disables
-/// promotion, `on`/`true` restores the defaults, and a positive integer
-/// sets the hotness threshold (see [`crate::env`]).
+/// Set per session through [`EngineOptions::tier`]; nothing outside the
+/// options changes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TierOptions {
     /// Master switch for hot promotion.
@@ -304,12 +301,9 @@ impl DerefMut for Majic {
 }
 
 impl Majic {
-    /// A fresh session with default (JIT) options.
-    ///
-    /// Tiered recompilation starts enabled with the default threshold;
-    /// the `MAJIC_TIER` environment variable (see [`TierOptions`]) is
-    /// consulted here, so a process can disable or retune promotion
-    /// without code changes.
+    /// A fresh session with default (JIT) options: the same as
+    /// [`Majic::with_options`] with [`EngineOptions::default`], so
+    /// tiered recompilation starts enabled with the default threshold.
     ///
     /// ```
     /// use majic::Majic;
@@ -320,7 +314,7 @@ impl Majic {
     /// assert_eq!(out[0].to_scalar().unwrap(), 42.0);
     /// ```
     pub fn new() -> Majic {
-        Majic(CompilerService::new().session())
+        Majic::with_options(EngineOptions::default())
     }
 
     /// A fresh session in the given mode.
@@ -330,9 +324,7 @@ impl Majic {
         m
     }
 
-    /// A fresh session with fully specified options. `MAJIC_TIER` is
-    /// *not* consulted — this is the explicit-configuration path
-    /// ([`Majic::new`] is the environment-sensitive one).
+    /// A fresh session with fully specified options.
     ///
     /// ```
     /// use majic::{EngineOptions, ExecMode, Majic, Platform};
@@ -516,7 +508,7 @@ impl EngineDispatcher<'_> {
         // again would collapse e.g. `Undefined` into `Raised` and make
         // compiled modes disagree with the interpreter about the error
         // class of `r = v` with `v` never assigned.
-        compile_and_publish(
+        let published = compile_and_publish(
             self.ctx,
             self.repo,
             name,
@@ -525,11 +517,7 @@ impl EngineDispatcher<'_> {
             self.next_node_id,
             self.times,
         )?;
-        let v = self
-            .repo
-            .lookup_ns(name, ns, self.ctx.session, &sig)
-            .expect("freshly inserted version admits its own signature");
-        Ok(v)
+        Ok(published.expect("a miss publishes unconditionally"))
     }
 }
 
@@ -573,9 +561,9 @@ impl Trigger {
 /// publish the version into the session's namespace. This is the one
 /// path into the repository for every compile trigger. One `compile`
 /// span times the compile; its duration is both the version's
-/// `compile_time` and the audit record's `compile_ns`. Returns whether
-/// the version was published (a background job's version is dropped
-/// when its source went stale).
+/// `compile_time` and the audit record's `compile_ns`. Returns the
+/// published version, or `None` when a background job's version is
+/// dropped because its source went stale.
 ///
 /// # Errors
 ///
@@ -588,7 +576,7 @@ pub(crate) fn compile_and_publish(
     trigger: Trigger,
     next_node_id: &mut u32,
     times: &mut PhaseTimes,
-) -> Result<bool, RuntimeError> {
+) -> Result<Option<Arc<CompiledVersion>>, RuntimeError> {
     let quality = match (trigger, ctx.options.mode) {
         (Trigger::SpecSync | Trigger::Job { .. }, _) => CodeQuality::Optimized,
         (Trigger::Miss { .. }, ExecMode::Mcc) => CodeQuality::Generic,
@@ -630,16 +618,13 @@ pub(crate) fn compile_and_publish(
                 Trigger::Job { generation, .. } => {
                     repo.insert_if_current_ns(name, ns, generation, ctx.session, version)
                 }
-                _ => {
-                    repo.insert_ns(name, ns, ctx.session, version);
-                    true
-                }
+                _ => Some(repo.insert_ns(name, ns, ctx.session, version)),
             };
             majic_trace::audit::commit(
                 || signature.unwrap_or_default(),
                 trigger_name,
                 || {
-                    if published {
+                    if published.is_some() {
                         format!("published ({})", quality_name(quality))
                     } else {
                         "dropped: source redefined while compiling".to_owned()

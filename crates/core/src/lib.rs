@@ -70,7 +70,6 @@
 
 pub mod diff;
 mod engine;
-pub mod env;
 mod service;
 mod spec;
 

@@ -140,23 +140,12 @@ impl Default for CompilerService {
 }
 
 impl CompilerService {
-    /// A fresh service with default (JIT) session options. The
-    /// `MAJIC_TIER` environment variable is consulted here (per
-    /// construction, like [`crate::Majic::new`] always did), so a
-    /// process can disable or retune tier promotion without code
-    /// changes.
+    /// A fresh service with default (JIT) session options.
     pub fn new() -> CompilerService {
-        let mut options = EngineOptions::default();
-        options.tier = crate::env::tier_options_from_env(
-            std::env::var("MAJIC_TIER").ok().as_deref(),
-            options.tier,
-        );
-        CompilerService::with_options(options)
+        CompilerService::with_options(EngineOptions::default())
     }
 
-    /// A fresh service whose sessions start from `options` exactly as
-    /// given (`MAJIC_TIER` is *not* consulted — this is the
-    /// explicit-configuration path).
+    /// A fresh service whose sessions start from `options`.
     pub fn with_options(options: EngineOptions) -> CompilerService {
         CompilerService {
             state: Arc::new(ServiceState {

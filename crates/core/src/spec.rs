@@ -303,8 +303,8 @@ fn worker_loop(shared: &PoolShared) {
         {
             let mut stats = shared.stats.lock().expect("spec stats poisoned");
             match outcome {
-                Ok(true) => stats.published += 1,
-                Ok(false) => stats.stale += 1,
+                Ok(Some(_)) => stats.published += 1,
+                Ok(None) => stats.stale += 1,
                 Err(_) => stats.failed += 1,
             }
         }

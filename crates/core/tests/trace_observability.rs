@@ -140,11 +140,12 @@ fn two_services_keep_their_facts_apart() {
     sb.background().wait();
     a.background().wait();
 
-    // A miss compiles, publishes and looks the new version up again:
-    // one miss and one hit per first call.
+    // A miss compiles and runs the version it published without a
+    // second lookup: A's first call misses and its repeat hits, B's one
+    // call misses.
     let (ra, rb) = (a.repository().stats(), b.repository().stats());
-    assert_eq!((ra.hits, ra.misses, ra.inserts), (2, 1, 3), "{ra:?}");
-    assert_eq!((rb.hits, rb.misses, rb.inserts), (1, 1, 4), "{rb:?}");
+    assert_eq!((ra.hits, ra.misses, ra.inserts), (1, 1, 3), "{ra:?}");
+    assert_eq!((rb.hits, rb.misses, rb.inserts), (0, 1, 4), "{rb:?}");
     assert_eq!(sa.cache_report(), CacheReport::default());
     assert_eq!(
         sb.cache_report(),

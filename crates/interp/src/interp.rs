@@ -7,6 +7,7 @@ use majic_runtime::builtins::{Builtin, CallCtx};
 use majic_runtime::ops::{self, Cmp, Subscript};
 use majic_runtime::{Complex, RuntimeError, RuntimeResult, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Control-flow outcome of executing a statement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,7 +33,7 @@ struct Frame {
 /// base (command-window) frame.
 #[derive(Debug)]
 pub struct Interp {
-    functions: HashMap<String, Function>,
+    functions: HashMap<String, Arc<Function>>,
     globals: HashMap<String, Value>,
     /// Builtin-call context (random generator, captured output).
     pub ctx: CallCtx,
@@ -70,7 +71,7 @@ impl Interp {
         let file =
             parse_source(src).map_err(|e| RuntimeError::Raised(format!("parse error: {e}")))?;
         for f in file.functions {
-            self.functions.insert(f.name.clone(), f);
+            self.functions.insert(f.name.clone(), Arc::new(f));
         }
         if !file.script.is_empty() {
             let mut base = std::mem::take(&mut self.base);
@@ -83,12 +84,12 @@ impl Interp {
 
     /// Register a single already-parsed function.
     pub fn define_function(&mut self, f: Function) {
-        self.functions.insert(f.name.clone(), f);
+        self.functions.insert(f.name.clone(), Arc::new(f));
     }
 
     /// Look up a registered function.
     pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions.get(name)
+        self.functions.get(name).map(Arc::as_ref)
     }
 
     /// Evaluate command-window input in the base workspace.

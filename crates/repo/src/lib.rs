@@ -249,14 +249,9 @@ impl Default for Repository {
 }
 
 fn shard_index(name: &str) -> usize {
-    // FNV-1a: tiny, stable, good enough to spread function names. Keyed
-    // by the bare name so every namespace of a function shares a shard.
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h % SHARD_COUNT as u64) as usize
+    // Keyed by the bare name so every namespace of a function shares a
+    // shard.
+    (majic_types::wire::fnv1a(name.as_bytes()) % SHARD_COUNT as u64) as usize
 }
 
 /// The locator preference among safe candidates: highest [`Tier`]
@@ -298,15 +293,32 @@ impl Repository {
     }
 
     /// Register a compiled version in namespace `ns`, attributed to
-    /// `session` (use [`NO_SESSION`] outside any session).
-    pub fn insert_ns(&self, name: &str, ns: u64, session: u64, version: CompiledVersion) {
+    /// `session` (use [`NO_SESSION`] outside any session). Returns the
+    /// stored handle, so a caller that runs the version next needs no
+    /// lookup.
+    pub fn insert_ns(
+        &self,
+        name: &str,
+        ns: u64,
+        session: u64,
+        version: CompiledVersion,
+    ) -> Arc<CompiledVersion> {
         let mut shard = self.shard(name).write().expect("repository shard poisoned");
-        self.push(&mut shard, name, ns, session, version);
+        self.push(&mut shard, name, ns, session, version)
     }
 
-    /// Append `version` to `(name, ns)` in an already write-locked shard.
-    fn push(&self, shard: &mut Shard, name: &str, ns: u64, session: u64, version: CompiledVersion) {
+    /// Append `version` to `(name, ns)` in an already write-locked shard
+    /// and return the stored handle.
+    fn push(
+        &self,
+        shard: &mut Shard,
+        name: &str,
+        ns: u64,
+        session: u64,
+        version: CompiledVersion,
+    ) -> Arc<CompiledVersion> {
         self.inserts.fetch_add(1, Ordering::Relaxed);
+        let version = Arc::new(version);
         shard
             .functions
             .entry(name.to_owned())
@@ -315,9 +327,10 @@ impl Repository {
             .or_default()
             .versions
             .push(Stored {
-                version: Arc::new(version),
+                version: Arc::clone(&version),
                 inserted_by: session,
             });
+        version
     }
 
     /// The current invalidation generation of `(name, ns)` (0 until the
@@ -334,7 +347,7 @@ impl Repository {
     /// Register `version` only if `(name, ns)`'s invalidation generation
     /// is still `generation` (as captured by
     /// [`Repository::generation_ns`] when the compile started). Returns
-    /// whether the version was published.
+    /// the stored handle, or `None` if the version was dropped.
     ///
     /// This is the publish path for *background* compiles: a worker's
     /// input is a registry snapshot taken at enqueue time, so by the
@@ -351,13 +364,10 @@ impl Repository {
         generation: u64,
         session: u64,
         version: CompiledVersion,
-    ) -> bool {
+    ) -> Option<Arc<CompiledVersion>> {
         let mut shard = self.shard(name).write().expect("repository shard poisoned");
-        if shard.generation(name, ns) != generation {
-            return false;
-        }
-        self.push(&mut shard, name, ns, session, version);
-        true
+        (shard.generation(name, ns) == generation)
+            .then(|| self.push(&mut shard, name, ns, session, version))
     }
 
     /// Bump the locator counters and emit the per-lookup trace event.
@@ -473,22 +483,6 @@ impl Repository {
             .get(name)
             .and_then(|namespaces| namespaces.get(&ns))
             .map_or(0, |e| e.versions.len())
-    }
-
-    /// Total number of versions across all functions and namespaces.
-    pub fn total_versions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("repository shard poisoned")
-                    .functions
-                    .values()
-                    .flat_map(HashMap::values)
-                    .map(|e| e.versions.len())
-                    .sum::<usize>()
-            })
-            .sum()
     }
 
     /// Locator and lifecycle statistics, including the per-tier hit
@@ -765,13 +759,15 @@ mod tests {
         let gen = repo.generation_ns("f", DEFAULT_NS);
         repo.invalidate_ns("f", DEFAULT_NS); // source changed mid-compile
         assert_eq!(repo.generation_ns("f", DEFAULT_NS), 1);
-        assert!(!repo.insert_if_current_ns(
-            "f",
-            DEFAULT_NS,
-            gen,
-            NO_SESSION,
-            version(vec![], CodeQuality::Optimized)
-        ));
+        assert!(repo
+            .insert_if_current_ns(
+                "f",
+                DEFAULT_NS,
+                gen,
+                NO_SESSION,
+                version(vec![], CodeQuality::Optimized)
+            )
+            .is_none());
         assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 0);
         assert_eq!(
             repo.stats().inserts,
@@ -781,13 +777,15 @@ mod tests {
 
         // A publish whose generation is still current lands normally.
         let gen = repo.generation_ns("f", DEFAULT_NS);
-        assert!(repo.insert_if_current_ns(
-            "f",
-            DEFAULT_NS,
-            gen,
-            NO_SESSION,
-            version(vec![], CodeQuality::Optimized)
-        ));
+        assert!(repo
+            .insert_if_current_ns(
+                "f",
+                DEFAULT_NS,
+                gen,
+                NO_SESSION,
+                version(vec![], CodeQuality::Optimized)
+            )
+            .is_some());
         assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 1);
         assert_eq!(repo.stats().inserts, 1);
     }
@@ -837,15 +835,17 @@ mod tests {
         // each session's lookup must only ever see its own namespace.
         let repo = Repository::new();
         let sig = vec![Type::scalar(Intrinsic::Real)];
-        repo.insert_ns("f", 10, 1, version(sig.clone(), CodeQuality::Jit));
+        let stored = repo.insert_ns("f", 10, 1, version(sig.clone(), CodeQuality::Jit));
         repo.insert_ns("f", 20, 2, version(sig.clone(), CodeQuality::Optimized));
         let inv = Signature::new(sig);
         let a = repo.lookup_ns("f", 10, 1, &inv).expect("ns 10 version");
+        assert!(Arc::ptr_eq(&a, &stored), "insert returns the stored handle");
         assert_eq!(a.quality, CodeQuality::Jit);
         let b = repo.lookup_ns("f", 20, 2, &inv).expect("ns 20 version");
         assert_eq!(b.quality, CodeQuality::Optimized);
         assert!(repo.lookup_ns("f", 30, 3, &inv).is_none(), "unknown ns hit");
-        assert_eq!(repo.total_versions(), 2);
+        let stats = repo.stats();
+        assert_eq!(stats.tier0_versions + stats.tier1_versions, 2);
         assert_eq!(repo.version_count_ns("f", 10), 1);
         assert_eq!(repo.version_count_ns("f", DEFAULT_NS), 0);
     }
@@ -888,14 +888,12 @@ mod tests {
         );
         // The generation guard is per namespace: a stale publish into
         // ns 10 is rejected while a current publish into ns 20 lands.
-        assert!(!repo.insert_if_current_ns(
-            "f",
-            10,
-            0,
-            1,
-            version(sig.clone(), CodeQuality::Optimized)
-        ));
-        assert!(repo.insert_if_current_ns("f", 20, g20, 2, version(sig, CodeQuality::Optimized)));
+        assert!(repo
+            .insert_if_current_ns("f", 10, 0, 1, version(sig.clone(), CodeQuality::Optimized))
+            .is_none());
+        assert!(repo
+            .insert_if_current_ns("f", 20, g20, 2, version(sig, CodeQuality::Optimized))
+            .is_some());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum RuntimeError {
     AllocLimit {
         /// Human-readable requested extent (e.g. `"1000000x1000000"`).
         requested: String,
-        /// The active ceiling in elements ([`crate::numel_limit`]).
+        /// The ceiling in elements ([`crate::NUMEL_LIMIT`]).
         limit: usize,
     },
 }

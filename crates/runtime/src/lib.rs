@@ -36,8 +36,6 @@ mod value;
 
 pub use complex::Complex;
 pub use error::{RuntimeError, RuntimeResult};
-pub use matrix::{
-    checked_numel, numel_limit, parse_numel_limit, set_numel_limit, Matrix, DEFAULT_NUMEL_LIMIT,
-};
+pub use matrix::{checked_numel, Matrix, NUMEL_LIMIT};
 pub use rng::Lcg;
 pub use value::Value;

@@ -1,78 +1,30 @@
 //! Column-major dense matrices with MATLAB resize semantics.
 
 use crate::{RuntimeError, RuntimeResult};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Arrays above this element count are never oversized (paper §2.6.1:
 /// "Large arrays are never oversized").
 const OVERSIZE_LIMIT: usize = 1 << 20;
 
-/// Default per-matrix element-count ceiling (2²⁸ elements ≈ 2 GiB of
-/// doubles): generous for every workload in the repo, small enough that
-/// a hostile `zeros(n)` fails fast instead of aborting the process.
-pub const DEFAULT_NUMEL_LIMIT: usize = 1 << 28;
+/// Per-matrix element-count ceiling (2²⁸ elements ≈ 2 GiB of doubles):
+/// generous for every workload in the repo, small enough that a hostile
+/// `zeros(n)` fails fast instead of aborting the process.
+pub const NUMEL_LIMIT: usize = 1 << 28;
 
-/// Active ceiling; `0` means "not yet initialized from the environment".
-static NUMEL_LIMIT: AtomicUsize = AtomicUsize::new(0);
-
-/// Parse a `MAJIC_MAX_NUMEL` value: a bare positive element count.
-/// `None` for anything else (`"0"`, floats like `"2e9"`, suffixes,
-/// non-numbers) — MATLAB-style scientific notation is deliberately not
-/// accepted, so a rejected value can be reported instead of silently
-/// truncated. Public so the engine's consolidated `MAJIC_*` env module
-/// can share the exact grammar.
-pub fn parse_numel_limit(s: &str) -> Option<usize> {
-    s.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// The active per-matrix element-count ceiling. Initialized on first use
-/// from `MAJIC_MAX_NUMEL` (falling back to [`DEFAULT_NUMEL_LIMIT`]);
-/// adjustable at runtime with [`set_numel_limit`]. A malformed value
-/// warns once on stderr — in the style of `MAJIC_TRACE`'s unknown-mode
-/// warning — rather than being silently swallowed.
-pub fn numel_limit() -> usize {
-    let v = NUMEL_LIMIT.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let init = match std::env::var("MAJIC_MAX_NUMEL") {
-        Ok(s) => match parse_numel_limit(&s) {
-            Some(n) => n,
-            None => {
-                if !s.trim().is_empty() {
-                    eprintln!(
-                        "majic-runtime: unrecognized MAJIC_MAX_NUMEL {s:?} (expected a positive \
-                         element count); using the default {DEFAULT_NUMEL_LIMIT}"
-                    );
-                }
-                DEFAULT_NUMEL_LIMIT
-            }
-        },
-        Err(_) => DEFAULT_NUMEL_LIMIT,
-    };
-    NUMEL_LIMIT.store(init, Ordering::Relaxed);
-    init
-}
-
-/// Override the per-matrix element-count ceiling (process-global).
-pub fn set_numel_limit(n: usize) {
-    NUMEL_LIMIT.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Validate a logical extent against `usize` overflow and the active
-/// ceiling, returning the element count.
+/// Validate a logical extent against `usize` overflow and
+/// [`NUMEL_LIMIT`], returning the element count.
 ///
 /// # Errors
 ///
 /// [`RuntimeError::AllocLimit`] when `rows * cols` overflows or exceeds
-/// [`numel_limit`].
+/// [`NUMEL_LIMIT`].
 pub fn checked_numel(rows: usize, cols: usize) -> RuntimeResult<usize> {
     match rows.checked_mul(cols) {
-        Some(n) if n <= numel_limit() => Ok(n),
+        Some(n) if n <= NUMEL_LIMIT => Ok(n),
         _ => Err(RuntimeError::AllocLimit {
             requested: format!("{rows}x{cols}"),
-            limit: numel_limit(),
+            limit: NUMEL_LIMIT,
         }),
     }
 }
@@ -123,7 +75,7 @@ impl<T: Clone + Default + PartialEq> Matrix<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the extent overflows or exceeds [`numel_limit`] — use
+    /// Panics if the extent overflows or exceeds [`NUMEL_LIMIT`] — use
     /// [`Matrix::try_zeros`] where the extent is program-controlled.
     pub fn zeros(rows: usize, cols: usize) -> Matrix<T> {
         Matrix::try_zeros(rows, cols).expect("matrix extent within the allocation ceiling")
@@ -435,7 +387,7 @@ impl<T: Clone + Default + PartialEq> Matrix<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the target extent overflows or exceeds [`numel_limit`]
+    /// Panics if the target extent overflows or exceeds [`NUMEL_LIMIT`]
     /// — use [`Matrix::try_grow`] where the extent is program-controlled
     /// (e.g. growth driven by a user subscript).
     pub fn grow(&mut self, new_rows: usize, new_cols: usize, oversize: bool) {
@@ -561,7 +513,7 @@ mod tests {
         ));
         // Beyond the ceiling but without overflow: same error.
         assert!(matches!(
-            Matrix::<f64>::try_zeros(numel_limit(), 2),
+            Matrix::<f64>::try_zeros(NUMEL_LIMIT, 2),
             Err(RuntimeError::AllocLimit { .. })
         ));
         // Within the ceiling: fine.
@@ -582,20 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn numel_limit_parse_matrix() {
-        // Malformed settings are rejected (and warned about at init
-        // time) instead of being silently truncated to a prefix.
-        assert_eq!(parse_numel_limit("1024"), Some(1024));
-        assert_eq!(parse_numel_limit(" 65536 "), Some(65536));
-        assert_eq!(parse_numel_limit("2e9"), None, "no scientific notation");
-        assert_eq!(parse_numel_limit("abc"), None);
-        assert_eq!(parse_numel_limit("0"), None, "ceiling must be positive");
-        assert_eq!(parse_numel_limit("-5"), None);
-        assert_eq!(parse_numel_limit(""), None);
-        assert_eq!(parse_numel_limit("1_000"), None);
-    }
-
-    #[test]
     fn contiguous_slice_requires_no_row_slack() {
         let m = Matrix::from_rows(vec![vec![1.0, 3.0], vec![2.0, 4.0]]);
         assert_eq!(m.as_contiguous_slice(), Some(&[1.0, 2.0, 3.0, 4.0][..]));
@@ -613,8 +551,8 @@ mod tests {
     #[test]
     fn checked_numel_boundaries() {
         assert_eq!(checked_numel(0, 0).unwrap(), 0);
-        assert_eq!(checked_numel(1, numel_limit()).unwrap(), numel_limit());
-        assert!(checked_numel(1, numel_limit() + 1).is_err());
+        assert_eq!(checked_numel(1, NUMEL_LIMIT).unwrap(), NUMEL_LIMIT);
+        assert!(checked_numel(1, NUMEL_LIMIT + 1).is_err());
         assert!(checked_numel(usize::MAX, usize::MAX).is_err());
     }
 

@@ -449,12 +449,12 @@ pub fn range(start: &Value, step: Option<&Value>, stop: &Value) -> RuntimeResult
     }
     // Tolerate floating-point endpoints a hair short of an exact count.
     let nf = (span + 1e-10).floor() + 1.0;
-    if nf > crate::numel_limit() as f64 || nf.is_nan() {
+    if nf > crate::NUMEL_LIMIT as f64 || nf.is_nan() {
         // Also catches infinite spans (`1:Inf`), whose usize cast would
         // otherwise saturate and wrap the `+ 1`.
         return Err(RuntimeError::AllocLimit {
             requested: format!("1x{nf:e}"),
-            limit: crate::numel_limit(),
+            limit: crate::NUMEL_LIMIT,
         });
     }
     let n = nf as usize;
@@ -867,7 +867,7 @@ mod tests {
     fn index_set_growth_is_capped() {
         // Scalar store far past the ceiling must fail cleanly rather
         // than attempt a monstrous zero-filled reallocation.
-        let big = 1.0 + crate::numel_limit() as f64;
+        let big = 1.0 + crate::NUMEL_LIMIT as f64;
         let mut base = Value::Real(Matrix::zeros(1, 1));
         let subs = [
             Subscript::Index(Value::scalar(1.0)),

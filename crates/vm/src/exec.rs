@@ -728,17 +728,43 @@ fn exec_inst(
             i,
             j,
             v,
-            checked: _,
+            checked,
             oversize,
         } => {
             let val = m.c[v.index()];
             let iv = m.f[i.index()];
             let jv = j.map(|j| m.f[j.index()]);
             let slot = &mut m.slots[arr.index()];
-            if slot.is_none() {
-                // Fresh arrays start real; the store below promotes when
-                // the value is genuinely complex.
-                *slot = Some(Value::Real(Matrix::zeros(0, 0)));
+            // In bounds: store exactly what `ops::index_set` would. A zero
+            // imaginary part (either sign) stores `re + 0i` into a complex
+            // array and `re` into a real one.
+            match slot {
+                Some(Value::Complex(mat)) => {
+                    if let Some((r, c)) = resolve_rc(iv, jv, mat.rows(), mat.cols(), *checked)? {
+                        let z = if val.im == 0.0 {
+                            Complex::from(val.re)
+                        } else {
+                            val
+                        };
+                        // SAFETY: `resolve_rc` bounds-checked (r, c), or
+                        // inference proved them in bounds (`checked: false`).
+                        unsafe { mat.set_unchecked(r, c, z) };
+                        return Ok(());
+                    }
+                }
+                Some(Value::Real(mat)) if val.im == 0.0 => {
+                    if let Some((r, c)) = resolve_rc(iv, jv, mat.rows(), mat.cols(), *checked)? {
+                        // SAFETY: as for the complex array above.
+                        unsafe { mat.set_unchecked(r, c, val.re) };
+                        return Ok(());
+                    }
+                }
+                Some(_) => {}
+                None => {
+                    // Fresh arrays start real; the store below promotes
+                    // when the value is genuinely complex.
+                    *slot = Some(Value::Real(Matrix::zeros(0, 0)));
+                }
             }
             let value = slot.as_mut().expect("initialized above");
             let subs = subs_from_regs(iv, jv);
@@ -1341,6 +1367,83 @@ mod tests {
         };
         let out = run(&f, &[]).unwrap();
         assert_eq!(out[0], Value::complex_scalar(Complex::new(-5.0, 10.0)));
+    }
+
+    /// An in-bounds `AStoreC` (checked or proven) stores bit for bit what
+    /// the generic `ops::index_set` path stores, into a real and into a
+    /// complex array, for imaginary parts +0, −0 and NaN.
+    #[test]
+    fn in_bounds_complex_store_matches_index_set() {
+        fn bits(v: &Value) -> (bool, Vec<u64>) {
+            match v {
+                Value::Real(m) => (false, m.iter().map(|x| x.to_bits()).collect()),
+                Value::Complex(m) => (
+                    true,
+                    m.iter()
+                        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                        .collect(),
+                ),
+                other => panic!("unexpected slot {other:?}"),
+            }
+        }
+        let store = |checked: bool, re: f64, im: f64| Function {
+            name: "astore_c".into(),
+            blocks: vec![Block {
+                insts: vec![
+                    Inst::FConst { d: Reg(0), v: 2.0 },
+                    Inst::FConst { d: Reg(1), v: re },
+                    Inst::FConst { d: Reg(2), v: im },
+                    Inst::CMake {
+                        d: Reg(0),
+                        re: Reg(1),
+                        im: Reg(2),
+                    },
+                    Inst::AStoreC {
+                        arr: Slot(0),
+                        i: Reg(0),
+                        j: None,
+                        v: Reg(0),
+                        checked,
+                        oversize: false,
+                    },
+                ],
+                term: Terminator::Return,
+            }],
+            f_regs: 3,
+            c_regs: 1,
+            slots: 1,
+            params: vec![VarBinding::Slot(Slot(0))],
+            outputs: vec![VarBinding::Slot(Slot(0))],
+            ..Function::default()
+        };
+        let real = Value::Real(Matrix::from_rows(vec![vec![1.0, 2.0, 3.0]]));
+        let complex = Value::Complex(Matrix::from_rows(vec![vec![
+            Complex::new(1.0, 1.0),
+            Complex::new(2.0, -0.0),
+            Complex::new(3.0, 0.0),
+        ]]));
+        for base in [real, complex] {
+            for im in [0.0, -0.0, f64::NAN] {
+                for checked in [false, true] {
+                    let got = run(&store(checked, -4.5, im), std::slice::from_ref(&base)).unwrap();
+                    // The generic path's right-hand side: a zero imaginary
+                    // part stores as a real value.
+                    let rhs = if im == 0.0 {
+                        Value::scalar(-4.5)
+                    } else {
+                        Value::complex_scalar(Complex::new(-4.5, im))
+                    };
+                    let mut want = base.clone();
+                    let subs = [Subscript::Index(Value::scalar(2.0))];
+                    ops::index_set(&mut want, &subs, &rhs, false).unwrap();
+                    assert_eq!(
+                        bits(&got[0]),
+                        bits(&want),
+                        "base {base:?}, im {im:?}, checked {checked}"
+                    );
+                }
+            }
+        }
     }
 
     /// `validate` accepts what the allocator and flattener produce and
