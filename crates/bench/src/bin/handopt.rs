@@ -2,7 +2,9 @@
 //! innermost loop hand-unrolled and common subexpressions eliminated ran
 //! "almost 100% faster than the normal JIT-compiled finedif". We compare
 //! the stock source under the JIT against (a) a hand-optimized MATLAB
-//! source and (b) the optimizing backend doing CSE mechanically.
+//! source and (b) the optimizing backend (`falcon` mode), whose tier-1
+//! passes are LICM then DCE; on the default SPARC platform that is DCE
+//! alone, so pass `--platform mips` to let it hoist the invariants.
 
 use majic_bench::{by_name, harness, Benchmark, Category, Mode};
 

@@ -208,177 +208,177 @@ fn generated_code_matches_the_recorded_baseline() {
 const EXPECTED: &[(&str, u64)] = &[
     ("adapt:mcc/sparc", 0x0d8814640c4aa7c9),
     ("adapt:jit/sparc", 0x7bd1f787dfb802bd),
-    ("adapt:spec/sparc", 0x76ccff0c27be038e),
-    ("adapt:falcon/sparc", 0x3f27161239f7a3a9),
+    ("adapt:spec/sparc", 0xe56953b76e767493),
+    ("adapt:falcon/sparc", 0x71cacbbf2146f81e),
     ("adapt:mcc/mips", 0x0d8814640c4aa7c9),
     ("adapt:jit/mips", 0x7bd1f787dfb802bd),
-    ("adapt:spec/mips", 0xce54e71621dc4c04),
-    ("adapt:falcon/mips", 0xff43f19cb7450331),
+    ("adapt:spec/mips", 0xf1c0d1dd78191039),
+    ("adapt:falcon/mips", 0x0d90bc02ecb76b3a),
     ("adapt:jit/no-ranges", 0x7bd1f787dfb802bd),
     ("adapt:jit/no-min-shapes", 0x56f563f14c79eebc),
     ("adapt:jit/spill-everything", 0x5e672aeae6b6e22f),
     ("cgopt:mcc/sparc", 0xd175405e26818520),
     ("cgopt:jit/sparc", 0xf199dd2a509d3968),
-    ("cgopt:spec/sparc", 0xe809e559f5452495),
-    ("cgopt:falcon/sparc", 0x8b23ba7a6234b945),
+    ("cgopt:spec/sparc", 0xaea6d39089206367),
+    ("cgopt:falcon/sparc", 0x69757e8b7a4fc185),
     ("cgopt:mcc/mips", 0xd175405e26818520),
     ("cgopt:jit/mips", 0xf199dd2a509d3968),
-    ("cgopt:spec/mips", 0x7975626a3cc14ff4),
-    ("cgopt:falcon/mips", 0x1543f8bba17be5f3),
+    ("cgopt:spec/mips", 0x67c8bd1afce8dd5b),
+    ("cgopt:falcon/mips", 0xaa19bee5a69f25b5),
     ("cgopt:jit/no-ranges", 0x646b484990203bee),
     ("cgopt:jit/no-min-shapes", 0xa4a576cdeebc1645),
     ("cgopt:jit/spill-everything", 0xdb6b2476c739609f),
     ("crnich:mcc/sparc", 0x5f4d223de5221725),
     ("crnich:jit/sparc", 0x6efb900593d308f5),
-    ("crnich:spec/sparc", 0xc53afd83cb01e185),
-    ("crnich:falcon/sparc", 0x3e989fc6dac772f5),
+    ("crnich:spec/sparc", 0x60f435131b970354),
+    ("crnich:falcon/sparc", 0x90101825a4194df6),
     ("crnich:mcc/mips", 0x5f4d223de5221725),
     ("crnich:jit/mips", 0x6efb900593d308f5),
-    ("crnich:spec/mips", 0x477cc02a4920f47a),
-    ("crnich:falcon/mips", 0xc7bdd967679dd427),
+    ("crnich:spec/mips", 0x3c01908ad0836ef1),
+    ("crnich:falcon/mips", 0xec137d02edf5e5d9),
     ("crnich:jit/no-ranges", 0x048d06565f3cc121),
     ("crnich:jit/no-min-shapes", 0x0c3f6ec8319f9cb3),
     ("crnich:jit/spill-everything", 0xa22d783463a940dc),
     ("dirich:mcc/sparc", 0x1abeb908e47c89a7),
     ("dirich:jit/sparc", 0x498739334cb2ee7d),
-    ("dirich:spec/sparc", 0x5d6a4b1e344e048e),
-    ("dirich:falcon/sparc", 0x495dd3bab447ebdb),
+    ("dirich:spec/sparc", 0xed7bb5c0b4a06c79),
+    ("dirich:falcon/sparc", 0x0ae2308b7470b254),
     ("dirich:mcc/mips", 0x1abeb908e47c89a7),
     ("dirich:jit/mips", 0x498739334cb2ee7d),
-    ("dirich:spec/mips", 0xf2b536aa4c7cd545),
-    ("dirich:falcon/mips", 0x86916b6aa824a47a),
+    ("dirich:spec/mips", 0xeda588538df9c9a9),
+    ("dirich:falcon/mips", 0x14b1e9b8158962e0),
     ("dirich:jit/no-ranges", 0x87597d6ad8824f97),
     ("dirich:jit/no-min-shapes", 0xd8338aefecc373a1),
     ("dirich:jit/spill-everything", 0xbad1760268ab80a5),
     ("finedif:mcc/sparc", 0xf1f3974e3c37e038),
     ("finedif:jit/sparc", 0xc1a399a77e9fd7dd),
-    ("finedif:spec/sparc", 0xf07b0ecb34fd1649),
-    ("finedif:falcon/sparc", 0x86a194e6ec2f331d),
+    ("finedif:spec/sparc", 0xaa903136f945fe66),
+    ("finedif:falcon/sparc", 0xda77dce4e3a078f4),
     ("finedif:mcc/mips", 0xf1f3974e3c37e038),
     ("finedif:jit/mips", 0xc1a399a77e9fd7dd),
-    ("finedif:spec/mips", 0xd5ce2d1f863f4adc),
-    ("finedif:falcon/mips", 0xa43618155c82649e),
+    ("finedif:spec/mips", 0x0b7599c05532a009),
+    ("finedif:falcon/mips", 0x01d21d6ae671f861),
     ("finedif:jit/no-ranges", 0x4e79bc7af4848a53),
     ("finedif:jit/no-min-shapes", 0x569eda5d5e6d2104),
     ("finedif:jit/spill-everything", 0x6db7c70e1a3fc9ad),
     ("galrkn:mcc/sparc", 0x393c1e4fbd14f11c),
     ("galrkn:jit/sparc", 0x11ec9c0f101de023),
-    ("galrkn:spec/sparc", 0x29ddd939f0cf84bb),
-    ("galrkn:falcon/sparc", 0x2b843c14ce4bb83c),
+    ("galrkn:spec/sparc", 0x517a6dd1795665b3),
+    ("galrkn:falcon/sparc", 0x9e40f69616e1bae6),
     ("galrkn:mcc/mips", 0x393c1e4fbd14f11c),
     ("galrkn:jit/mips", 0x11ec9c0f101de023),
-    ("galrkn:spec/mips", 0x4a50565116bb22a5),
-    ("galrkn:falcon/mips", 0x526ab5a59efdf748),
+    ("galrkn:spec/mips", 0xff2ab1b4c84cfcfa),
+    ("galrkn:falcon/mips", 0xfb884a8bf5652174),
     ("galrkn:jit/no-ranges", 0xd6a7598de9dbe1e9),
     ("galrkn:jit/no-min-shapes", 0x21f8c289b28460c1),
     ("galrkn:jit/spill-everything", 0x1890288753579bdf),
     ("icn:mcc/sparc", 0x12a84a25eaecedd0),
     ("icn:jit/sparc", 0x01961094109bd0f9),
-    ("icn:spec/sparc", 0x7f3970d04d0fadfd),
-    ("icn:falcon/sparc", 0xa2a982862fada101),
+    ("icn:spec/sparc", 0x6ce4797b265f09d2),
+    ("icn:falcon/sparc", 0x5f06ff3bae90898c),
     ("icn:mcc/mips", 0x12a84a25eaecedd0),
     ("icn:jit/mips", 0x01961094109bd0f9),
-    ("icn:spec/mips", 0x036edf0503809015),
-    ("icn:falcon/mips", 0x489e767ccbb281e9),
+    ("icn:spec/mips", 0x03e6d7df0ff7974e),
+    ("icn:falcon/mips", 0xae1915907d23cb6c),
     ("icn:jit/no-ranges", 0x1ab82ab2efd211e8),
     ("icn:jit/no-min-shapes", 0x85af0a573430cce2),
     ("icn:jit/spill-everything", 0x006e8d219fa86865),
     ("mei:mcc/sparc", 0x416e9212a919319b),
     ("mei:jit/sparc", 0x74d89722b8e8d403),
-    ("mei:spec/sparc", 0x945f4b4ae892f04d),
-    ("mei:falcon/sparc", 0x566fb3e046db5d5c),
+    ("mei:spec/sparc", 0xf250612984d5bc17),
+    ("mei:falcon/sparc", 0xd9d73f22da3c86f0),
     ("mei:mcc/mips", 0x416e9212a919319b),
     ("mei:jit/mips", 0x74d89722b8e8d403),
-    ("mei:spec/mips", 0x36f54bfc7d4d05e7),
-    ("mei:falcon/mips", 0x6fdb1bce5de220f0),
+    ("mei:spec/mips", 0x0bcc985a16ae9750),
+    ("mei:falcon/mips", 0x8ba1f07e7e138d75),
     ("mei:jit/no-ranges", 0xdf6e7405ca1336a1),
     ("mei:jit/no-min-shapes", 0x49845a8187b5a74b),
     ("mei:jit/spill-everything", 0x0e4d592cb91f45a6),
     ("orbec:mcc/sparc", 0xee2e3ef9c86b7841),
     ("orbec:jit/sparc", 0x088b0f1ee6d1ed76),
-    ("orbec:spec/sparc", 0x41ea80da3cd7856b),
-    ("orbec:falcon/sparc", 0x7b5e34bf05fe89a8),
+    ("orbec:spec/sparc", 0xca83316206811446),
+    ("orbec:falcon/sparc", 0xd90893f729c20969),
     ("orbec:mcc/mips", 0xee2e3ef9c86b7841),
     ("orbec:jit/mips", 0x088b0f1ee6d1ed76),
-    ("orbec:spec/mips", 0x5854dd4cc5d7edfe),
-    ("orbec:falcon/mips", 0xd0f5e50f9f3ef1ad),
+    ("orbec:spec/mips", 0x2b62042e476798b5),
+    ("orbec:falcon/mips", 0xd86f02bf7eb02cc0),
     ("orbec:jit/no-ranges", 0x1460b5aa384c83cc),
     ("orbec:jit/no-min-shapes", 0xb8b3bbf74d21053d),
     ("orbec:jit/spill-everything", 0x49d6ea206957e7fb),
     ("orbrk:mcc/sparc", 0x59354b61a88a602f),
     ("orbrk:jit/sparc", 0x87e890bd464d3792),
-    ("orbrk:spec/sparc", 0xe2266969b6a7f2ae),
-    ("orbrk:falcon/sparc", 0xe394d6df70378432),
+    ("orbrk:spec/sparc", 0x5bc2e8de9d5ba588),
+    ("orbrk:falcon/sparc", 0x7d776a9e9f782ebb),
     ("orbrk:mcc/mips", 0x59354b61a88a602f),
     ("orbrk:jit/mips", 0x87e890bd464d3792),
-    ("orbrk:spec/mips", 0x4e7b75d2e228dd32),
-    ("orbrk:falcon/mips", 0x785746de534da816),
+    ("orbrk:spec/mips", 0x0486cb8acbfbcc09),
+    ("orbrk:falcon/mips", 0xe97425ee421e7ce6),
     ("orbrk:jit/no-ranges", 0x94bde9f0a6f2a099),
     ("orbrk:jit/no-min-shapes", 0x304dfec35d089723),
     ("orbrk:jit/spill-everything", 0xb44e2963161ead49),
     ("qmr:mcc/sparc", 0xac0a6513b36dc261),
     ("qmr:jit/sparc", 0x911847d2f8f12fb3),
-    ("qmr:spec/sparc", 0xf448f5d2f12911f4),
-    ("qmr:falcon/sparc", 0xc695c0393ddb67a4),
+    ("qmr:spec/sparc", 0xe6939af3f16242c8),
+    ("qmr:falcon/sparc", 0x09693c6ac2000ef8),
     ("qmr:mcc/mips", 0xac0a6513b36dc261),
     ("qmr:jit/mips", 0x911847d2f8f12fb3),
-    ("qmr:spec/mips", 0x63aa26f7fe3cb8cf),
-    ("qmr:falcon/mips", 0xaebe8160bcf06f24),
+    ("qmr:spec/mips", 0x4eb938f16b5bcb1f),
+    ("qmr:falcon/mips", 0xb9629c1540c0c3d5),
     ("qmr:jit/no-ranges", 0x8a66e937880057a1),
     ("qmr:jit/no-min-shapes", 0x1deac911367ec192),
     ("qmr:jit/spill-everything", 0xb1e860614d66915c),
     ("sor:mcc/sparc", 0x72d802980fec434b),
     ("sor:jit/sparc", 0x453e491b03beb48d),
-    ("sor:spec/sparc", 0x9f91d9f4e013bea2),
-    ("sor:falcon/sparc", 0xedb777e98e89ff23),
+    ("sor:spec/sparc", 0x5cf081d4a8f17bde),
+    ("sor:falcon/sparc", 0x8f06c8ce6e71a358),
     ("sor:mcc/mips", 0x72d802980fec434b),
     ("sor:jit/mips", 0x453e491b03beb48d),
-    ("sor:spec/mips", 0x3a9886909e520e17),
-    ("sor:falcon/mips", 0x9e437cad8dcbe7ff),
+    ("sor:spec/mips", 0x7ac819df28d96792),
+    ("sor:falcon/mips", 0x974158326a638b42),
     ("sor:jit/no-ranges", 0xfe5bb5ee428c7139),
     ("sor:jit/no-min-shapes", 0x952802b7652032ad),
     ("sor:jit/spill-everything", 0x8c6c7dc396f1aceb),
     ("ackermann:mcc/sparc", 0x320df9545cc1f7bc),
-    ("ackermann:jit/sparc", 0xb6d5db269082c2c8),
-    ("ackermann:spec/sparc", 0xb88a7b56ecb84c86),
-    ("ackermann:falcon/sparc", 0x99c988d76fbb4da4),
+    ("ackermann:jit/sparc", 0xf20cfc1be516761c),
+    ("ackermann:spec/sparc", 0x01310fd8b7026baa),
+    ("ackermann:falcon/sparc", 0xb4e1a1a1153f0556),
     ("ackermann:mcc/mips", 0x320df9545cc1f7bc),
-    ("ackermann:jit/mips", 0xbe1acc1efc5b9de0),
-    ("ackermann:spec/mips", 0x0d67890d8fa10f8e),
-    ("ackermann:falcon/mips", 0xdc4232684e09c932),
-    ("ackermann:jit/no-ranges", 0xb6d5db269082c2c8),
-    ("ackermann:jit/no-min-shapes", 0x77a5d560376470ea),
-    ("ackermann:jit/spill-everything", 0x00f9afd13c9af45c),
+    ("ackermann:jit/mips", 0x1b47876acbb4806b),
+    ("ackermann:spec/mips", 0xa70b0aca6327b1f1),
+    ("ackermann:falcon/mips", 0xf4e975c2aa213a51),
+    ("ackermann:jit/no-ranges", 0xf20cfc1be516761c),
+    ("ackermann:jit/no-min-shapes", 0xd9329c978cd2611a),
+    ("ackermann:jit/spill-everything", 0x1b2427355ca72748),
     ("fractal:mcc/sparc", 0x9af8c894ab3e28c1),
     ("fractal:jit/sparc", 0x87097e99a3395ddb),
-    ("fractal:spec/sparc", 0xb083245b80676d48),
-    ("fractal:falcon/sparc", 0x1625701986541a39),
+    ("fractal:spec/sparc", 0x6da4b8748384817b),
+    ("fractal:falcon/sparc", 0x7d4b2b5712d0467a),
     ("fractal:mcc/mips", 0x9af8c894ab3e28c1),
     ("fractal:jit/mips", 0x87097e99a3395ddb),
-    ("fractal:spec/mips", 0x47eaf847e97d477c),
-    ("fractal:falcon/mips", 0x8a1d5fe46ba7ed25),
+    ("fractal:spec/mips", 0xd9b7535fddf50aac),
+    ("fractal:falcon/mips", 0x4b4d0c4bcd52640f),
     ("fractal:jit/no-ranges", 0x87097e99a3395ddb),
     ("fractal:jit/no-min-shapes", 0xd1b6210cdd5bee74),
     ("fractal:jit/spill-everything", 0x41733982ddfd6ae9),
     ("mandel:mcc/sparc", 0x38f3a1cbb434bcef),
     ("mandel:jit/sparc", 0x4139c1205aea551a),
-    ("mandel:spec/sparc", 0x57e279c25ce308eb),
-    ("mandel:falcon/sparc", 0x2866e66a8f7216fd),
+    ("mandel:spec/sparc", 0x9bf081b8e3eb33b3),
+    ("mandel:falcon/sparc", 0x94db151ceee9df8b),
     ("mandel:mcc/mips", 0x38f3a1cbb434bcef),
     ("mandel:jit/mips", 0x4139c1205aea551a),
-    ("mandel:spec/mips", 0x1f7ba4d39bf728e6),
-    ("mandel:falcon/mips", 0x7d6abebe1985a080),
+    ("mandel:spec/mips", 0x9cd8f6cf9c3d1cba),
+    ("mandel:falcon/mips", 0x1c96848f509d3d48),
     ("mandel:jit/no-ranges", 0x565b835a0a287eab),
     ("mandel:jit/no-min-shapes", 0xb753a01c17fa0d65),
     ("mandel:jit/spill-everything", 0x090364df98dfe0d5),
     ("fibonacci:mcc/sparc", 0x1d404fe82a1ebf8b),
     ("fibonacci:jit/sparc", 0x0f9e70024558a254),
-    ("fibonacci:spec/sparc", 0x7f805635ae66e1d7),
-    ("fibonacci:falcon/sparc", 0xc1f88968aaa0583c),
+    ("fibonacci:spec/sparc", 0x966c475371925ea6),
+    ("fibonacci:falcon/sparc", 0x4214cae7917db77b),
     ("fibonacci:mcc/mips", 0x1d404fe82a1ebf8b),
     ("fibonacci:jit/mips", 0x0f9e70024558a254),
-    ("fibonacci:spec/mips", 0xa3278b5889d4b345),
-    ("fibonacci:falcon/mips", 0x2a4a6b0e74304864),
+    ("fibonacci:spec/mips", 0x793e9d87c73b49c2),
+    ("fibonacci:falcon/mips", 0x4a7c5dbec3ca2f6f),
     ("fibonacci:jit/no-ranges", 0x0f9e70024558a254),
     ("fibonacci:jit/no-min-shapes", 0x414fb00c35a49366),
     ("fibonacci:jit/spill-everything", 0x10e2c2f64aebb872),

@@ -3,9 +3,11 @@
 //! promoted to tier-1 by the hotness profile. This is the paper's
 //! safety invariant (§2.2.1: a wrong guess "never affects program
 //! correctness") applied to the recompilation tier: promotion may only
-//! change how fast an answer arrives, never the answer.
+//! change how fast an answer arrives, never the answer. Tier 1 is
+//! checked on both platforms: SPARC's passes are DCE alone, MIPS's are
+//! LICM then DCE.
 
-use majic::{ExecMode, Majic};
+use majic::{EngineOptions, ExecMode, Majic, Platform};
 use majic_bench::{all, digest};
 
 const SCALE: f64 = 0.02;
@@ -23,7 +25,9 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                 // Some benchmarks carry state across calls (mei and fern
                 // advance the global `rand` stream), so each arm B call
                 // is compared against the arm A call at the same point
-                // in the sequence — never across call counts.
+                // in the sequence — never across call counts. The
+                // platform only changes tier-1 passes, so one arm A
+                // serves both.
                 let mut t0 = Majic::with_mode(ExecMode::Jit);
                 t0.options.tier.enabled = false;
                 t0.load_source(b.source).unwrap();
@@ -33,27 +37,43 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                 );
                 let second = digest(&t0.call(b.entry, &args, 1).unwrap()[0]);
 
-                // Arm B: promote everything the profile touches, then
-                // call again so tier-1 code actually dispatches.
-                let mut tiered = Majic::with_mode(ExecMode::Jit);
-                tiered.options.tier.threshold = 1;
-                tiered.load_source(b.source).unwrap();
-                let cold = digest(&tiered.call(b.entry, &args, 1).unwrap()[0]);
-                assert_eq!(first, cold, "{}: tier-0 run diverged", b.name);
-                tiered.background().wait();
-                let [_, t1_versions] = tiered.repository().tier_versions();
-                assert!(
-                    t1_versions > 0,
-                    "{}: nothing promoted at threshold 1",
-                    b.name
-                );
-                let hot = digest(&tiered.call(b.entry, &args, 1).unwrap()[0]);
-                assert_eq!(second, hot, "{}: tier-1 result differs from tier-0", b.name);
-                assert!(
-                    tiered.repository().stats().tier1_hits > 0,
-                    "{}: promoted version never dispatched",
-                    b.name
-                );
+                // Arm B, per platform: promote everything the profile
+                // touches, then call again so tier-1 code actually
+                // dispatches.
+                for platform in [Platform::Sparc, Platform::Mips] {
+                    let mut tiered = Majic::with_options(
+                        EngineOptions::builder()
+                            .mode(ExecMode::Jit)
+                            .platform(platform)
+                            .build(),
+                    );
+                    tiered.options.tier.threshold = 1;
+                    tiered.load_source(b.source).unwrap();
+                    let cold = digest(&tiered.call(b.entry, &args, 1).unwrap()[0]);
+                    assert_eq!(
+                        first, cold,
+                        "{} ({platform:?}): tier-0 run diverged",
+                        b.name
+                    );
+                    tiered.background().wait();
+                    let [_, t1_versions] = tiered.repository().tier_versions();
+                    assert!(
+                        t1_versions > 0,
+                        "{} ({platform:?}): nothing promoted at threshold 1",
+                        b.name
+                    );
+                    let hot = digest(&tiered.call(b.entry, &args, 1).unwrap()[0]);
+                    assert_eq!(
+                        second, hot,
+                        "{} ({platform:?}): tier-1 result differs from tier-0",
+                        b.name
+                    );
+                    assert!(
+                        tiered.repository().stats().tier1_hits > 0,
+                        "{} ({platform:?}): promoted version never dispatched",
+                        b.name
+                    );
+                }
             }
         })
         .unwrap()

@@ -13,7 +13,7 @@
 //!   performed. Register allocation is done using the linear-scan
 //!   register allocator";
 //! * the **optimizing pipeline** — the same selection followed by the
-//!   `majic-ir` pass set (constant folding, CSE, LICM, DCE), standing in
+//!   `majic-ir` pass set (LICM, then DCE), standing in
 //!   for the platform C/Fortran compiler of the paper's speculative
 //!   backend.
 //!
@@ -71,7 +71,7 @@ mod tests {
     use super::*;
     use majic_analysis::disambiguate;
     use majic_infer::{infer_jit, Annotations, InferOptions, NoOracle};
-    use majic_ir::{GenOp, Inst, VarBinding};
+    use majic_ir::{passes, FBinOp, GenOp, Inst, VarBinding};
     use majic_runtime::builtins::Builtin;
     use majic_types::{Intrinsic, Signature, Type};
     use std::collections::HashSet;
@@ -141,5 +141,44 @@ mod tests {
             })
             .collect();
         assert_eq!(checked, [false, true]);
+    }
+
+    /// Selection records nested loops inner first, so one `optimize`
+    /// call hoists an inner-loop invariant into the inner preheader and
+    /// then, visiting the outer loop, into the outer preheader.
+    #[test]
+    fn one_optimize_hoists_an_invariant_out_of_nested_loops() {
+        let src =
+            "function s = f(a, b, n)\ns = 0;\nfor i = 1:n\nfor j = 1:n\ns = s + a * b;\nend\nend\n";
+        let file = majic_ast::parse_source(src).unwrap();
+        let known: HashSet<String> = file.functions.iter().map(|f| f.name.clone()).collect();
+        let d = disambiguate(&file.functions[0], &known);
+        let real = Type::scalar(Intrinsic::Real);
+        let sig = Signature::new(vec![real; 3]);
+        let ann = infer_jit(&d, &sig, InferOptions::default(), &NoOracle);
+        let mut func = compile(&d, &ann, &CodegenOptions::optimizing()).unwrap();
+        let [inner, outer] = &func.loops[..] else {
+            panic!("expected two loops, got {:?}", func.loops);
+        };
+        assert!(
+            outer.blocks.contains(&inner.preheader),
+            "inner loop listed first"
+        );
+        let outer_preheader = outer.preheader.index();
+
+        let is_mul = |i: &Inst| {
+            matches!(
+                i,
+                Inst::FBin {
+                    op: FBinOp::Mul,
+                    ..
+                }
+            )
+        };
+        passes::optimize(&mut func, CodegenOptions::optimizing().passes);
+        let homes: Vec<usize> = (0..func.blocks.len())
+            .filter(|&b| func.blocks[b].insts.iter().any(is_mul))
+            .collect();
+        assert_eq!(homes, [outer_preheader]);
     }
 }

@@ -26,7 +26,7 @@
 use crate::engine::signature_of;
 #[cfg(test)]
 use crate::RuntimeError;
-use crate::{ExecMode, Majic, RuntimeResult, Value};
+use crate::{EngineOptions, ExecMode, Majic, Platform, RuntimeResult, Value};
 use majic_repo::NO_SESSION;
 use majic_runtime::{Complex, Matrix};
 use majic_types::Type;
@@ -117,7 +117,9 @@ impl DiffReport {
 /// Labels of the modes [`run_case`] exercises, in order. `"warm"` is
 /// the persistent-cache round trip: a JIT session saves its repository's
 /// manifest to disk and a second session replays it and calls through
-/// the replayed tier-1 code.
+/// the replayed tier-1 code. `"spec"` runs on the default SPARC platform
+/// and `"falcon"` on MIPS, so both optimizing pipelines are exercised:
+/// DCE alone, and LICM then DCE.
 pub const DIFF_MODE_LABELS: [&str; 6] = ["interp", "mcc", "jit", "spec", "warm", "falcon"];
 
 /// Run `case` through every execution mode and compare behaviours.
@@ -130,13 +132,23 @@ pub fn run_case(case: &DiffCase) -> DiffReport {
     let mut outcomes = Vec::with_capacity(DIFF_MODE_LABELS.len());
     let mut divergences = Vec::new();
 
-    let baseline = run_mode(case, ExecMode::Interpret, "interp");
+    let options = |mode, platform| {
+        EngineOptions::builder()
+            .mode(mode)
+            .platform(platform)
+            .build()
+    };
+    let baseline = run_mode(
+        case,
+        options(ExecMode::Interpret, Platform::Sparc),
+        "interp",
+    );
     for (mode, label) in [
         (ExecMode::Mcc, "mcc"),
         (ExecMode::Jit, "jit"),
         (ExecMode::Spec, "spec"),
     ] {
-        let run = run_mode(case, mode, label);
+        let run = run_mode(case, options(mode, Platform::Sparc), label);
         compare(&baseline.0, &run.0, &mut divergences);
         check_soundness(case, &run, &mut divergences);
         outcomes.push(run.0);
@@ -148,7 +160,7 @@ pub fn run_case(case: &DiffCase) -> DiffReport {
         outcomes.push(run.0);
     }
     {
-        let run = run_mode(case, ExecMode::Falcon, "falcon");
+        let run = run_mode(case, options(ExecMode::Falcon, Platform::Mips), "falcon");
         compare(&baseline.0, &run.0, &mut divergences);
         check_soundness(case, &run, &mut divergences);
         outcomes.push(run.0);
@@ -164,8 +176,9 @@ pub fn run_case(case: &DiffCase) -> DiffReport {
 /// types of the version the repository would dispatch to.
 struct ModeRun(ModeOutcome, Option<Vec<Type>>);
 
-fn run_mode(case: &DiffCase, mode: ExecMode, label: &'static str) -> ModeRun {
-    let mut session = Majic::with_mode(mode);
+fn run_mode(case: &DiffCase, options: EngineOptions, label: &'static str) -> ModeRun {
+    let mode = options.mode;
+    let mut session = Majic::with_options(options);
     if let Err(e) = session.load_source(&case.source) {
         let printed = session.take_printed();
         return ModeRun(

@@ -453,10 +453,12 @@ impl Session {
         self.next_node_id = self.next_node_id.max(file.node_count);
         if !file.functions.is_empty() {
             let ctx = Arc::make_mut(&mut self.ctx);
-            for f in &file.functions {
+            let mut names = Vec::with_capacity(file.functions.len());
+            for f in file.functions {
                 ctx.known.insert(f.name.clone());
                 ctx.registry.insert(f.name.clone(), f.clone());
-                self.interp.define_function(f.clone());
+                names.push(f.name.clone());
+                self.interp.define_function(f);
             }
             // Source changed → namespaces move (repository dependency
             // tracking). Unchanged functions keep their hash, their
@@ -472,14 +474,14 @@ impl Session {
             ctx.interpreted = interpreted;
             // Warm start: now that the authoritative source is known,
             // manifest entries whose closure hash still matches replay.
-            for f in &file.functions {
-                self.install_cached(&f.name);
+            for name in &names {
+                self.install_cached(name);
             }
             // A speculating pool snoops newly loaded sources (the paper's
             // "source directory snoop"): speculate on them right away.
             if let Some(pool) = self.service.state.pool().filter(|p| p.snoop) {
-                for f in &file.functions {
-                    pool.submit(self.job_spec(&f.name, None));
+                for name in &names {
+                    pool.submit(self.job_spec(name, None));
                 }
             }
         }

@@ -83,8 +83,8 @@ pub enum FBinOp {
 }
 
 impl FBinOp {
-    /// Evaluate on two doubles. The VM and the constant folder both call
-    /// this; the builtin cases share [`scalar`] with the runtime library.
+    /// Evaluate on two doubles. The VM calls this; the builtin cases
+    /// share [`scalar`] with the runtime library.
     #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
         match self {
@@ -887,8 +887,7 @@ macro_rules! operand_table {
 
 impl Inst {
     /// Is this a pure `F`-class computation (no side effects, result
-    /// depends only on `F` inputs)? These are the CSE/LICM/DCE
-    /// candidates.
+    /// depends only on `F` inputs)? These are the LICM/DCE candidates.
     pub fn pure_f(&self) -> bool {
         matches!(
             self,

@@ -15,8 +15,8 @@
 //!
 //! Code is a list of [`Block`]s with explicit terminators plus loop
 //! metadata recorded by the code generator; the optimizing backend's
-//! passes ([`passes`]) — constant folding, local CSE, loop-invariant
-//! code motion, dead-code elimination — run on this form. Register
+//! passes ([`passes`]) — loop-invariant code motion, then dead-code
+//! elimination — run on this form. Register
 //! numbers are virtual until `majic-vm`'s linear-scan allocator assigns
 //! physical registers and spill slots.
 

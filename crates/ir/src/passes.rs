@@ -2,16 +2,13 @@
 //!
 //! The paper's speculative pipeline leans on a slow, aggressive backend
 //! (the platform C/Fortran compiler at `-O`-max). These passes are our
-//! equivalent: constant folding, local common-subexpression elimination,
-//! loop-invariant code motion and dead-code elimination over the pure
-//! `F`-register subset of the IR. They are deliberately *not* run by the
+//! equivalent: loop-invariant code motion and dead-code elimination over
+//! the pure `F`-register subset of the IR. They are deliberately *not* run by the
 //! JIT pipeline — "no loop optimizations or instruction scheduling are
 //! performed" there (§2.6) — which is exactly the JIT-vs-optimized gap
 //! the evaluation measures.
 
-use crate::inst::{
-    Access, FBinOp, FUnOp, Function, Inst, InstOperand, Reg, Terminator, VarBinding,
-};
+use crate::inst::{Access, Function, Inst, InstOperand, Reg, Terminator, VarBinding};
 use std::collections::HashMap;
 
 /// The `F` register `i` writes, if any (an instruction writes at most one).
@@ -37,10 +34,6 @@ fn for_each_f_use(i: &Inst, mut use_reg: impl FnMut(Reg)) {
 /// Which passes to run.
 #[derive(Clone, Copy, Debug)]
 pub struct PassOptions {
-    /// Constant folding.
-    pub const_fold: bool,
-    /// Local common-subexpression elimination.
-    pub cse: bool,
     /// Loop-invariant code motion.
     pub licm: bool,
     /// Dead-code elimination.
@@ -51,8 +44,6 @@ impl PassOptions {
     /// Everything on (the optimizing backend).
     pub fn all() -> PassOptions {
         PassOptions {
-            const_fold: true,
-            cse: true,
             licm: true,
             dce: true,
         }
@@ -61,102 +52,22 @@ impl PassOptions {
     /// Everything off (the JIT backend).
     pub fn none() -> PassOptions {
         PassOptions {
-            const_fold: false,
-            cse: false,
             licm: false,
             dce: false,
         }
     }
 }
 
-/// Run the selected passes to a fixpoint (two rounds are enough for the
-/// pass set's interactions: folding exposes CSE, CSE exposes DCE).
+/// Run the selected passes once: LICM, then DCE. One round suffices:
+/// `f.loops` lists inner loops first, so an invariant hoisted into an
+/// inner preheader is hoisted again when its enclosing loop is visited,
+/// and DCE iterates to its own fixpoint.
 pub fn optimize(f: &mut Function, opts: PassOptions) {
-    for _ in 0..2 {
-        if opts.const_fold {
-            const_fold(f);
-        }
-        if opts.cse {
-            local_cse(f);
-        }
-        if opts.licm {
-            licm(f);
-        }
-        if opts.dce {
-            dce(f);
-        }
+    if opts.licm {
+        licm(f);
     }
-}
-
-/// Fold constant `F` computations, block-locally.
-pub fn const_fold(f: &mut Function) {
-    for block in &mut f.blocks {
-        let mut known: HashMap<Reg, f64> = HashMap::new();
-        for inst in &mut block.insts {
-            let replacement = match &*inst {
-                Inst::FConst { d, v } => Some((*d, *v)),
-                Inst::FMov { d, s } => known.get(s).copied().map(|v| (*d, v)),
-                Inst::FBin { op, d, a, b } => match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => Some((*d, op.apply(x, y))),
-                    _ => None,
-                },
-                Inst::FUn { op, d, s } => known.get(s).map(|&x| (*d, op.apply(x))),
-                Inst::FCmp { op, d, a, b } => match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => Some((*d, f64::from(op.apply(x, y)))),
-                    _ => None,
-                },
-                _ => None,
-            };
-            if let Some((d, v)) = replacement {
-                known.insert(d, v);
-                *inst = Inst::FConst { d, v };
-            } else if let Some(d) = f_def(inst) {
-                known.remove(&d);
-            }
-        }
-    }
-}
-
-/// Expression key for local CSE.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum ExprKey {
-    Bin(FBinOp, Reg, Reg),
-    Un(FUnOp, Reg),
-    Cmp(crate::CmpOp, Reg, Reg),
-    Const(u64),
-}
-
-/// Local (per-block) common-subexpression elimination on pure `F` ops.
-pub fn local_cse(f: &mut Function) {
-    for block in &mut f.blocks {
-        let mut available: HashMap<ExprKey, Reg> = HashMap::new();
-        for inst in &mut block.insts {
-            let key = match inst {
-                Inst::FBin { op, a, b, .. } => Some(ExprKey::Bin(*op, *a, *b)),
-                Inst::FUn { op, s, .. } => Some(ExprKey::Un(*op, *s)),
-                Inst::FCmp { op, a, b, .. } => Some(ExprKey::Cmp(*op, *a, *b)),
-                Inst::FConst { v, .. } => Some(ExprKey::Const(v.to_bits())),
-                _ => None,
-            };
-            let Some(d) = f_def(inst) else { continue };
-            let prev = key.and_then(|k| available.get(&k).copied());
-            if let Some(prev) = prev.filter(|&p| p != d) {
-                *inst = Inst::FMov { d, s: prev };
-            }
-            // The redefinition of d invalidates entries built on d.
-            available.retain(|k, v| *v != d && !key_uses(k, d));
-            if let Some(key) = key.filter(|k| !key_uses(k, d)) {
-                available.insert(key, prev.unwrap_or(d));
-            }
-        }
-    }
-}
-
-fn key_uses(k: &ExprKey, r: Reg) -> bool {
-    match k {
-        ExprKey::Bin(_, a, b) | ExprKey::Cmp(_, a, b) => *a == r || *b == r,
-        ExprKey::Un(_, s) => *s == r,
-        ExprKey::Const(_) => false,
+    if opts.dce {
+        dce(f);
     }
 }
 
@@ -263,7 +174,7 @@ pub fn dce(f: &mut Function) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{Block, BlockId, LoopInfo};
+    use crate::inst::{Block, BlockId, FBinOp, LoopInfo};
 
     fn func(blocks: Vec<Block>) -> Function {
         Function {
@@ -285,56 +196,6 @@ mod tests {
 
     fn konst(d: u32, v: f64) -> Inst {
         Inst::FConst { d: Reg(d), v }
-    }
-
-    #[test]
-    fn const_folding_collapses_chains() {
-        let mut f = func(vec![Block {
-            insts: vec![
-                konst(0, 2.0),
-                konst(1, 3.0),
-                bin(FBinOp::Mul, 2, 0, 1),
-                bin(FBinOp::Add, 3, 2, 2),
-            ],
-            term: Terminator::Return,
-        }]);
-        const_fold(&mut f);
-        assert_eq!(f.blocks[0].insts[2], konst(2, 6.0));
-        assert_eq!(f.blocks[0].insts[3], konst(3, 12.0));
-    }
-
-    #[test]
-    fn cse_reuses_common_subexpressions() {
-        let mut f = func(vec![Block {
-            insts: vec![
-                bin(FBinOp::Add, 2, 0, 1),
-                bin(FBinOp::Add, 3, 0, 1), // same expr
-            ],
-            term: Terminator::Return,
-        }]);
-        local_cse(&mut f);
-        assert_eq!(
-            f.blocks[0].insts[1],
-            Inst::FMov {
-                d: Reg(3),
-                s: Reg(2)
-            }
-        );
-    }
-
-    #[test]
-    fn cse_respects_redefinition() {
-        let mut f = func(vec![Block {
-            insts: vec![
-                bin(FBinOp::Add, 2, 0, 1),
-                konst(0, 9.0), // redefines an input
-                bin(FBinOp::Add, 3, 0, 1),
-            ],
-            term: Terminator::Return,
-        }]);
-        local_cse(&mut f);
-        // Second add must NOT become a move.
-        assert_eq!(f.blocks[0].insts[2], bin(FBinOp::Add, 3, 0, 1));
     }
 
     #[test]
@@ -441,21 +302,48 @@ mod tests {
     }
 
     #[test]
-    fn optimize_pipeline_composes() {
-        let mut f = func(vec![Block {
-            insts: vec![
-                konst(0, 2.0),
-                konst(1, 3.0),
-                bin(FBinOp::Mul, 2, 0, 1),
-                bin(FBinOp::Mul, 3, 0, 1), // CSE → then folded/dead
-                bin(FBinOp::Add, 4, 2, 3),
-            ],
-            term: Terminator::Return,
-        }]);
+    fn optimize_hoists_then_drops_dead_code() {
+        // r3 = r0*r1 is invariant and feeds the accumulator; r5 = r3+r3
+        // is invariant too but unread. LICM hoists both into block 0,
+        // then DCE drops r5 there.
+        let mut f = func(vec![
+            Block {
+                insts: vec![konst(0, 2.0), konst(1, 3.0), konst(4, 0.0)],
+                term: Terminator::Jump(BlockId(1)),
+            },
+            Block {
+                insts: vec![
+                    bin(FBinOp::Mul, 3, 0, 1),
+                    bin(FBinOp::Add, 5, 3, 3),
+                    bin(FBinOp::Add, 4, 4, 3),
+                ],
+                term: Terminator::Branch {
+                    cond: Reg(4),
+                    then_bb: BlockId(1),
+                    else_bb: BlockId(2),
+                },
+            },
+            Block {
+                insts: vec![],
+                term: Terminator::Return,
+            },
+        ]);
+        f.loops = vec![LoopInfo {
+            preheader: BlockId(0),
+            header: BlockId(1),
+            blocks: vec![BlockId(1)],
+        }];
         f.outputs = vec![VarBinding::F(Reg(4))];
         optimize(&mut f, PassOptions::all());
-        // Everything folds to constants; the output def remains.
-        let last = f.blocks[0].insts.last().unwrap();
-        assert_eq!(*last, konst(4, 12.0));
+        assert_eq!(
+            f.blocks[0].insts,
+            [
+                konst(0, 2.0),
+                konst(1, 3.0),
+                konst(4, 0.0),
+                bin(FBinOp::Mul, 3, 0, 1)
+            ]
+        );
+        assert_eq!(f.blocks[1].insts, [bin(FBinOp::Add, 4, 4, 3)]);
     }
 }

@@ -1,9 +1,9 @@
 //! The one definition of each scalar builtin that is more than a single
 //! IEEE operation.
 //!
-//! The builtins map these over matrices, the VM executes them for the
-//! `F`-register instructions and the IR constant folder evaluates them
-//! at compile time, so every execution mode computes the same bits.
+//! The builtins map these over matrices and the VM executes them for
+//! the `F`-register instructions, so every execution mode computes the
+//! same bits.
 //! They are `#[inline]` because the VM's dispatch loop calls them across
 //! the crate boundary.
 
