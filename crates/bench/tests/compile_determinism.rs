@@ -339,16 +339,16 @@ const EXPECTED: &[(&str, u64)] = &[
     ("sor:jit/no-min-shapes", 0x952802b7652032ad),
     ("sor:jit/spill-everything", 0x8c6c7dc396f1aceb),
     ("ackermann:mcc/sparc", 0x320df9545cc1f7bc),
-    ("ackermann:jit/sparc", 0xf20cfc1be516761c),
-    ("ackermann:spec/sparc", 0x01310fd8b7026baa),
-    ("ackermann:falcon/sparc", 0xb4e1a1a1153f0556),
+    ("ackermann:jit/sparc", 0xc3d400f67351e4ef),
+    ("ackermann:spec/sparc", 0xa3e6a943ca873eec),
+    ("ackermann:falcon/sparc", 0xd92fd219878cc65a),
     ("ackermann:mcc/mips", 0x320df9545cc1f7bc),
-    ("ackermann:jit/mips", 0x1b47876acbb4806b),
-    ("ackermann:spec/mips", 0xa70b0aca6327b1f1),
-    ("ackermann:falcon/mips", 0xf4e975c2aa213a51),
-    ("ackermann:jit/no-ranges", 0xf20cfc1be516761c),
-    ("ackermann:jit/no-min-shapes", 0xd9329c978cd2611a),
-    ("ackermann:jit/spill-everything", 0x1b2427355ca72748),
+    ("ackermann:jit/mips", 0xc3d400f67351e4ef),
+    ("ackermann:spec/mips", 0xa3e6a943ca873eec),
+    ("ackermann:falcon/mips", 0xd92fd219878cc65a),
+    ("ackermann:jit/no-ranges", 0xc3d400f67351e4ef),
+    ("ackermann:jit/no-min-shapes", 0xcde2d5732ec12c13),
+    ("ackermann:jit/spill-everything", 0xbd8093b45833f5c6),
     ("fractal:mcc/sparc", 0x9af8c894ab3e28c1),
     ("fractal:jit/sparc", 0x87097e99a3395ddb),
     ("fractal:spec/sparc", 0x6da4b8748384817b),
@@ -372,14 +372,14 @@ const EXPECTED: &[(&str, u64)] = &[
     ("mandel:jit/no-min-shapes", 0xb753a01c17fa0d65),
     ("mandel:jit/spill-everything", 0x090364df98dfe0d5),
     ("fibonacci:mcc/sparc", 0x1d404fe82a1ebf8b),
-    ("fibonacci:jit/sparc", 0x0f9e70024558a254),
-    ("fibonacci:spec/sparc", 0x966c475371925ea6),
-    ("fibonacci:falcon/sparc", 0x4214cae7917db77b),
+    ("fibonacci:jit/sparc", 0xd314f894bd037299),
+    ("fibonacci:spec/sparc", 0xa4e91b36b8bf7eec),
+    ("fibonacci:falcon/sparc", 0x64b6b4a75c5ce70d),
     ("fibonacci:mcc/mips", 0x1d404fe82a1ebf8b),
-    ("fibonacci:jit/mips", 0x0f9e70024558a254),
-    ("fibonacci:spec/mips", 0x793e9d87c73b49c2),
-    ("fibonacci:falcon/mips", 0x4a7c5dbec3ca2f6f),
-    ("fibonacci:jit/no-ranges", 0x0f9e70024558a254),
-    ("fibonacci:jit/no-min-shapes", 0x414fb00c35a49366),
-    ("fibonacci:jit/spill-everything", 0x10e2c2f64aebb872),
+    ("fibonacci:jit/mips", 0xd314f894bd037299),
+    ("fibonacci:spec/mips", 0xa4e91b36b8bf7eec),
+    ("fibonacci:falcon/mips", 0x64b6b4a75c5ce70d),
+    ("fibonacci:jit/no-ranges", 0xd314f894bd037299),
+    ("fibonacci:jit/no-min-shapes", 0x54fe0797b71fbaff),
+    ("fibonacci:jit/spill-everything", 0xef9095991f739d2f),
 ];

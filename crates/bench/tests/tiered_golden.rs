@@ -8,7 +8,8 @@
 //! LICM then DCE.
 
 use majic::{EngineOptions, ExecMode, Majic, Platform};
-use majic_bench::{all, digest};
+use majic_bench::{all, by_name, digest};
+use majic_trace::audit::CodegenSummary;
 
 const SCALE: f64 = 0.02;
 
@@ -72,6 +73,60 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                         tiered.repository().stats().tier1_hits > 0,
                         "{} ({platform:?}): promoted version never dispatched",
                         b.name
+                    );
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// ROADMAP item 6 on the recursive programs, read from the audit log's
+/// codegen summaries rather than the clock: on MIPS, where tier 1 runs
+/// LICM, every tier-1 version of `ackermann` and `fibonacci` has no `F`
+/// spill and no more instructions than the tier-0 version compiled for
+/// the same signature. The inliner's single-trip loops are straight-line
+/// code, so LICM has nothing to hoist across the unrolled recursion.
+#[test]
+fn recursive_tier1_versions_spill_nothing_and_grow_nothing() {
+    std::thread::Builder::new()
+        .stack_size(256 * 1024 * 1024)
+        .spawn(|| {
+            for name in ["ackermann", "fibonacci"] {
+                let b = by_name(name).unwrap();
+                let mut m = Majic::with_options(
+                    EngineOptions::builder()
+                        .mode(ExecMode::Jit)
+                        .platform(Platform::Mips)
+                        .build(),
+                );
+                m.service().set_audit(true);
+                m.options.tier.threshold = 1;
+                m.load_source(b.source).unwrap();
+                m.call(b.entry, &(b.args)(SCALE), 1).unwrap();
+                m.background().wait();
+                let why = m.explain(b.entry);
+                let summaries = |tier: u8| -> Vec<(String, CodegenSummary)> {
+                    why.records
+                        .iter()
+                        .filter(|r| r.tier == Some(tier))
+                        .map(|r| (r.signature.clone(), r.codegen.expect("codegen ran")))
+                        .collect()
+                };
+                let (t0, t1) = (summaries(0), summaries(1));
+                assert!(!t1.is_empty(), "{name}: nothing promoted\n{}", why.report);
+                for (sig, hot) in &t1 {
+                    let (_, cold) = t0
+                        .iter()
+                        .find(|(s, _)| s == sig)
+                        .unwrap_or_else(|| panic!("{name}{sig}: no tier-0 version"));
+                    assert_eq!(hot.f_spills, 0, "{name}{sig}: tier 1 spills");
+                    assert!(
+                        hot.instructions <= cold.instructions,
+                        "{name}{sig}: tier 1 has {} instructions, tier 0 {}",
+                        hot.instructions,
+                        cold.instructions
                     );
                 }
             }

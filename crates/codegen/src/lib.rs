@@ -69,12 +69,13 @@ impl CodegenOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use majic_analysis::disambiguate;
+    use majic_analysis::{disambiguate, inline_function, InlineOptions};
+    use majic_ast::Function;
     use majic_infer::{infer_jit, Annotations, InferOptions, NoOracle};
     use majic_ir::{passes, FBinOp, GenOp, Inst, VarBinding};
     use majic_runtime::builtins::Builtin;
     use majic_types::{Intrinsic, Signature, Type};
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     /// Without type information selection produces the `mcc` baseline:
     /// every variable lives in a slot, every operation is one generic
@@ -180,5 +181,59 @@ mod tests {
             .filter(|&b| func.blocks[b].insts.iter().any(is_mul))
             .collect();
         assert_eq!(homes, [outer_preheader]);
+    }
+
+    /// The inliner wraps an early-returning callee in `for once = 1:1`.
+    /// Selection lowers that loop as straight-line code, so only the
+    /// real loop records a `LoopInfo`, and one `optimize` still hoists
+    /// an invariant out of the single-trip body into the real loop's
+    /// preheader.
+    #[test]
+    fn inlined_single_trip_loop_records_no_loop_info() {
+        let src = "function s = f(a, b, n)\ns = 0;\nfor i = 1:n\ns = s + g(a, b, i);\nend\n\
+                   function r = g(a, b, i)\nt = a * b;\nr = t;\nif i > 2\nreturn;\nend\nr = r + i;\n";
+        let file = majic_ast::parse_source(src).unwrap();
+        let known: HashSet<String> = file.functions.iter().map(|f| f.name.clone()).collect();
+        let registry: HashMap<String, Function> = file
+            .functions
+            .iter()
+            .map(|f| (f.name.clone(), f.clone()))
+            .collect();
+        let mut next = file.node_count;
+        let inlined = inline_function(
+            &file.functions[0],
+            &registry,
+            InlineOptions::default(),
+            &mut next,
+        );
+        assert!(format!("{inlined}").contains("for __inl"), "{inlined}");
+        let d = disambiguate(&inlined, &known);
+        let real = Type::scalar(Intrinsic::Real);
+        let ann = infer_jit(
+            &d,
+            &Signature::new(vec![real; 3]),
+            InferOptions::default(),
+            &NoOracle,
+        );
+        let mut func = compile(&d, &ann, &CodegenOptions::optimizing()).unwrap();
+        let [real_loop] = &func.loops[..] else {
+            panic!("expected the real loop alone, got {:?}", func.loops);
+        };
+        let preheader = real_loop.preheader.index();
+        passes::optimize(&mut func, CodegenOptions::optimizing().passes);
+        let homes: Vec<usize> = (0..func.blocks.len())
+            .filter(|&b| {
+                func.blocks[b].insts.iter().any(|i| {
+                    matches!(
+                        i,
+                        Inst::FBin {
+                            op: FBinOp::Mul,
+                            ..
+                        }
+                    )
+                })
+            })
+            .collect();
+        assert_eq!(homes, [preheader]);
     }
 }

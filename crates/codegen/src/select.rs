@@ -157,8 +157,18 @@ struct Gen<'a> {
     /// results). These outlive a single consumption and must never be
     /// moved out of.
     persistent_slots: Vec<Slot>,
-    /// (continue target, break target) of enclosing loops.
-    loop_stack: Vec<(BlockId, BlockId)>,
+    /// Where `break` and `continue` go in each enclosing loop.
+    loop_stack: Vec<LoopExits>,
+}
+
+/// The targets of `break` and `continue` inside one loop.
+enum LoopExits {
+    /// A real loop: `continue` jumps to `cont`, `break` to `exit`.
+    Loop { cont: BlockId, exit: BlockId },
+    /// A single-trip loop lowered straight: both leave the body. Its
+    /// exit block is allocated after the body, so the blocks that jump
+    /// there wait here for its id.
+    Once(Vec<BlockId>),
 }
 
 impl<'a> Gen<'a> {
@@ -578,7 +588,7 @@ impl<'a> Gen<'a> {
                     else_bb: exit,
                 });
                 self.switch_to(body_bb);
-                self.loop_stack.push((header, exit));
+                self.loop_stack.push(LoopExits::Loop { cont: header, exit });
                 self.block(body);
                 self.loop_stack.pop();
                 self.seal(Terminator::Jump(header));
@@ -598,20 +608,16 @@ impl<'a> Gen<'a> {
                 iter,
                 body,
             } => self.for_stmt(var, *var_id, iter, body),
-            StmtKind::Break => {
-                if let Some(&(_, exit)) = self.loop_stack.last() {
-                    self.seal(Terminator::Jump(exit));
-                } else {
-                    self.seal(Terminator::Return);
-                }
-                let dead = self.new_block();
-                self.switch_to(dead);
-            }
-            StmtKind::Continue => {
-                if let Some(&(latch, _)) = self.loop_stack.last() {
-                    self.seal(Terminator::Jump(latch));
-                } else {
-                    self.seal(Terminator::Return);
+            StmtKind::Break | StmtKind::Continue => {
+                let is_break = matches!(s.kind, StmtKind::Break);
+                match self.loop_stack.last_mut() {
+                    Some(LoopExits::Loop { cont, exit }) => {
+                        let target = if is_break { *exit } else { *cont };
+                        self.seal(Terminator::Jump(target));
+                    }
+                    // Sealed when the exit block exists.
+                    Some(LoopExits::Once(pending)) => pending.push(self.cur),
+                    None => self.seal(Terminator::Return),
                 }
                 let dead = self.new_block();
                 self.switch_to(dead);
@@ -783,10 +789,10 @@ impl<'a> Gen<'a> {
             .is_some()
     }
 
-    /// The shell every `for` loop shares: a header testing
-    /// `counter op bound`, a body that `bind` opens by setting the loop
-    /// variable, and a latch adding `step` (a fresh 1 when `None`) to
-    /// the counter.
+    /// The shell every `for` loop but a single-trip one shares: a
+    /// header testing `counter op bound`, a body that `bind` opens by
+    /// setting the loop variable, and a latch adding `step` (a fresh 1
+    /// when `None`) to the counter.
     fn for_loop(
         &mut self,
         op: CmpOp,
@@ -821,7 +827,7 @@ impl<'a> Gen<'a> {
         });
         self.switch_to(body_bb);
         bind(self);
-        self.loop_stack.push((latch, exit));
+        self.loop_stack.push(LoopExits::Loop { cont: latch, exit });
         self.block(body);
         self.loop_stack.pop();
         self.seal(Terminator::Jump(latch));
@@ -848,6 +854,32 @@ impl<'a> Gen<'a> {
         self.switch_to(exit);
     }
 
+    /// `for k = c:c` over one finite real literal runs its body once,
+    /// so it is lowered as straight-line code: set `k`, emit the body,
+    /// and send `break` and `continue` to an exit block. The exit is
+    /// allocated *after* the body, so block ids (linear scan's position
+    /// order) still follow execution order; the blocks that leave early
+    /// are sealed once its id is known. There is no header, latch or
+    /// [`LoopInfo`]: with no back-edge, LICM has nothing to hoist out.
+    /// The inliner wraps every early-returning callee in such a loop.
+    fn single_trip(&mut self, var: Reg, c: f64, body: &[Stmt]) {
+        self.emit(Inst::FConst { d: var, v: c });
+        self.loop_stack.push(LoopExits::Once(Vec::new()));
+        self.block(body);
+        let Some(LoopExits::Once(pending)) = self.loop_stack.pop() else {
+            unreachable!("loop stack unbalanced")
+        };
+        if pending.is_empty() {
+            return;
+        }
+        let exit = self.new_block();
+        self.seal(Terminator::Jump(exit));
+        for b in pending {
+            self.func.blocks[b.index()].term = Terminator::Jump(exit);
+        }
+        self.switch_to(exit);
+    }
+
     /// Bind a loop variable to this trip's real value `k`.
     fn bind_loop_var(&mut self, var: VarId, k: Reg) {
         match self.var_loc(var) {
@@ -864,6 +896,12 @@ impl<'a> Gen<'a> {
         }
     }
 
+    /// Lower `for var = iter`, picking the first form that applies:
+    /// straight-line code for a literal one-element range `c:c` with a
+    /// register loop variable ([`Gen::single_trip`]); a direct-form loop
+    /// counting in the variable itself for a literal integer step the
+    /// body never overwrites; a counted loop for any other scalar range;
+    /// and otherwise a loop over the columns of the evaluated `iter`.
     fn for_stmt(&mut self, var: &str, var_id: NodeId, iter: &Expr, body: &[Stmt]) {
         let var_vid = self.d.table.var_id(var).expect("interned");
         let elem_t = self.ann.ty(var_id);
@@ -871,6 +909,17 @@ impl<'a> Gen<'a> {
         // Counted-loop fast path: `for k = a:s:b` with scalar bounds and a
         // register-class loop variable.
         if let ExprKind::Range { start, step, stop } = &iter.kind {
+            if let (None, Some(a), Some(b), VarLoc::F(kreg)) = (
+                step,
+                real_literal(start),
+                real_literal(stop),
+                self.var_loc(var_vid),
+            ) {
+                if a == b && a.is_finite() {
+                    self.single_trip(kreg, a, body);
+                    return;
+                }
+            }
             let bounds_scalar = self.ann.ty(start.id).is_scalar()
                 && self.ann.ty(stop.id).is_scalar()
                 && step.as_ref().is_none_or(|s| self.ann.ty(s.id).is_scalar());
@@ -882,23 +931,7 @@ impl<'a> Gen<'a> {
                 // with three fewer instructions per trip.
                 let static_step: Option<f64> = match step {
                     None => Some(1.0),
-                    Some(st) => match st.kind {
-                        ExprKind::Number {
-                            value,
-                            imaginary: false,
-                        } if value.fract() == 0.0 && value != 0.0 => Some(value),
-                        ExprKind::Unary {
-                            op: UnOp::Neg,
-                            ref operand,
-                        } => match operand.kind {
-                            ExprKind::Number {
-                                value,
-                                imaginary: false,
-                            } if value.fract() == 0.0 && value != 0.0 => Some(-value),
-                            _ => None,
-                        },
-                        _ => None,
-                    },
+                    Some(st) => real_literal(st).filter(|v| v.fract() == 0.0 && *v != 0.0),
                 };
                 if let (Some(step_v), VarLoc::F(kreg)) = (static_step, self.var_loc(var_vid)) {
                     if !assigned_names(body).any(|n| n == var) {
@@ -1880,6 +1913,24 @@ fn decompose_gemv_term<'e>(g: &Gen<'_>, e: &'e Expr) -> Option<GemvTerm<'e>> {
             mat: None,
             vec: Some(e),
         }),
+        _ => None,
+    }
+}
+
+/// The value of a real numeric literal, or of `-` applied to one.
+fn real_literal(e: &Expr) -> Option<f64> {
+    let (negate, e) = match &e.kind {
+        ExprKind::Unary {
+            op: UnOp::Neg,
+            operand,
+        } => (true, &**operand),
+        _ => (false, e),
+    };
+    match e.kind {
+        ExprKind::Number {
+            value,
+            imaginary: false,
+        } => Some(if negate { -value } else { value }),
         _ => None,
     }
 }

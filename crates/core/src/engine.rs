@@ -426,15 +426,14 @@ pub(crate) struct EngineDispatcher<'a> {
     pub(crate) times: &'a mut PhaseTimes,
     pub(crate) next_node_id: &'a mut u32,
     pub(crate) depth: usize,
-    /// Hotness noted during this dispatch (local dedup only — the
-    /// service-wide dedup happens when the session drains `hot` after
-    /// the top-level call, so no service lock is held while user code
-    /// runs).
-    pub(crate) noted: HashSet<(String, String)>,
     /// Versions that crossed the hotness threshold during this
-    /// dispatch; the session drains them into the background pool after
-    /// the top-level call returns.
+    /// dispatch, each once; the session drains them into the background
+    /// pool after the top-level call returns (the service-wide dedup
+    /// happens there, so no service lock is held while user code runs).
     pub(crate) hot: Vec<(String, Signature)>,
+    /// The signature of the call being dispatched, refilled in place by
+    /// every [`Dispatcher::call_user`].
+    pub(crate) sig: Signature,
 }
 
 /// The inference oracle: callee output types come from the repository,
@@ -459,8 +458,9 @@ impl EngineDispatcher<'_> {
     /// JIT code whose hotness crossed the threshold. Called right after
     /// an execution, when the counters are fresh. Dedup here is local
     /// to the dispatch (recursive calls would otherwise note the same
-    /// version thousands of times); the session checks the service-wide
-    /// promotion set when it drains `hot`.
+    /// version thousands of times) and scans the few entries of `hot`,
+    /// so only a first sighting allocates; the session checks the
+    /// service-wide promotion set when it drains `hot`.
     pub(crate) fn note_hot(&mut self, name: &str, v: &CompiledVersion) {
         let tier = &self.ctx.options.tier;
         if !tier.enabled
@@ -470,8 +470,11 @@ impl EngineDispatcher<'_> {
         {
             return;
         }
-        let key = (name.to_owned(), v.signature.to_string());
-        if self.noted.insert(key) {
+        if !self
+            .hot
+            .iter()
+            .any(|(n, sig)| n == name && *sig == v.signature)
+        {
             self.hot.push((name.to_owned(), v.signature.clone()));
         }
     }
@@ -819,8 +822,11 @@ impl Dispatcher for EngineDispatcher<'_> {
         if self.depth > 4000 {
             return Err(RuntimeError::Raised("recursion limit exceeded".to_owned()));
         }
-        let sig = signature_of(args);
-        let version = self.ensure_code(name, &sig)?;
+        let mut sig = std::mem::take(&mut self.sig);
+        sig.refill(args.iter().map(Value::type_of));
+        let version = self.ensure_code(name, &sig);
+        self.sig = sig;
+        let version = version?;
         self.depth += 1;
         let r = execute(&version.code, args, nargout, self, ctx);
         self.depth -= 1;

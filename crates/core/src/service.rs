@@ -637,11 +637,13 @@ impl Session {
             times: &mut self.times,
             next_node_id: &mut self.next_node_id,
             depth: 0,
-            noted: HashSet::new(),
             hot: Vec::new(),
+            sig: Signature::empty(),
         };
         let sig = signature_of(args);
         let version = disp.ensure_code(name, &sig)?;
+        // Nested calls refill this signature's buffer.
+        disp.sig = sig;
         let sp = majic_trace::Span::enter("execution");
         let r = execute(
             &version.code,
@@ -1190,5 +1192,46 @@ mod tests {
             "warm session's first call must dispatch the kept version"
         );
         assert!(stats.shared_hits > 0);
+    }
+
+    /// A recursive call that crosses the hotness threshold queues each
+    /// version it ran for promotion exactly once, however often the
+    /// version ran after crossing it.
+    #[test]
+    fn recursive_call_queues_one_promotion_per_hot_version() {
+        let options = EngineOptions::builder().mode(ExecMode::Jit).build();
+        let mut s = CompilerService::with_options(options).session();
+        s.options.tier.threshold = 1;
+        s.load_source(
+            "function r = fib(n)\nif n < 2\nr = n;\nelse\nr = fib(n - 1) + fib(n - 2);\nend\n",
+        )
+        .unwrap();
+        s.sync_ctx();
+        let mut disp = EngineDispatcher {
+            ctx: &s.ctx,
+            repo: &s.service.state.repo,
+            times: &mut s.times,
+            next_node_id: &mut s.next_node_id,
+            depth: 0,
+            hot: Vec::new(),
+            sig: Signature::empty(),
+        };
+        let out = majic_vm::Dispatcher::call_user(
+            &mut disp,
+            "fib",
+            &[Value::scalar(12.0)],
+            1,
+            &mut s.interp.ctx,
+        )
+        .unwrap();
+        assert_eq!(out, [Value::scalar(144.0)]);
+        let hot = disp.hot;
+        let repo = &s.service.state.repo;
+        let versions = repo.version_count_ns("fib", s.ctx.ns("fib"));
+        assert_eq!(hot.len(), versions, "{hot:?}");
+        for (k, (name, sig)) in hot.iter().enumerate() {
+            assert_eq!(name, "fib");
+            assert!(!hot[..k].iter().any(|(_, seen)| seen == sig), "{sig} twice");
+        }
     }
 }

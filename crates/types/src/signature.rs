@@ -27,6 +27,12 @@ impl Signature {
         Signature { params: Vec::new() }
     }
 
+    /// Replace the parameter types with `params`, reusing the buffer.
+    pub fn refill(&mut self, params: impl IntoIterator<Item = Type>) {
+        self.params.clear();
+        self.params.extend(params);
+    }
+
     /// Number of parameters.
     pub fn arity(&self) -> usize {
         self.params.len()

@@ -8,6 +8,7 @@ use majic_ir::{
 use majic_runtime::builtins::{Builtin, CallCtx};
 use majic_runtime::ops::{self, Cmp, Subscript};
 use majic_runtime::{linalg, Complex, Matrix, RuntimeError, RuntimeResult, Value};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::regalloc::{NUM_C_REGS, NUM_F_REGS};
@@ -266,15 +267,66 @@ impl Executable {
     }
 }
 
+/// The most frames a thread keeps for reuse. A recursion deeper than
+/// this allocates the frames below it and frees them on return.
+const MAX_RETAINED_FRAMES: usize = 64;
+
+thread_local! {
+    /// Frames of finished invocations on this thread, handed to the next
+    /// [`execute`]. None holds a value: slots are emptied when a frame
+    /// comes back, and the argument buffer is empty between calls.
+    static FRAMES: RefCell<Vec<Machine>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One invocation's frame: register files, spill areas, value slots,
+/// and the argument vector its user calls refill.
 struct Machine {
     f: Vec<f64>,
     c: Vec<Complex>,
     fspill: Vec<f64>,
     cspill: Vec<Complex>,
     slots: Vec<Option<Value>>,
+    args: Vec<Value>,
 }
 
 impl Machine {
+    /// A frame for `exe` with zeroed registers and spills and empty
+    /// slots, taken from this thread's free list when it holds one.
+    fn acquire(exe: &Executable) -> Machine {
+        let mut m = FRAMES
+            .with(|frames| frames.borrow_mut().pop())
+            .unwrap_or_else(|| Machine {
+                f: vec![0.0; NUM_F_REGS as usize],
+                c: vec![Complex::ZERO; NUM_C_REGS as usize],
+                fspill: Vec::new(),
+                cspill: Vec::new(),
+                slots: Vec::new(),
+                args: Vec::new(),
+            });
+        m.f.fill(0.0);
+        m.c.fill(Complex::ZERO);
+        m.fspill.clear();
+        m.fspill.resize(exe.f_spill as usize, 0.0);
+        m.cspill.clear();
+        m.cspill.resize(exe.c_spill as usize, Complex::ZERO);
+        // Released frames hold no values, so this only sizes.
+        m.slots.resize(exe.slots as usize, None);
+        m
+    }
+
+    /// Return the frame to this thread's free list, dropping its values
+    /// first: a value kept alive here would make the caller's next
+    /// store into it copy the buffer. Past the cap the frame is freed.
+    fn release(mut self) {
+        self.slots.clear();
+        FRAMES.with(|frames| {
+            let mut frames = frames.borrow_mut();
+            if frames.len() < MAX_RETAINED_FRAMES {
+                frames.push(self);
+            }
+        });
+    }
+
     /// Read an `F` register. Register numbers come from the allocator and
     /// are always inside the fixed register file.
     #[inline(always)]
@@ -375,14 +427,22 @@ pub fn execute(
     disp: &mut dyn Dispatcher,
     ctx: &mut CallCtx,
 ) -> RuntimeResult<Vec<Value>> {
-    let mut m = Machine {
-        f: vec![0.0; NUM_F_REGS as usize],
-        c: vec![Complex::ZERO; NUM_C_REGS as usize],
-        fspill: vec![0.0; exe.f_spill as usize],
-        cspill: vec![Complex::ZERO; exe.c_spill as usize],
-        slots: vec![None; exe.slots as usize],
-    };
+    let mut m = Machine::acquire(exe);
+    let r = execute_in(exe, &mut m, args, nargout, disp, ctx);
+    m.release();
+    r
+}
 
+/// [`execute`] on the frame `m`, which the caller releases on every
+/// exit path.
+fn execute_in(
+    exe: &Executable,
+    m: &mut Machine,
+    args: &[Value],
+    nargout: usize,
+    disp: &mut dyn Dispatcher,
+    ctx: &mut CallCtx,
+) -> RuntimeResult<Vec<Value>> {
     // Bind parameters.
     for (k, b) in exe.params.iter().enumerate() {
         let arg = match args.get(k) {
@@ -405,7 +465,7 @@ pub fn execute(
     // Opt-in execution profiling: the disabled cost is one relaxed load
     // here plus a branch on a local per step inside `run_loop`.
     let mut prof = majic_trace::vm_profile_enabled().then(VmProfile::default);
-    let run = run_loop(exe, &mut m, disp, ctx, prof.as_mut());
+    let run = run_loop(exe, m, disp, ctx, prof.as_mut());
     if let Some(p) = prof {
         // Flush on the error path too: a profile of a crashing program
         // is exactly what the profiler is for.
@@ -1046,10 +1106,19 @@ fn exec_gen(
             store_results(dsts, outs, m, b.name())
         }
         GenOp::CallUser(name) => {
-            let vals: RuntimeResult<Vec<Value>> =
-                args.iter().map(|a| operand_value(a, m)).collect();
-            let outs = disp.call_user(name, &vals?, dsts.len(), ctx)?;
-            store_results(dsts, outs, m, name)
+            // The frame's argument vector, refilled per call and emptied
+            // before the results land so no argument outlives the call.
+            let mut vals = std::mem::take(&mut m.args);
+            let outs = args
+                .iter()
+                .try_for_each(|a| {
+                    vals.push(operand_value(a, m)?);
+                    Ok(())
+                })
+                .and_then(|()| disp.call_user(name, &vals, dsts.len(), ctx));
+            vals.clear();
+            m.args = vals;
+            store_results(dsts, outs?, m, name)
         }
         GenOp::ResolveAmbiguous(name) => {
             // Paper §2.1: ambiguous symbols are deferred to runtime — the
@@ -1524,5 +1593,110 @@ mod tests {
         };
         let out = run(&f, &[]).unwrap();
         assert_eq!(out, vec![Value::scalar(3.0)]);
+    }
+
+    /// A function of one block whose output lives in slot 0.
+    fn slot_output(name: &str, insts: Vec<Inst>) -> Executable {
+        let mut f = Function {
+            name: name.into(),
+            blocks: vec![Block {
+                insts,
+                term: Terminator::Return,
+            }],
+            f_regs: 1,
+            slots: 1,
+            outputs: vec![VarBinding::Slot(Slot(0))],
+            ..Function::default()
+        };
+        let (fs, cs) = allocate(&mut f, RegAllocMode::LinearScan);
+        Executable::new(&f, fs, cs)
+    }
+
+    /// A call of an unknown user function, which [`NoDispatch`] refuses.
+    fn failing_call() -> Inst {
+        Inst::Gen {
+            op: GenOp::CallUser("missing".into()),
+            dsts: vec![],
+            args: vec![],
+        }
+    }
+
+    /// A frame that raised after writing its output slot goes back to
+    /// the free list empty: the next call on this thread, which leaves
+    /// its output unassigned, still raises instead of returning the
+    /// stale value.
+    #[test]
+    fn reused_frame_keeps_no_value_of_a_raising_call() {
+        let writes_then_raises = slot_output(
+            "raises",
+            vec![
+                Inst::FConst { d: Reg(0), v: 7.0 },
+                Inst::FToSlot {
+                    slot: Slot(0),
+                    s: Reg(0),
+                },
+                failing_call(),
+            ],
+        );
+        let assigns_nothing = slot_output("silent", vec![]);
+        let mut ctx = CallCtx::new();
+        let err = execute(&writes_then_raises, &[], 1, &mut NoDispatch, &mut ctx).unwrap_err();
+        assert_eq!(err, RuntimeError::Undefined("missing".into()));
+        let err = execute(&assigns_nothing, &[], 1, &mut NoDispatch, &mut ctx).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::Raised("output argument of 'silent' not assigned".into())
+        );
+    }
+
+    /// Recursion deeper than [`MAX_RETAINED_FRAMES`] allocates the extra
+    /// frames and drops them on return: the free list fills to the cap
+    /// and no further.
+    #[test]
+    fn retained_frames_stay_within_the_cap() {
+        /// Re-enters `exe` until `left` reaches zero, then returns 0.
+        struct Recurse<'a> {
+            exe: &'a Executable,
+            left: usize,
+        }
+        impl Dispatcher for Recurse<'_> {
+            fn call_user(
+                &mut self,
+                _name: &str,
+                args: &[Value],
+                nargout: usize,
+                ctx: &mut CallCtx,
+            ) -> RuntimeResult<Vec<Value>> {
+                if self.left == 0 {
+                    return Ok(vec![Value::scalar(0.0)]);
+                }
+                self.left -= 1;
+                let exe = self.exe;
+                execute(exe, args, nargout, self, ctx)
+            }
+        }
+        std::thread::Builder::new()
+            .stack_size(64 * 1024 * 1024)
+            .spawn(|| {
+                let exe = slot_output(
+                    "deep",
+                    vec![Inst::Gen {
+                        op: GenOp::CallUser("deep".into()),
+                        dsts: vec![Slot(0)],
+                        args: vec![],
+                    }],
+                );
+                let mut disp = Recurse {
+                    exe: &exe,
+                    left: 3 * MAX_RETAINED_FRAMES,
+                };
+                let out = execute(&exe, &[], 1, &mut disp, &mut CallCtx::new()).unwrap();
+                assert_eq!(out, vec![Value::scalar(0.0)]);
+                let retained = FRAMES.with(|frames| frames.borrow().len());
+                assert_eq!(retained, MAX_RETAINED_FRAMES);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }
