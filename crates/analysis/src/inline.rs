@@ -8,9 +8,12 @@
 //!
 //! Strategy: calls in expression position are hoisted into temporary
 //! assignments; the callee body is spliced in with all local variables
-//! renamed, wrapped in a single-trip `for` loop so that top-level
-//! `return`s become `break`s. Functions whose `return` sits inside one of
-//! their own loops, or that touch globals, are not inlined.
+//! renamed. A body with a top-level `return` is wrapped in a single-trip
+//! `for __inlN_once = 1:1` loop so that its `return`s become `break`s;
+//! the code selector lowers that loop as straight-line code, with no
+//! back-edge and nothing for loop-invariant code motion to hoist.
+//! Functions whose `return` sits inside one of their own loops, or that
+//! touch globals, are not inlined.
 //!
 //! The "copies of the actual parameters" taken for written formals are
 //! plain assignments (`__inlN_p = actual;`). With the runtime's
