@@ -2,7 +2,8 @@
 //! mcc / FALCON / MaJIC-JIT(+codegen time) / MaJIC-speculative over the
 //! interpreter, per benchmark, log-scale in the paper.
 
-use majic_bench::{all, harness, Mode};
+use majic::ExecMode;
+use majic_bench::{all, harness};
 
 fn main() {
     let _trace = harness::trace_from_env();
@@ -16,9 +17,14 @@ fn main() {
         "benchmark", "ti (ms)", "mmc", "falcon", "jit+gen", "spec"
     );
     for b in all() {
-        let ti = harness::measure(&b, Mode::Interp, &cfg).runtime;
+        let ti = harness::measure(&b, ExecMode::Interpret, &cfg).runtime;
         let mut row = format!("{:<10} {:>9.1}", b.name, ti.as_secs_f64() * 1e3);
-        for mode in [Mode::Mcc, Mode::Falcon, Mode::Jit, Mode::Spec] {
+        for mode in [
+            ExecMode::Mcc,
+            ExecMode::Falcon,
+            ExecMode::Jit,
+            ExecMode::Spec,
+        ] {
             let tc = harness::measure(&b, mode, &cfg).runtime;
             let s = ti.as_secs_f64() / tc.as_secs_f64().max(1e-9);
             row.push(' ');

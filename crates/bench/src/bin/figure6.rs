@@ -2,7 +2,8 @@
 //! JIT-compiled benchmark's runtime goes to disambiguation, type
 //! inference, code generation and actual execution.
 
-use majic_bench::{all, harness, Mode};
+use majic::ExecMode;
+use majic_bench::{all, harness};
 
 fn main() {
     let _trace = harness::trace_from_env();
@@ -17,7 +18,7 @@ fn main() {
         "benchmark", "disamb", "typeinf", "codegen", "exec", "total (ms)"
     );
     for b in all() {
-        let m = harness::measure(&b, Mode::Jit, &cfg);
+        let m = harness::measure(&b, ExecMode::Jit, &cfg);
         let p = m.phases;
         let total = p.total().as_secs_f64().max(1e-12);
         let pct = |d: std::time::Duration| 100.0 * d.as_secs_f64() / total;

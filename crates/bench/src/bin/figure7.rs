@@ -3,8 +3,8 @@
 //! allocation ("no regalloc") — and reporting performance relative to
 //! the fully optimized JIT.
 
-use majic::{InferOptions, RegAllocMode};
-use majic_bench::{all, harness, Mode};
+use majic::{ExecMode, InferOptions, RegAllocMode};
+use majic_bench::{all, harness};
 
 fn main() {
     let _trace = harness::trace_from_env();
@@ -18,7 +18,9 @@ fn main() {
         "benchmark", "no ranges", "no min. shapes", "no regalloc"
     );
     for b in all() {
-        let full = harness::measure(&b, Mode::Jit, &cfg).runtime.as_secs_f64();
+        let full = harness::measure(&b, ExecMode::Jit, &cfg)
+            .runtime
+            .as_secs_f64();
         let mut no_ranges = cfg;
         no_ranges.infer = InferOptions {
             range_propagation: false,
@@ -32,7 +34,7 @@ fn main() {
         let mut no_regalloc = cfg;
         no_regalloc.regalloc = RegAllocMode::SpillEverything;
         let rel = |c: &harness::MeasureConfig| {
-            let t = harness::measure(&b, Mode::Jit, c).runtime.as_secs_f64();
+            let t = harness::measure(&b, ExecMode::Jit, c).runtime.as_secs_f64();
             100.0 * full / t.max(1e-12)
         };
         println!(

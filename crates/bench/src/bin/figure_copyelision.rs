@@ -26,7 +26,7 @@
 //!     [--scale X] [--runs N]
 //! ```
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 use majic_bench::harness;
 use majic_runtime::Matrix;
 use std::time::{Duration, Instant};
@@ -143,7 +143,7 @@ fn main() {
     // must not deep-copy either (the VM takes the array out of its slot
     // to store, and dead temporaries are moved, not cloned).
     let source = "function r = f(n)\na = zeros(1, n);\nfor k = 1:n\na(k) = k;\nend\nr = sum(a);\n";
-    let mut session = Majic::with_options(cfg.engine_options(ExecMode::Jit));
+    let mut session = Session::with_options(cfg.engine_options(ExecMode::Jit));
     session.load_source(source).expect("parses");
     session
         .call("f", &[Value::scalar(8.0)], 1)

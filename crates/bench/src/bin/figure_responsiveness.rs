@@ -24,14 +24,27 @@
 //! cargo run --release -p majic-bench --bin figure_responsiveness -- --workers 4
 //! ```
 
-use majic::{ExecMode, Majic, Value};
+use majic::{EngineOptions, ExecMode, Session, Value};
 use majic_bench::{all, harness, Benchmark};
 use std::time::{Duration, Instant};
 
-fn session(b: &Benchmark, cfg: &harness::MeasureConfig) -> Majic {
-    let mut m = Majic::with_options(cfg.engine_options(ExecMode::Spec));
-    m.load_source(b.source).expect("benchmark parses");
-    m
+/// `--workers N` from `argv`: the background pool size of the
+/// spec-async arm. A missing or unparsable value falls back to 2.
+fn workers_from(argv: &[String]) -> usize {
+    argv.iter()
+        .position(|a| a == "--workers")
+        .and_then(|i| argv.get(i + 1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2)
+}
+
+/// The spec-async arm's options: the measured Spec-mode options, with
+/// `workers` as [`majic::TierOptions::workers`], which sizes the pool
+/// [`Session::speculate_background`] starts.
+fn async_options(cfg: &harness::MeasureConfig, workers: usize) -> EngineOptions {
+    let mut options = cfg.engine_options(ExecMode::Spec);
+    options.tier.workers = workers;
+    options
 }
 
 /// First-call latency and result under one regime. `best_of` fresh
@@ -43,16 +56,17 @@ fn session(b: &Benchmark, cfg: &harness::MeasureConfig) -> Majic {
 /// the session, e.g. synchronous speculation).
 fn first_call(
     b: &Benchmark,
-    cfg: &harness::MeasureConfig,
+    options: EngineOptions,
     best_of: usize,
     args: &[Value],
-    setup: impl Fn(&mut Majic),
-    blocking_prepare: impl Fn(&mut Majic),
+    setup: impl Fn(&mut Session),
+    blocking_prepare: impl Fn(&mut Session),
 ) -> (Duration, f64) {
     let mut best = Duration::MAX;
     let mut result = f64::NAN;
     for _ in 0..best_of {
-        let mut m = session(b, cfg);
+        let mut m = Session::with_options(options);
+        m.load_source(b.source).expect("benchmark parses");
         setup(&mut m);
         let t0 = Instant::now();
         blocking_prepare(&mut m);
@@ -74,14 +88,11 @@ fn first_call(
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let workers: usize = {
-        let argv: Vec<String> = std::env::args().collect();
-        argv.iter()
-            .position(|a| a == "--workers")
-            .and_then(|i| argv.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2)
-    };
+    let workers = workers_from(&std::env::args().collect::<Vec<_>>());
+    let (spec, spec_async) = (
+        cfg.engine_options(ExecMode::Spec),
+        async_options(&cfg, workers),
+    );
     // First-call latency is compile-dominated, so a small problem size
     // makes the responsiveness gap starkest; override with --scale.
     let scale = cfg.scale.min(0.05);
@@ -97,10 +108,10 @@ fn main() {
     for b in all() {
         let args = (b.args)(scale);
 
-        let (t_jit, r_jit) = first_call(&b, &cfg, BEST_OF, &args, |_| {}, |_| {});
+        let (t_jit, r_jit) = first_call(&b, spec, BEST_OF, &args, |_| {}, |_| {});
         let (t_sync, r_sync) = first_call(
             &b,
-            &cfg,
+            spec,
             BEST_OF,
             &args,
             |_| {},
@@ -110,10 +121,10 @@ fn main() {
         );
         let (t_async, r_async) = first_call(
             &b,
-            &cfg,
+            spec_async,
             BEST_OF,
             &args,
-            |m| m.speculate_background(workers),
+            Session::speculate_background,
             |_| {},
         );
 
@@ -142,4 +153,32 @@ fn main() {
     ratios.sort_by(f64::total_cmp);
     let median = ratios[ratios.len() / 2];
     println!("\nmedian spec-async / jit first-call latency: {median:.2} (target ≤ 1.10)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--workers N` reaches the engine only as the spec-async arm's
+    /// `TierOptions::workers`; the other knobs stay the measured ones.
+    #[test]
+    fn workers_flag_sets_tier_workers() {
+        let cfg = harness::MeasureConfig::default();
+        for (argv, workers) in [
+            ("figure_responsiveness --workers 4", 4),
+            ("figure_responsiveness --scale 0.02 --workers 0", 0),
+            ("figure_responsiveness", 2),
+            ("figure_responsiveness --workers many", 2),
+        ] {
+            let argv: Vec<String> = argv.split(' ').map(String::from).collect();
+            let options = async_options(&cfg, workers_from(&argv));
+            assert_eq!(options.tier.workers, workers, "{argv:?}");
+            let mut tier = options.tier;
+            tier.workers = cfg.engine_options(ExecMode::Spec).tier.workers;
+            assert_eq!(
+                EngineOptions { tier, ..options },
+                cfg.engine_options(ExecMode::Spec)
+            );
+        }
+    }
 }

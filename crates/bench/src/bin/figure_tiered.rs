@@ -35,7 +35,7 @@
 //! The default platform is MIPS: the simulated SPARC backend disables
 //! loop-invariant code motion, which is part of what tier-1 buys.
 
-use majic::{ExecMode, Majic, Platform, Value};
+use majic::{ExecMode, Platform, Session, Value};
 use majic_bench::{all, digest, harness, Benchmark, Category};
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,7 @@ const MEASURED_CALLS: usize = 15;
 /// One arm mid-measurement: a prepared session plus everything it has
 /// produced so far.
 struct Arm {
-    m: Majic,
+    m: Session,
     digests: Vec<Vec<u64>>,
     samples: Vec<Duration>,
 }
@@ -62,7 +62,7 @@ impl Arm {
         let mut options = cfg.engine_options(ExecMode::Jit);
         options.tier.enabled = tiered;
         options.tier.threshold = 1;
-        let mut m = Majic::with_options(options);
+        let mut m = Session::with_options(options);
         m.load_source(b.source).expect("benchmark parses");
 
         let mut digests = Vec::new();
@@ -72,7 +72,7 @@ impl Arm {
         digests.push(digest(&out[0]));
         if tiered {
             m.background().wait();
-            let [_, t1] = m.repository().tier_versions();
+            let t1 = m.repository().stats().tier1_versions;
             assert!(t1 > 0, "{}: nothing promoted at threshold 1", b.name);
         }
         for _ in 0..WARMUP_CALLS {

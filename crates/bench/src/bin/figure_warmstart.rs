@@ -33,13 +33,13 @@
 //!     [--scale X] [--runs N]
 //! ```
 
-use majic::{CompilerService, ExecMode, Majic, Value};
+use majic::{CompilerService, ExecMode, Session, Value};
 use majic_bench::{all, digest, harness, Benchmark};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-fn session(cfg: &harness::MeasureConfig) -> Majic {
-    Majic::with_options(cfg.engine_options(ExecMode::Jit))
+fn session(cfg: &harness::MeasureConfig) -> Session {
+    Session::with_options(cfg.engine_options(ExecMode::Jit))
 }
 
 /// One timed first call. The timed window covers everything a user at a

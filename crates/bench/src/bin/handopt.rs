@@ -6,7 +6,8 @@
 //! passes are LICM then DCE; on the default SPARC platform that is DCE
 //! alone, so pass `--platform mips` to let it hoist the invariants.
 
-use majic_bench::{by_name, harness, Benchmark, Category, Mode};
+use majic::ExecMode;
+use majic_bench::{by_name, harness, Benchmark, Category};
 
 /// finedif with the inner loop unrolled ×2 and `2*(1-r2)` hoisted by
 /// hand — the transformation the paper applied manually.
@@ -56,9 +57,9 @@ fn main() {
         source: FINEDIF_HAND,
         ..stock.clone()
     };
-    let t_stock = harness::measure(&stock, Mode::Jit, &cfg).runtime;
-    let t_hand = harness::measure(&hand, Mode::Jit, &cfg).runtime;
-    let t_opt = harness::measure(&stock, Mode::Falcon, &cfg).runtime;
+    let t_stock = harness::measure(&stock, ExecMode::Jit, &cfg).runtime;
+    let t_hand = harness::measure(&hand, ExecMode::Jit, &cfg).runtime;
+    let t_opt = harness::measure(&stock, ExecMode::Falcon, &cfg).runtime;
     let _ = Category::Scalar;
     println!(
         "hand-optimization experiment (paper §5), scale {:.2}",

@@ -1,7 +1,8 @@
 //! Table 1: the benchmark inventory — name, description, problem size,
 //! line count, interpreter runtime on this host.
 
-use majic_bench::{all, harness, line_count, Mode};
+use majic::ExecMode;
+use majic_bench::{all, harness, line_count};
 
 fn main() {
     let _trace = harness::trace_from_env();
@@ -12,7 +13,7 @@ fn main() {
         "benchmark", "short description", "problem size", "lines", "runtime (s)"
     );
     for b in all() {
-        let m = harness::measure(&b, Mode::Interp, &cfg);
+        let m = harness::measure(&b, ExecMode::Interpret, &cfg);
         println!(
             "{:<10} {:<48} {:>14} {:>6} {:>12.3}",
             b.name,

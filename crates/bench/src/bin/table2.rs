@@ -2,7 +2,8 @@
 //! code generator driven by either annotation source, speedups computed
 //! without compile time.
 
-use majic_bench::{all, harness, Mode};
+use majic::ExecMode;
+use majic_bench::{all, harness};
 
 fn main() {
     let _trace = harness::trace_from_env();
@@ -13,14 +14,16 @@ fn main() {
     );
     println!("{:<10} {:>9} {:>9}", "benchmark", "spec.", "JIT");
     for b in all() {
-        let ti = harness::measure(&b, Mode::Interp, &cfg)
+        let ti = harness::measure(&b, ExecMode::Interpret, &cfg)
             .runtime
             .as_secs_f64();
         // Speculative annotations + optimizing backend, compile hidden.
-        let spec = harness::measure(&b, Mode::Spec, &cfg).runtime.as_secs_f64();
+        let spec = harness::measure(&b, ExecMode::Spec, &cfg)
+            .runtime
+            .as_secs_f64();
         // JIT annotations + the same optimizing backend = the FALCON
         // configuration (exact signature, compile excluded).
-        let jit_ann = harness::measure(&b, Mode::Falcon, &cfg)
+        let jit_ann = harness::measure(&b, ExecMode::Falcon, &cfg)
             .runtime
             .as_secs_f64();
         println!(

@@ -8,24 +8,8 @@
 //! of 3.
 
 use crate::programs::Benchmark;
-use majic::{ExecMode, Majic, Platform, RegAllocMode, Value};
+use majic::{ExecMode, Platform, RegAllocMode, Session, Value};
 use std::time::Duration;
-
-/// Measurement modes (the four bars of Figures 4/5 plus the baseline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// The interpreter baseline (`ti`).
-    Interp,
-    /// `mcc` emulation (compile time excluded — batch).
-    Mcc,
-    /// FALCON emulation (compile time excluded — batch).
-    Falcon,
-    /// MaJIC JIT (compile time **included**, the "jit+gen" bars).
-    Jit,
-    /// MaJIC speculative (ahead-of-time; only residual JIT fallbacks
-    /// count).
-    Spec,
-}
 
 /// Harness configuration.
 #[derive(Clone, Copy, Debug)]
@@ -76,21 +60,12 @@ pub struct Measurement {
     pub phases: majic::PhaseTimes,
 }
 
-fn session(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Majic {
-    let exec = match mode {
-        Mode::Interp => ExecMode::Interpret,
-        Mode::Mcc => ExecMode::Mcc,
-        Mode::Falcon => ExecMode::Falcon,
-        Mode::Jit => ExecMode::Jit,
-        Mode::Spec => ExecMode::Spec,
-    };
-    let mut m = Majic::with_options(cfg.engine_options(exec));
-    m.load_source(bench.source).expect("benchmark parses");
-    m
-}
-
-/// Run one benchmark in one mode, returning the §3.2-accounted runtime.
-pub fn measure(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Measurement {
+/// Run one benchmark in one mode, returning the §3.2-accounted runtime:
+/// the interpreter is the baseline `ti`; `mcc` and FALCON exclude their
+/// batch compile time; the JIT includes its compile time (the "jit+gen"
+/// bars); speculation compiles ahead of time, so only residual JIT
+/// fallbacks count.
+pub fn measure(bench: &Benchmark, mode: ExecMode, cfg: &MeasureConfig) -> Measurement {
     let args: Vec<Value> = (bench.args)(cfg.scale);
     let mut best: Option<Duration> = None;
     let mut first_phases = None;
@@ -98,11 +73,12 @@ pub fn measure(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Measuremen
         // A fresh session per run: the JIT bars must include compile
         // time on *every* measured run ("we started our experiments with
         // an empty repository"), while batch modes exclude it.
-        let mut m = session(bench, mode, cfg);
-        if mode == Mode::Spec {
+        let mut m = Session::with_options(cfg.engine_options(mode));
+        m.load_source(bench.source).expect("benchmark parses");
+        if mode == ExecMode::Spec {
             m.speculate_all(); // hidden, ahead-of-time
         }
-        if matches!(mode, Mode::Mcc | Mode::Falcon) {
+        if matches!(mode, ExecMode::Mcc | ExecMode::Falcon) {
             // Batch compilers build the code before the program runs;
             // warm the repository, then measure execution only.
             let _ = m.call(bench.entry, &args, 1);
@@ -112,7 +88,7 @@ pub fn measure(bench: &Benchmark, mode: Mode, cfg: &MeasureConfig) -> Measuremen
             .unwrap_or_else(|e| panic!("{} [{mode:?}]: {e}", bench.name));
         let t = match mode {
             // JIT: compile + execute. Spec: execute + any fallback JIT.
-            Mode::Jit | Mode::Spec => m.times.total(),
+            ExecMode::Jit | ExecMode::Spec => m.times.total(),
             // Interpreter and batch modes: execution only.
             _ => m.times.execution,
         };

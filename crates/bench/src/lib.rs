@@ -26,5 +26,5 @@
 pub mod harness;
 pub mod programs;
 
-pub use harness::{digest, measure, MeasureConfig, Measurement, Mode};
+pub use harness::{digest, measure, MeasureConfig, Measurement};
 pub use programs::{all, by_name, line_count, Benchmark, Category};

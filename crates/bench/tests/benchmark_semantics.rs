@@ -6,7 +6,7 @@
 //! guess … never affects program correctness") applied to the full
 //! suite, with no floating-point tolerance to hide behind.
 
-use majic::{EngineOptions, ExecMode, InferOptions, Majic, Platform, RegAllocMode, Value};
+use majic::{EngineOptions, ExecMode, InferOptions, Platform, RegAllocMode, Session, Value};
 use majic_bench::{all, digest, line_count};
 
 const SCALE: f64 = 0.05;
@@ -16,7 +16,7 @@ const SCALE: f64 = 0.05;
 /// the optimized versions actually get exercised), `None` with
 /// `ExecMode::Spec` uses the synchronous path.
 fn run(
-    mut m: Majic,
+    mut m: Session,
     spec_workers: Option<usize>,
     b: &majic_bench::Benchmark,
     args: &[Value],
@@ -27,7 +27,8 @@ fn run(
     if mode == ExecMode::Spec {
         match spec_workers {
             Some(n) => {
-                m.speculate_background(n);
+                m.options.tier.workers = n;
+                m.speculate_background();
                 m.background().wait();
             }
             None => {
@@ -55,14 +56,14 @@ fn all_benchmarks_bitwise_identical_across_modes() {
 fn all_benchmarks_bitwise_body() {
     for b in all() {
         let args = (b.args)(SCALE);
-        let reference = run(Majic::with_mode(ExecMode::Interpret), None, &b, &args);
+        let reference = run(Session::with_mode(ExecMode::Interpret), None, &b, &args);
         for mode in [
             ExecMode::Mcc,
             ExecMode::Jit,
             ExecMode::Spec,
             ExecMode::Falcon,
         ] {
-            let got = run(Majic::with_mode(mode), None, &b, &args);
+            let got = run(Session::with_mode(mode), None, &b, &args);
             assert_eq!(
                 got, reference,
                 "{} [{mode:?}]: output not bitwise identical to interpreter",
@@ -70,7 +71,7 @@ fn all_benchmarks_bitwise_body() {
             );
         }
         for (label, options) in more_configurations() {
-            let got = run(Majic::with_options(options), None, &b, &args);
+            let got = run(Session::with_options(options), None, &b, &args);
             assert_eq!(
                 got, reference,
                 "{} [{label}]: output not bitwise identical to interpreter",
@@ -80,7 +81,7 @@ fn all_benchmarks_bitwise_body() {
         // Speculation off the critical path must not change a single bit
         // either — the acceptance criterion for background compilation.
         for workers in [1, 4] {
-            let got = run(Majic::with_mode(ExecMode::Spec), Some(workers), &b, &args);
+            let got = run(Session::with_mode(ExecMode::Spec), Some(workers), &b, &args);
             assert_eq!(
                 got, reference,
                 "{} [spec, {workers} background workers]: output not bitwise identical",
@@ -161,7 +162,7 @@ fn known_values_spot_checks() {
     // fibonacci(10) = 55 via every mode's default path.
     let fib = majic_bench::by_name("fibonacci").unwrap();
     for mode in [ExecMode::Interpret, ExecMode::Jit, ExecMode::Spec] {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source(fib.source).unwrap();
         if mode == ExecMode::Spec {
             m.speculate_all();
@@ -171,7 +172,7 @@ fn known_values_spot_checks() {
     }
     // ackermann(2, 3) = 9.
     let ack = majic_bench::by_name("ackermann").unwrap();
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source(ack.source).unwrap();
     let out = m
         .call("ackermann", &[Value::scalar(2.0), Value::scalar(3.0)], 1)
@@ -179,7 +180,7 @@ fn known_values_spot_checks() {
     assert_eq!(out[0].to_scalar().unwrap(), 9.0);
     // adapt integrates sin on [0, π] → q ≈ 2.
     let adapt = majic_bench::by_name("adapt").unwrap();
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source(adapt.source).unwrap();
     let out = m
         .call("adapt", &[Value::scalar(4000.0), Value::scalar(1e-10)], 1)

@@ -10,7 +10,7 @@
 //! that format. Regenerate the table only for a change that is meant to
 //! change generated code.
 
-use majic::{EngineOptions, ExecMode, InferOptions, Majic, Platform, RegAllocMode};
+use majic::{EngineOptions, ExecMode, InferOptions, Platform, RegAllocMode, Session};
 use majic_bench::{all, by_name, Benchmark};
 use majic_types::wire::fnv1a;
 use majic_vm::Executable;
@@ -37,7 +37,7 @@ fn render(code: &Executable) -> String {
 /// keeps their renderings sorted.
 fn compile(b: &Benchmark, options: EngineOptions) -> BTreeMap<(String, String, u8), Vec<String>> {
     let mode = options.mode;
-    let mut m = Majic::with_options(options);
+    let mut m = Session::with_options(options);
     m.load_source(b.source)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
     if mode == ExecMode::Spec {
@@ -111,7 +111,7 @@ fn recursive_first_call_compiles_two_exact_versions_then_one_widened() {
         .spawn(|| {
             for name in ["ackermann", "fibonacci"] {
                 let b = by_name(name).unwrap();
-                let mut m = Majic::with_mode(ExecMode::Jit);
+                let mut m = Session::with_mode(ExecMode::Jit);
                 m.options.tier.enabled = false;
                 m.load_source(b.source).unwrap();
                 m.call(b.entry, &(b.args)(SCALE), 1).unwrap();

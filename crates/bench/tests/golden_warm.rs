@@ -6,7 +6,7 @@
 //! affects program correctness") across process lifetimes and across
 //! concurrent sessions, with no floating-point tolerance to hide behind.
 
-use majic::{CompilerService, ExecMode, Majic, Value};
+use majic::{CompilerService, ExecMode, Session, Value};
 use majic_bench::{all, digest};
 use std::path::Path;
 
@@ -17,7 +17,7 @@ const SESSIONS: usize = 4;
 const STACK: usize = 256 * 1024 * 1024;
 
 fn run(b: &majic_bench::Benchmark, args: &[Value], cache: Option<&Path>) -> (Vec<u64>, usize) {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     if let Some(path) = cache {
         m.attach_cache(path);
     }

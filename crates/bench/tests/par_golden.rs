@@ -8,7 +8,7 @@
 //! matrices actually take the parallel path instead of ducking under
 //! the size gate.
 
-use majic::{ExecMode, Majic};
+use majic::{ExecMode, Session};
 use majic_bench::{all, digest};
 use majic_runtime::par;
 use std::sync::Mutex;
@@ -25,7 +25,7 @@ fn run_all(threads: usize) -> Vec<(&'static str, Vec<u64>)> {
         .iter()
         .map(|b| {
             let args = (b.args)(SCALE);
-            let mut m = Majic::with_mode(ExecMode::Jit);
+            let mut m = Session::with_mode(ExecMode::Jit);
             m.load_source(b.source).unwrap();
             let out = m
                 .call(b.entry, &args, 1)
@@ -38,7 +38,7 @@ fn run_all(threads: usize) -> Vec<(&'static str, Vec<u64>)> {
 #[test]
 fn engine_options_threads_configures_the_pool() {
     let _guard = CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.options.threads = Some(2);
     m.load_source("function y = twice(x)\ny = 2 * x;\n")
         .unwrap();

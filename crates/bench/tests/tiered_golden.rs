@@ -7,7 +7,7 @@
 //! checked on both platforms: SPARC's passes are DCE alone, MIPS's are
 //! LICM then DCE.
 
-use majic::{EngineOptions, ExecMode, Majic, Platform};
+use majic::{EngineOptions, ExecMode, Platform, Session};
 use majic_bench::{all, by_name, digest};
 use majic_trace::audit::CodegenSummary;
 
@@ -29,7 +29,7 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                 // in the sequence — never across call counts. The
                 // platform only changes tier-1 passes, so one arm A
                 // serves both.
-                let mut t0 = Majic::with_mode(ExecMode::Jit);
+                let mut t0 = Session::with_mode(ExecMode::Jit);
                 t0.options.tier.enabled = false;
                 t0.load_source(b.source).unwrap();
                 let first = digest(
@@ -42,7 +42,7 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                 // touches, then call again so tier-1 code actually
                 // dispatches.
                 for platform in [Platform::Sparc, Platform::Mips] {
-                    let mut tiered = Majic::with_options(
+                    let mut tiered = Session::with_options(
                         EngineOptions::builder()
                             .mode(ExecMode::Jit)
                             .platform(platform)
@@ -57,7 +57,7 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                         b.name
                     );
                     tiered.background().wait();
-                    let [_, t1_versions] = tiered.repository().tier_versions();
+                    let t1_versions = tiered.repository().stats().tier1_versions;
                     assert!(
                         t1_versions > 0,
                         "{} ({platform:?}): nothing promoted at threshold 1",
@@ -95,7 +95,7 @@ fn recursive_tier1_versions_spill_nothing_and_grow_nothing() {
         .spawn(|| {
             for name in ["ackermann", "fibonacci"] {
                 let b = by_name(name).unwrap();
-                let mut m = Majic::with_options(
+                let mut m = Session::with_options(
                     EngineOptions::builder()
                         .mode(ExecMode::Jit)
                         .platform(Platform::Mips)

@@ -7,7 +7,7 @@
 //! Manhattan-distance annotations. Spans and `PhaseTimes` are fed from
 //! the *same* measurement, so the tolerance only absorbs rounding.
 
-use majic::{ExecMode, Majic};
+use majic::{ExecMode, Session};
 use majic_bench::all;
 use majic_trace::{reset, set_enabled, snapshot, EventKind};
 use std::sync::Mutex;
@@ -46,7 +46,7 @@ fn figure6_phases_reconstruct_from_trace() {
     let benchmarks = all();
     assert_eq!(benchmarks.len(), 16, "the paper's 16-benchmark suite");
     for b in &benchmarks {
-        let mut m = Majic::with_mode(ExecMode::Jit);
+        let mut m = Session::with_mode(ExecMode::Jit);
         // Hot promotion would run background tier-1 compiles whose
         // spans land in the global trace but whose PhaseTimes are
         // worker-local; this test reconstructs the *foreground*
@@ -147,7 +147,7 @@ fn chrome_export_of_real_run_is_parseable() {
     set_enabled(true);
 
     let b = majic_bench::by_name("fib").unwrap_or_else(|| all().remove(0));
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source(b.source).unwrap();
     m.call(b.entry, &(b.args)(0.02), 1).unwrap();
     set_enabled(false);

@@ -26,7 +26,7 @@
 use crate::engine::signature_of;
 #[cfg(test)]
 use crate::RuntimeError;
-use crate::{EngineOptions, ExecMode, Majic, Platform, RuntimeResult, Value};
+use crate::{EngineOptions, ExecMode, Platform, RuntimeResult, Session, Value};
 use majic_repo::NO_SESSION;
 use majic_runtime::{Complex, Matrix};
 use majic_types::Type;
@@ -178,7 +178,7 @@ struct ModeRun(ModeOutcome, Option<Vec<Type>>);
 
 fn run_mode(case: &DiffCase, options: EngineOptions, label: &'static str) -> ModeRun {
     let mode = options.mode;
-    let mut session = Majic::with_options(options);
+    let mut session = Session::with_options(options);
     if let Err(e) = session.load_source(&case.source) {
         let printed = session.take_printed();
         return ModeRun(
@@ -233,7 +233,7 @@ fn run_warm(case: &DiffCase) -> ModeRun {
     ));
 
     let outcome = (|| {
-        let mut a = Majic::with_mode(ExecMode::Jit);
+        let mut a = Session::with_mode(ExecMode::Jit);
         a.attach_cache(&path);
         if let Err(e) = a.load_source(&case.source) {
             let printed = a.take_printed();
@@ -253,7 +253,7 @@ fn run_warm(case: &DiffCase) -> ModeRun {
         let _ = a.save_cache();
         drop(a);
 
-        let mut b = Majic::with_mode(ExecMode::Jit);
+        let mut b = Session::with_mode(ExecMode::Jit);
         b.attach_cache(&path);
         if let Err(e) = b.load_source(&case.source) {
             let printed = b.take_printed();

@@ -1,5 +1,5 @@
 //! The MaJIC engine: execution options, the shared compile pipeline,
-//! the per-call dispatcher, and the single-session [`Majic`] facade.
+//! and the per-call dispatcher.
 //!
 //! The process-wide machinery (repository, background pool, cache
 //! lifecycle) lives in [`crate::service`]; this module owns everything
@@ -10,7 +10,8 @@
 //! synchronous speculation and the background workers), and the
 //! [`EngineDispatcher`] compiled code calls back into.
 
-use crate::service::{CompilerService, Session};
+#[cfg(doc)]
+use crate::Session;
 use majic_analysis::{disambiguate, inline_function, DisambiguatedFunction, InlineOptions};
 use majic_ast::{walk_exprs, walk_stmts, ExprKind, Function, Stmt, StmtKind};
 use majic_codegen::CodegenOptions;
@@ -23,7 +24,6 @@ use majic_runtime::{RuntimeError, RuntimeResult, Value};
 use majic_types::{Lattice, Range, Signature, Type};
 use majic_vm::{allocate, execute, Dispatcher, Executable, RegAllocMode};
 use std::collections::{HashMap, HashSet};
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -211,9 +211,11 @@ pub struct TierOptions {
     pub enabled: bool,
     /// Hotness score at which a tier-0 version is promoted.
     pub threshold: u64,
-    /// Worker threads of the background pool when a promotion starts it
-    /// (clamped to ≥ 1); a pool already running, e.g. one started by
-    /// [`Session::speculate_background`], is reused as it is.
+    /// Worker threads of the service's one background pool (speculation
+    /// and promotion), read by whichever session starts it: its first
+    /// promotion or [`Session::speculate_background`]. A running pool is
+    /// never resized. `0` means no background compiles: the pool rejects
+    /// every job and calls stay on their first-call code.
     pub workers: usize,
 }
 
@@ -270,85 +272,6 @@ pub struct Explanation {
     pub report: String,
 }
 
-/// A single-user MaJIC session: a [`CompilerService`] of one plus its
-/// only [`Session`], kept as one value so the original embedding API
-/// stays a single struct.
-///
-/// `Majic` dereferences to [`Session`], so every session method
-/// (`load_source`, `call`, `eval`, `attach_cache`, …) and the pub
-/// `options`/`times` fields are reachable directly. Multi-user
-/// embedders hold a [`CompilerService`] and mint sessions themselves.
-#[derive(Debug)]
-pub struct Majic(Session);
-
-impl Default for Majic {
-    fn default() -> Self {
-        Majic::new()
-    }
-}
-
-impl Deref for Majic {
-    type Target = Session;
-    fn deref(&self) -> &Session {
-        &self.0
-    }
-}
-
-impl DerefMut for Majic {
-    fn deref_mut(&mut self) -> &mut Session {
-        &mut self.0
-    }
-}
-
-impl Majic {
-    /// A fresh session with default (JIT) options: the same as
-    /// [`Majic::with_options`] with [`EngineOptions::default`], so
-    /// tiered recompilation starts enabled with the default threshold.
-    ///
-    /// ```
-    /// use majic::Majic;
-    ///
-    /// let mut session = Majic::new();
-    /// session.load_source("function y = twice(x)\ny = 2 * x;\n").unwrap();
-    /// let out = session.call("twice", &[21.0f64.into()], 1).unwrap();
-    /// assert_eq!(out[0].to_scalar().unwrap(), 42.0);
-    /// ```
-    pub fn new() -> Majic {
-        Majic::with_options(EngineOptions::default())
-    }
-
-    /// A fresh session in the given mode.
-    pub fn with_mode(mode: ExecMode) -> Majic {
-        let mut m = Majic::new();
-        m.options.mode = mode;
-        m
-    }
-
-    /// A fresh session with fully specified options.
-    ///
-    /// ```
-    /// use majic::{EngineOptions, ExecMode, Majic, Platform};
-    ///
-    /// let mut session = Majic::with_options(
-    ///     EngineOptions::builder()
-    ///         .mode(ExecMode::Jit)
-    ///         .platform(Platform::Mips)
-    ///         .threads(Some(1))
-    ///         .build(),
-    /// );
-    /// session.load_source("function y = sq(x)\ny = x * x;\n").unwrap();
-    /// assert_eq!(
-    ///     session.call("sq", &[4.0f64.into()], 1).unwrap()[0]
-    ///         .to_scalar()
-    ///         .unwrap(),
-    ///     16.0
-    /// );
-    /// ```
-    pub fn with_options(options: EngineOptions) -> Majic {
-        Majic(CompilerService::with_options(options).session())
-    }
-}
-
 /// Stable lowercase name of a [`CodeQuality`] tier for audit outcomes.
 pub(crate) fn quality_name(q: CodeQuality) -> &'static str {
     match q {
@@ -380,6 +303,42 @@ pub(crate) fn collect_callees(stmts: &[Stmt], known: &HashSet<String>, out: &mut
     }
 }
 
+/// The order speculation compiles the session's functions in: callees
+/// before callers, so a caller's inference reads the output types of
+/// callees it does not inline. It is a depth-first post-order over the
+/// static call graph that visits roots and callees by name; a call cycle
+/// is cut where the walk meets a function it already entered.
+pub(crate) fn speculation_order(ctx: &SessionCtx) -> Vec<String> {
+    fn visit<'a>(
+        ctx: &'a SessionCtx,
+        name: &'a str,
+        seen: &mut HashSet<&'a str>,
+        order: &mut Vec<String>,
+    ) {
+        if !seen.insert(name) {
+            return;
+        }
+        let mut callees = Vec::new();
+        collect_callees(&ctx.registry[name].body, &ctx.known, &mut callees);
+        callees.sort_unstable();
+        callees.dedup();
+        for callee in &callees {
+            if let Some((callee, _)) = ctx.registry.get_key_value(callee) {
+                visit(ctx, callee, seen, order);
+            }
+        }
+        order.push(name.to_owned());
+    }
+    let mut names: Vec<&str> = ctx.registry.keys().map(String::as_str).collect();
+    names.sort_unstable();
+    let mut seen = HashSet::with_capacity(names.len());
+    let mut order = Vec::with_capacity(names.len());
+    for name in names {
+        visit(ctx, name, &mut seen, &mut order);
+    }
+    order
+}
+
 /// A compiling session's identity: the sources it loaded, the
 /// namespaces they hash to, its id, and how it compiles. The foreground
 /// [`EngineDispatcher`] borrows it; a background job holds an `Arc`
@@ -397,6 +356,9 @@ pub(crate) struct SessionCtx {
     /// which compiled code cannot express: their calls run in the
     /// interpreter. Recomputed with `hashes` on every load.
     pub(crate) interpreted: HashSet<String>,
+    /// One past the largest AST node id of any file the session loaded:
+    /// the first id a compile gives an inlined node.
+    pub(crate) node_base: u32,
     /// 1-based session id; attributed on audit records and repository
     /// inserts (`0` is reserved for out-of-session work).
     pub(crate) session: u64,
@@ -424,7 +386,6 @@ pub(crate) struct EngineDispatcher<'a> {
     pub(crate) ctx: &'a SessionCtx,
     pub(crate) repo: &'a Repository,
     pub(crate) times: &'a mut PhaseTimes,
-    pub(crate) next_node_id: &'a mut u32,
     pub(crate) depth: usize,
     /// Versions that crossed the hotness threshold during this
     /// dispatch, each once; the session drains them into the background
@@ -517,7 +478,6 @@ impl EngineDispatcher<'_> {
             name,
             Some(&sig),
             Trigger::Miss { widened },
-            self.next_node_id,
             self.times,
         )?;
         Ok(published.expect("a miss publishes unconditionally"))
@@ -577,7 +537,6 @@ pub(crate) fn compile_and_publish(
     name: &str,
     sig: Option<&Signature>,
     trigger: Trigger,
-    next_node_id: &mut u32,
     times: &mut PhaseTimes,
 ) -> Result<Option<Arc<CompiledVersion>>, RuntimeError> {
     let quality = match (trigger, ctx.options.mode) {
@@ -602,7 +561,7 @@ pub(crate) fn compile_and_publish(
             ("speculative", sig.is_none().to_string()),
         ]
     });
-    let result = compile_function(ctx, repo, name, sig, quality, next_node_id, times);
+    let result = compile_function(ctx, repo, name, sig, quality, times);
     let compile_time = sp.exit();
     let compile_ns = compile_time.as_nanos() as u64;
     let queue_wait_ns = match trigger {
@@ -665,7 +624,6 @@ pub(crate) fn compile_function(
     name: &str,
     sig: Option<&Signature>,
     quality: CodeQuality,
-    next_node_id: &mut u32,
     times: &mut PhaseTimes,
 ) -> Result<CompiledVersion, RuntimeError> {
     let options = &ctx.options;
@@ -681,8 +639,16 @@ pub(crate) fn compile_function(
     // Disambiguation = (inlining +) disambiguation.
     let inlined;
     let to_analyze = if options.inline && quality != CodeQuality::Generic {
+        // Inlined copies are numbered from the session's node base, so
+        // a compile's ids never depend on earlier compiles.
+        let mut next_node_id = ctx.node_base;
         inlined = timed("analysis.inline", &mut times.disambiguation, || {
-            inline_function(f, &ctx.registry, InlineOptions::default(), next_node_id)
+            inline_function(
+                f,
+                &ctx.registry,
+                InlineOptions::default(),
+                &mut next_node_id,
+            )
         });
         &inlined
     } else {

@@ -14,9 +14,9 @@
 //! # Quick start
 //!
 //! ```
-//! use majic::{ExecMode, Majic};
+//! use majic::{ExecMode, Session};
 //!
-//! let mut session = Majic::with_mode(ExecMode::Jit);
+//! let mut session = Session::with_mode(ExecMode::Jit);
 //! session
 //!     .load_source("function p = poly(x)\np = x.^5 + 3*x + 2;\n")
 //!     .unwrap();
@@ -26,13 +26,14 @@
 //!
 //! # Service and sessions
 //!
-//! [`Majic`] is the single-user facade: one service, one session, one
-//! struct. Multi-user embedders hold a shared [`CompilerService`] — the
-//! process-wide repository, background pool, cache, and audit switch —
-//! and mint any number of concurrent [`Session`]s against it, each from
-//! its own thread. Sessions that loaded the same source share compiled
-//! code instantly; a session that redefines a function moves to fresh
-//! namespaces without disturbing anyone else (see [`CompilerService`]).
+//! [`Session`] is the one session type. [`Session::new`] and its
+//! siblings build a session on a fresh service of its own; multi-user
+//! embedders hold a shared [`CompilerService`] — the process-wide
+//! repository, background pool, cache, and audit switch — and mint any
+//! number of concurrent sessions against it, each from its own thread.
+//! Sessions that loaded the same source share compiled code instantly;
+//! a session that redefines a function moves to fresh namespaces
+//! without disturbing anyone else (see [`CompilerService`]).
 //!
 //! ```
 //! use majic::CompilerService;
@@ -75,8 +76,7 @@ mod spec;
 
 pub use diff::{DiffCase, DiffReport, Divergence, DivergenceKind, ModeOutcome};
 pub use engine::{
-    EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, Majic, PhaseTimes, Platform,
-    TierOptions,
+    EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, PhaseTimes, Platform, TierOptions,
 };
 pub use majic_repo::cache::{CacheReport, RepoCache};
 pub use majic_repo::{RepoStats, Tier};

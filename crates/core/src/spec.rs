@@ -26,18 +26,19 @@
 //! dropped (counted in [`SpecStats::stale`]) instead of letting
 //! old-source code take over dispatch.
 //!
-//! A pool is a *service-wide* asset: jobs from different sessions share
-//! the workers, and each job carries a snapshot of the submitting
-//! session's [`SessionCtx`], so its output lands in (and its inference
-//! oracle reads from) exactly that session's view of the repository.
+//! A pool is a *service-wide* asset: each service starts at most one at
+//! a time, sized by the starting session's `TierOptions::workers`. Jobs
+//! from different sessions share the workers, and each job carries a
+//! snapshot of the submitting session's [`SessionCtx`], so its output
+//! lands in (and its inference oracle reads from) exactly that session's
+//! view of the repository.
 //!
 //! # Shutdown semantics
 //!
 //! [`SpecWorkerPool::shutdown`] closes the queue (pending jobs are
-//! still drained), then joins every worker. It takes `&self`, so a pool
-//! shared behind an `Arc` can be shut down by whichever owner finishes
-//! last. Dropping the pool does the same — join-on-drop, so a session
-//! never leaks threads.
+//! still drained), then joins every worker. The service calls it from
+//! `Background::finish` and when it drops; dropping the pool does the
+//! same — join-on-drop, so a service never leaks threads.
 
 use crate::engine::{compile_and_publish, PhaseTimes, SessionCtx, Trigger};
 use majic_repo::Repository;
@@ -132,17 +133,12 @@ pub(crate) struct SpecWorkerPool {
     /// pool shared through `Arc` can still be shut down via `&self`.
     handles: Mutex<Vec<JoinHandle<()>>>,
     worker_count: usize,
-    /// Whether sources loaded while this pool runs are speculated (the
-    /// paper's "source directory snoop"). On for a pool started by
-    /// [`crate::Session::speculate_background`], off for one a hot
-    /// promotion started.
-    pub(crate) snoop: bool,
 }
 
 impl SpecWorkerPool {
     /// Start `workers` threads publishing into `repo`. `0` is allowed
     /// and means the pool accepts no jobs (every submit is rejected).
-    pub fn start(workers: usize, snoop: bool, repo: Arc<Repository>) -> SpecWorkerPool {
+    pub fn start(workers: usize, repo: Arc<Repository>) -> SpecWorkerPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Queue::default()),
             job_ready: Condvar::new(),
@@ -163,7 +159,6 @@ impl SpecWorkerPool {
             shared,
             handles: Mutex::new(handles),
             worker_count: workers,
-            snoop,
         }
     }
 
@@ -281,9 +276,6 @@ fn worker_loop(shared: &PoolShared) {
 
         // Compile outside every lock: this is the expensive part and the
         // whole point is that it happens off the session's critical path.
-        // Node ids are scratch — the inlined function is private to this
-        // job — so a worker-local counter is safe.
-        let mut scratch_ids: u32 = 1 << 24;
         // Failures (globals etc.) leave no background version; those
         // calls interpret or JIT later.
         let outcome = compile_and_publish(
@@ -296,7 +288,6 @@ fn worker_loop(shared: &PoolShared) {
                 queue_wait,
                 replay: job.replay,
             },
-            &mut scratch_ids,
             &mut PhaseTimes::default(),
         );
 

@@ -3,7 +3,7 @@
 //! workers, pick up published versions transparently, and shut the pool
 //! down cleanly (join-on-drop, no leaked work).
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 use majic_repo::{CodeQuality, NO_SESSION};
 use majic_types::Signature;
 
@@ -33,10 +33,11 @@ const PROGRAMS: &[(&str, &str, &[f64])] = &[
 fn run_with_workers(workers: usize) -> Vec<u64> {
     let mut results = Vec::new();
     for &(src, entry, args) in PROGRAMS {
-        let mut m = Majic::with_mode(ExecMode::Spec);
+        let mut m = Session::with_mode(ExecMode::Spec);
         m.load_source(src).unwrap();
         if workers > 0 {
-            m.speculate_background(workers);
+            m.options.tier.workers = workers;
+            m.speculate_background();
             // Drain so every arm actually runs whatever the workers
             // published (the race itself is exercised elsewhere).
             m.background().wait();
@@ -66,9 +67,10 @@ fn results_identical_across_worker_counts() {
 #[test]
 fn published_versions_are_picked_up() {
     let (src, entry, args) = PROGRAMS[0];
-    let mut m = Majic::with_mode(ExecMode::Spec);
+    let mut m = Session::with_mode(ExecMode::Spec);
     m.load_source(src).unwrap();
-    m.speculate_background(2);
+    m.options.tier.workers = 2;
+    m.speculate_background();
     m.background().wait();
 
     let stats = m.background().stats().expect("pool running");
@@ -101,8 +103,9 @@ fn published_versions_are_picked_up() {
 /// paper's "source directory snoop").
 #[test]
 fn late_loaded_functions_are_speculated() {
-    let mut m = Majic::with_mode(ExecMode::Spec);
-    m.speculate_background(2);
+    let mut m = Session::with_mode(ExecMode::Spec);
+    m.options.tier.workers = 2;
+    m.speculate_background();
     m.load_source("function y = late(x)\ny = x * 2 + 1;\n")
         .unwrap();
     m.background().wait();
@@ -119,12 +122,13 @@ fn late_loaded_functions_are_speculated() {
 /// there beyond "does not hang", which this test also covers).
 #[test]
 fn shutdown_drains_and_reports() {
-    let mut m = Majic::with_mode(ExecMode::Spec);
+    let mut m = Session::with_mode(ExecMode::Spec);
     for i in 0..12 {
         m.load_source(&format!("function y = f{i}(x)\ny = x + {i};\n"))
             .unwrap();
     }
-    m.speculate_background(4);
+    m.options.tier.workers = 4;
+    m.speculate_background();
     let stats = m.background().finish().expect("pool was running");
     assert_eq!(stats.enqueued, 12);
     assert_eq!(stats.published + stats.failed, 12);
@@ -132,19 +136,76 @@ fn shutdown_drains_and_reports() {
     assert!(m.background().stats().is_none(), "pool gone after finish");
 }
 
-/// A zero-worker pool accepts nothing and the session still works —
-/// every enqueue is rejected, every call JITs.
+/// `TierOptions::workers = 0` means no background compiles: the pool
+/// rejects speculative and promotion jobs alike, whichever of them
+/// started it, and every call still answers from its first-call code.
 #[test]
 fn zero_worker_pool_rejects_and_session_survives() {
-    let mut m = Majic::with_mode(ExecMode::Spec);
+    let mut m = Session::with_mode(ExecMode::Spec);
+    m.options.tier.workers = 0;
+    m.options.tier.threshold = 1;
     m.load_source("function y = g(x)\ny = x - 1;\n").unwrap();
-    m.speculate_background(0);
+    m.speculate_background();
     m.background().wait(); // must not hang
     let stats = m.background().stats().unwrap();
     assert_eq!(stats.enqueued, 0);
     assert_eq!(stats.rejected, 1);
     let out = m.call("g", &[Value::scalar(5.0)], 1).unwrap();
     assert_eq!(out[0].to_scalar().unwrap(), 4.0);
+    // The call ran hot, and its promotion was rejected too.
+    let stats = m.background().stats().unwrap();
+    assert_eq!((stats.enqueued, stats.rejected), (0, 2));
+
+    // A promotion that finds no pool starts the same rejecting pool.
+    let mut m = Session::with_mode(ExecMode::Jit);
+    m.options.tier.workers = 0;
+    m.options.tier.threshold = 1;
+    m.load_source("function y = g(x)\ny = x - 1;\n").unwrap();
+    for _ in 0..2 {
+        let out = m.call("g", &[Value::scalar(5.0)], 1).unwrap();
+        assert_eq!(out[0].to_scalar().unwrap(), 4.0);
+    }
+    m.background().wait();
+    let stats = m
+        .background()
+        .stats()
+        .expect("the promotion started the pool");
+    assert_eq!((stats.enqueued, stats.rejected), (0, 2));
+    assert_eq!(m.repository().stats().tier1_versions, 0);
+}
+
+/// A pool that a promotion started is the service's one pool:
+/// `speculate_background` queues onto it instead of replacing it, so its
+/// statistics count both jobs, and it speculates sources loaded later.
+#[test]
+fn promotion_pool_keeps_running_through_speculate_background() {
+    let mut m = Session::with_mode(ExecMode::Jit);
+    m.options.tier.threshold = 1;
+    m.load_source("function y = hot(x)\ny = x * 3;\n").unwrap();
+    m.call("hot", &[Value::scalar(2.0)], 1).unwrap();
+    m.background().wait();
+    let stats = m
+        .background()
+        .stats()
+        .expect("the promotion started the pool");
+    assert_eq!((stats.enqueued, stats.published), (1, 1));
+
+    m.speculate_background();
+    m.background().wait();
+    let stats = m.background().stats().expect("pool still running");
+    assert_eq!(stats.enqueued, 2, "one promotion and one speculative job");
+    assert_eq!(stats.published, 2);
+
+    m.load_source("function y = later(x)\ny = x + 7;\n")
+        .unwrap();
+    m.background().wait();
+    let stats = m.background().stats().expect("pool still running");
+    assert_eq!((stats.enqueued, stats.published), (3, 3));
+    assert_eq!(
+        m.repository()
+            .version_count_ns("later", m.namespace("later")),
+        1
+    );
 }
 
 /// Hammer the engine while workers publish: interleave foreground calls
@@ -153,7 +214,7 @@ fn zero_worker_pool_rejects_and_session_survives() {
 #[test]
 fn racing_foreground_calls_agree_with_interpreter() {
     let (src, entry, args) = PROGRAMS[1]; // fib: many recursive signatures
-    let mut reference = Majic::with_mode(ExecMode::Interpret);
+    let mut reference = Session::with_mode(ExecMode::Interpret);
     reference.load_source(src).unwrap();
     let argv: Vec<Value> = args.iter().map(|&a| Value::scalar(a)).collect();
     let expect = reference.call(entry, &argv, 1).unwrap()[0]
@@ -161,11 +222,48 @@ fn racing_foreground_calls_agree_with_interpreter() {
         .unwrap();
 
     for trial in 0..8 {
-        let mut m = Majic::with_mode(ExecMode::Spec);
+        let mut m = Session::with_mode(ExecMode::Spec);
         m.load_source(src).unwrap();
-        m.speculate_background(1 + trial % 4);
+        m.options.tier.workers = 1 + trial % 4;
+        m.speculate_background();
         // No background().wait(): the call races the background publish.
         let out = m.call(entry, &argv, 1).unwrap();
         assert_eq!(out[0].to_scalar().unwrap(), expect, "trial {trial}");
     }
+}
+
+/// `f` calls `g`, whose `return` inside a loop keeps it from being
+/// inlined, so `f`'s speculative output type is whatever the repository
+/// holds for `g` when `f` compiles. Speculation compiles callees first,
+/// so every session builds the same repository: `g`'s version is
+/// already there and `f` inherits its integer output.
+#[test]
+fn speculation_compiles_callees_first() {
+    const SRC: &str = "function r = f(x)\nif x > 0\n r = g(x);\nelse\n r = 0;\nend\n\
+                       function r = g(x)\nr = 0;\nfor k = 1:3\n if k > x\n  return;\n end\n r = k;\nend\n";
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..40 {
+        let mut m = Session::with_mode(ExecMode::Spec);
+        m.load_source(SRC).unwrap();
+        m.speculate_all();
+        let ns = m.namespace("f");
+        for (name, n, versions) in m.repository().entries_ns() {
+            if name == "f" && n == ns {
+                for v in versions {
+                    seen.insert(format!(
+                        "{} -> {} ({} steps)",
+                        v.signature,
+                        v.output_types[0],
+                        v.code.step_count()
+                    ));
+                }
+            }
+        }
+    }
+    let versions: Vec<String> = seen.into_iter().collect();
+    assert_eq!(
+        versions,
+        ["(real shape=<1,1> limits=<-inf,inf>) -> int shape=<1,1> limits=<0,3> (12 steps)"],
+        "every session must speculate the same f, typed from g's version"
+    );
 }

@@ -2,7 +2,7 @@
 //! `call` span and the VM profile, background-worker span attribution,
 //! per-worker trace tracks, and service facts kept per service.
 
-use majic::{CacheReport, CompilerService, EngineOptions, ExecMode, Majic, TierOptions, Value};
+use majic::{CacheReport, CompilerService, EngineOptions, ExecMode, Session, TierOptions, Value};
 use std::sync::Mutex;
 
 /// The trace collector is process-global; serialize tests here.
@@ -17,7 +17,7 @@ const FIB: &str = "function y = fib(n)\n\
 
 /// fib(5) with inlining off makes exactly 14 inner user calls (the
 /// 15-node call tree minus the root, which enters through
-/// `Majic::call` and opens the one `call` span).
+/// `Session::call` and opens the one `call` span).
 #[test]
 fn call_user_counter_matches_hand_count() {
     let _g = LOCK
@@ -27,7 +27,7 @@ fn call_user_counter_matches_hand_count() {
     majic_trace::set_enabled(true);
     majic_trace::set_vm_profile(true);
 
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.options.inline = false;
     m.load_source(FIB).unwrap();
     let out = m.call("fib", &[Value::scalar(5.0)], 1).unwrap();
@@ -57,12 +57,13 @@ fn spec_workers_trace_on_their_own_threads() {
     majic_trace::reset();
     majic_trace::set_enabled(true);
 
-    let mut m = Majic::with_mode(ExecMode::Spec);
+    let mut m = Session::with_mode(ExecMode::Spec);
     let src: String = (0..8)
         .map(|i| format!("function y = s{i}(x)\ny = x + {i};\n"))
         .collect();
     m.load_source(&src).unwrap();
-    m.speculate_background(4);
+    m.options.tier.workers = 4;
+    m.speculate_background();
     m.background().wait();
     m.background().finish();
 
@@ -117,7 +118,7 @@ fn two_services_keep_their_facts_apart() {
         .unwrap();
     sa.call("a1", &one(1.0), 1).unwrap();
     sa.call("a1", &one(1.0), 1).unwrap();
-    sa.speculate_background(1);
+    sa.speculate_background();
     sa.background().wait();
     let written = sa.save_cache().unwrap();
     assert!(written >= 2, "wrote {written} entries");
@@ -136,7 +137,7 @@ fn two_services_keep_their_facts_apart() {
     )
     .unwrap();
     sb.call("b1", &one(4.0), 1).unwrap();
-    sb.speculate_background(1);
+    sb.speculate_background();
     sb.background().wait();
     a.background().wait();
 

@@ -486,9 +486,22 @@ impl Repository {
     }
 
     /// Locator and lifecycle statistics, including the per-tier hit
-    /// split and the current per-tier population ([`Repository::tier_versions`]).
+    /// split and the current per-tier population. Shards are read-locked
+    /// one at a time for the population; concurrent inserts may or may
+    /// not be counted.
     pub fn stats(&self) -> RepoStats {
-        let [tier0_versions, tier1_versions] = self.tier_versions();
+        let mut tier_versions = [0usize; 2];
+        for s in &self.shards {
+            let shard = s.read().expect("repository shard poisoned");
+            for namespaces in shard.functions.values() {
+                for e in namespaces.values() {
+                    for s in &e.versions {
+                        tier_versions[s.version.tier.level() as usize] += 1;
+                    }
+                }
+            }
+        }
+        let [tier0_versions, tier1_versions] = tier_versions;
         RepoStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -500,24 +513,6 @@ impl Repository {
             tier0_versions,
             tier1_versions,
         }
-    }
-
-    /// Current number of live versions per tier: `[tier-0, tier-1]`.
-    /// Shards are read-locked one at a time; concurrent inserts may or
-    /// may not be counted.
-    pub fn tier_versions(&self) -> [usize; 2] {
-        let mut counts = [0usize; 2];
-        for s in &self.shards {
-            let shard = s.read().expect("repository shard poisoned");
-            for namespaces in shard.functions.values() {
-                for e in namespaces.values() {
-                    for s in &e.versions {
-                        counts[s.version.tier.level() as usize] += 1;
-                    }
-                }
-            }
-        }
-        counts
     }
 
     /// Drop every version of `name` in namespace `ns` only, and bump

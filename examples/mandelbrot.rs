@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example mandelbrot`.
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 
 /// Complex-arithmetic Mandelbrot iteration in MATLAB (the `i` builtin is
 /// exactly the speculation hazard §3.6 describes).
@@ -27,7 +27,7 @@ end
 ";
 
 fn main() {
-    let mut session = Majic::with_mode(ExecMode::Jit);
+    let mut session = Session::with_mode(ExecMode::Jit);
     session.load_source(MANDEL).expect("valid source");
 
     let n = 36;

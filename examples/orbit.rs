@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example orbit`.
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 use std::time::Instant;
 
 /// Small-fixed-vector style (the paper's "array benchmarks" category).
@@ -37,7 +37,7 @@ fn main() {
     let steps = Value::scalar(60_000.0);
     let dt = Value::scalar(0.0001);
 
-    let mut interp = Majic::with_mode(ExecMode::Interpret);
+    let mut interp = Session::with_mode(ExecMode::Interpret);
     interp.load_source(ORBIT).expect("valid source");
     let t = Instant::now();
     let e_i = interp
@@ -48,7 +48,7 @@ fn main() {
     // Speculative mode: the repository compiles ahead of time from type
     // hints (subscripts ⇒ real arrays, colon bounds ⇒ integer scalars);
     // by the time we call, optimized code is already waiting.
-    let mut spec = Majic::with_mode(ExecMode::Spec);
+    let mut spec = Session::with_mode(ExecMode::Spec);
     spec.load_source(ORBIT).expect("valid source");
     let hidden = spec.speculate_all();
     let t = Instant::now();

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 use std::time::Instant;
 
 const POLY: &str = "function p = poly(x)\np = x.^5 + 3*x + 2;\n";
@@ -13,7 +13,7 @@ const SUMSQ: &str = "function s = sumsq(n)\ns = 0;\nfor k = 1:n\n s = s + k * k;
 fn main() {
     // A JIT session: functions compile on first call, specialized to the
     // invocation's exact type signature.
-    let mut session = Majic::with_mode(ExecMode::Jit);
+    let mut session = Session::with_mode(ExecMode::Jit);
     session.load_source(POLY).expect("valid source");
     session.load_source(SUMSQ).expect("valid source");
 
@@ -37,7 +37,7 @@ fn main() {
 
     // Compare the interpreter against the JIT on a scalar loop.
     let n = Value::scalar(300_000.0);
-    let mut interp = Majic::with_mode(ExecMode::Interpret);
+    let mut interp = Session::with_mode(ExecMode::Interpret);
     interp.load_source(SUMSQ).expect("valid source");
     let t = Instant::now();
     let a = interp

@@ -12,14 +12,14 @@
 //! >> .quit
 //! ```
 
-use majic::{ExecMode, Majic};
+use majic::{ExecMode, Session};
 use std::io::{BufRead, Write};
 
 fn main() {
     // The repl always runs with the compilation audit log on: it is the
     // interactive consumer `\explain` and `\stats` read from, and the
     // flight recorder is bounded + cheap enough to leave recording.
-    let mut session = Majic::with_mode(ExecMode::Jit);
+    let mut session = Session::with_mode(ExecMode::Jit);
     session.service().set_audit(true);
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();

@@ -18,7 +18,7 @@
 //! otherwise bleed into a delta measurement.
 
 use majic::diff::{run_case, value_bits_eq, DiffCase};
-use majic::{ExecMode, Majic};
+use majic::{ExecMode, Session};
 use majic_runtime::ops::{self, Subscript};
 use majic_runtime::{Matrix, Value};
 use std::sync::{Mutex, MutexGuard};
@@ -134,7 +134,7 @@ fn engine_update_loop_records_zero_deep_copies() {
     let _g = serial();
     let source = "function r = f(n)\na = zeros(1, n);\nfor k = 1:n\na(k) = k;\nend\nr = sum(a);\n";
     for mode in [ExecMode::Interpret, ExecMode::Jit] {
-        let mut session = Majic::with_mode(mode);
+        let mut session = Session::with_mode(mode);
         session.load_source(source).expect("parses");
         // Warm up first: compilation itself is not under test.
         session

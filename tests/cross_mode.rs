@@ -4,11 +4,11 @@
 //! exercised in bulk — "a wrong guess … never affects program
 //! correctness".
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 use majic_testkit::{forall, Rng};
 
 fn run(mode: ExecMode, src: &str, func: &str, args: &[f64]) -> Result<f64, String> {
-    let mut m = Majic::with_mode(mode);
+    let mut m = Session::with_mode(mode);
     m.load_source(src).map_err(|e| e.to_string())?;
     if mode == ExecMode::Spec {
         m.speculate_all();
@@ -260,7 +260,7 @@ fn complex_prod_agrees_and_is_the_true_product() {
         ExecMode::Spec,
         ExecMode::Falcon,
     ] {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source(src).unwrap();
         if mode == ExecMode::Spec {
             m.speculate_all();
@@ -289,7 +289,7 @@ fn complex_sum_agrees_across_modes() {
         ExecMode::Spec,
         ExecMode::Falcon,
     ] {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source(src).unwrap();
         if mode == ExecMode::Spec {
             m.speculate_all();

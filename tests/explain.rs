@@ -1,4 +1,4 @@
-//! End-to-end tests for the compilation audit log and `Majic::explain`
+//! End-to-end tests for the compilation audit log and `Session::explain`
 //! (`docs/EXPLAIN_FORMAT.md`): drive real programs through the engine
 //! and assert that the explanation answers the questions it promises —
 //! which variables inference widened and why, what the inliner decided
@@ -9,7 +9,7 @@
 //! own test binary and every test uses function names unique to it; the
 //! tests never call `audit::reset()`, which would race with each other.
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 use majic_testkit::json::Json;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,13 +41,13 @@ impl Drop for TempDir {
     }
 }
 
-fn jit() -> Majic {
-    let m = Majic::with_mode(ExecMode::Jit);
+fn jit() -> Session {
+    let m = Session::with_mode(ExecMode::Jit);
     m.service().set_audit(true);
     m
 }
 
-fn call1(m: &mut Majic, f: &str, x: f64) -> f64 {
+fn call1(m: &mut Session, f: &str, x: f64) -> f64 {
     m.call(f, &[Value::scalar(x)], 1).unwrap()[0]
         .to_scalar()
         .unwrap()
@@ -241,7 +241,7 @@ fn explain_reports_speculative_triggers() {
     let mut m = jit();
     m.load_source("function y = exspecbg(x)\ny = x * x;\n")
         .unwrap();
-    m.speculate_background(1);
+    m.speculate_background();
     m.background().wait();
     let ex = m.explain("exspecbg");
     let rec = ex

@@ -2,7 +2,7 @@
 //! disambiguation, inference, code generation, and VM execution, in
 //! every engine mode.
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 
 const MODES: [ExecMode; 5] = [
     ExecMode::Interpret,
@@ -18,7 +18,7 @@ fn scalar(v: &Value) -> f64 {
 
 fn run_all_modes(src: &str, func: &str, args: &[f64], expect: f64) {
     for mode in MODES {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source(src).unwrap();
         if mode == ExecMode::Spec {
             m.speculate_all();
@@ -89,7 +89,7 @@ fn mutual_calls_and_inlining() {
 fn multiple_outputs() {
     let src = "function [s, p] = sumprod(a, b)\ns = a + b;\np = a * b;\n";
     for mode in MODES {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source(src).unwrap();
         let out = m
             .call("sumprod", &[Value::scalar(3.0), Value::scalar(4.0)], 2)
@@ -154,7 +154,7 @@ fn end_subscripts() {
 #[test]
 fn strings_and_output() {
     for mode in MODES {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source("function greet()\ndisp('hello world');\n")
             .unwrap();
         m.call("greet", &[], 0).unwrap();
@@ -166,7 +166,7 @@ fn strings_and_output() {
 fn runtime_errors_are_equivalent() {
     let src = "function y = oob(n)\nv = 1:5;\ny = v(n);\n";
     for mode in MODES {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source(src).unwrap();
         // In-range works.
         let ok = m.call("oob", &[Value::scalar(3.0)], 1).unwrap();
@@ -181,7 +181,7 @@ fn runtime_errors_are_equivalent() {
 #[test]
 fn globals_fall_back_to_interpreter() {
     let src = "function bump()\nglobal counter\ncounter = counter + 1;\n";
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source(src).unwrap();
     m.eval("global counter\ncounter = 0;").unwrap();
     m.eval("bump();\nbump();").unwrap();
@@ -194,14 +194,14 @@ fn interpreter_fallback_follows_redefinitions() {
     // a global, `outer`'s closure cannot compile; once it is pure again,
     // `outer` compiles again.
     let outer = "function y = outer(x)\ny = inner(x) * 2;\n";
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source(&format!("{outer}function y = inner(x)\ny = x + 1;\n"))
         .unwrap();
-    let versions = |m: &Majic| {
+    let versions = |m: &Session| {
         m.repository()
             .version_count_ns("outer", m.namespace("outer"))
     };
-    let call = |m: &mut Majic| scalar(&m.call("outer", &[Value::scalar(3.0)], 1).unwrap()[0]);
+    let call = |m: &mut Session| scalar(&m.call("outer", &[Value::scalar(3.0)], 1).unwrap()[0]);
     assert_eq!(call(&mut m), 8.0);
     assert_eq!(versions(&m), 1);
 
@@ -219,7 +219,7 @@ fn interpreter_fallback_follows_redefinitions() {
 
 #[test]
 fn repository_reuses_compiled_code() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source("function y = f(x)\ny = x + 1;\n").unwrap();
     m.call("f", &[Value::scalar(1.0)], 1).unwrap();
     let after_first = m.repository().version_count_ns("f", m.namespace("f"));
@@ -234,7 +234,7 @@ fn repository_reuses_compiled_code() {
 
 #[test]
 fn repository_specializes_per_signature() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source("function y = g(x)\ny = x * 2;\n").unwrap();
     m.call("g", &[Value::scalar(1.0)], 1).unwrap();
     // Different intrinsic: a complex argument needs new code.
@@ -253,7 +253,7 @@ fn repository_specializes_per_signature() {
 #[test]
 fn signature_widening_caps_recursive_explosion() {
     let src = "function f = fib(n)\nif n < 2\n f = n;\n return\nend\nf = fib(n-1) + fib(n-2);\n";
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.options.inline = false; // force one call per recursion level
     m.load_source(src).unwrap();
     m.call("fib", &[Value::scalar(18.0)], 1).unwrap();
@@ -271,7 +271,7 @@ fn spec_mode_falls_back_to_jit_on_bad_guess() {
     // result must still be right (guess failures cost time, never
     // correctness).
     let src = "function s = total(n)\ns = 0;\nfor k = 1:n\n s = s + k;\nend\n";
-    let mut m = Majic::with_mode(ExecMode::Spec);
+    let mut m = Session::with_mode(ExecMode::Spec);
     m.load_source(src).unwrap();
     m.speculate_all();
     assert_eq!(
@@ -296,7 +296,7 @@ fn spec_mode_falls_back_to_jit_on_bad_guess() {
 
 #[test]
 fn eval_defers_calls_to_the_repository() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source("function y = sq(x)\ny = x * x;\n").unwrap();
     m.eval("a = sq(7);").unwrap();
     assert_eq!(scalar(m.var("a").unwrap()), 49.0);
@@ -305,7 +305,7 @@ fn eval_defers_calls_to_the_repository() {
 
 #[test]
 fn phase_times_accumulate() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.load_source("function s = work(n)\ns = 0;\nfor k = 1:n\n s = s + sqrt(k);\nend\n")
         .unwrap();
     m.call("work", &[Value::scalar(1000.0)], 1).unwrap();
@@ -323,7 +323,7 @@ fn rand_streams_match_across_modes() {
     let src = "function s = randsum(n)\ns = 0;\nfor k = 1:n\n s = s + rand;\nend\n";
     let mut reference = None;
     for mode in MODES {
-        let mut m = Majic::with_mode(mode);
+        let mut m = Session::with_mode(mode);
         m.load_source(src).unwrap();
         let out = m.call("randsum", &[Value::scalar(10.0)], 1).unwrap();
         let v = scalar(&out[0]);

@@ -4,7 +4,7 @@
 //! per-namespace callee inference, and per-service audit enablement.
 
 use majic::diff::value_bits_eq;
-use majic::{CompilerService, Majic, Value};
+use majic::{CompilerService, Session, Value};
 use majic_repo::NO_SESSION;
 use majic_types::{Intrinsic, Signature};
 use std::collections::HashMap;
@@ -62,7 +62,7 @@ fn concurrent_sessions_match_solo_bitwise() {
     let mut expected_common: HashMap<usize, u64> = HashMap::new();
     for session in 0..SESSIONS {
         for round in 0..ROUNDS {
-            let mut solo = Majic::new();
+            let mut solo = Session::new();
             solo.load_source(&variant_src(coeff(session, round)))
                 .unwrap();
             for call in 0..CALLS_PER_ROUND {
@@ -72,7 +72,7 @@ fn concurrent_sessions_match_solo_bitwise() {
         }
     }
     {
-        let mut solo = Majic::new();
+        let mut solo = Session::new();
         solo.load_source(COMMON_SRC).unwrap();
         for call in 0..CALLS_PER_ROUND {
             let out = solo.call("mscommon", &args_for(call), 1).unwrap();
@@ -129,7 +129,7 @@ fn redefinition_and_reuse_across_session_lifetimes() {
     let service = CompilerService::new();
     let src = variant_src(7);
     let expected = {
-        let mut solo = Majic::new();
+        let mut solo = Session::new();
         solo.load_source(&src).unwrap();
         bits_of(&solo.call("msf", &args_for(0), 1).unwrap())
     };
@@ -170,7 +170,7 @@ fn callee_inference_stays_in_the_session_namespace() {
     let solo: Vec<Value> = cases
         .iter()
         .map(|(callee, _)| {
-            let mut m = Majic::new();
+            let mut m = Session::new();
             m.options.inline = false;
             m.load_source(callee).unwrap();
             m.load_source(CALLER).unwrap();

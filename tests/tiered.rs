@@ -10,7 +10,7 @@
 //! tier-1 code, and a call the tier-1 version does not admit falls back
 //! to tier-0 compilation.
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 
 /// A loop-heavy function: one call of `hot(n)` contributes ~`n` loop
 /// back-edges to the hotness score on top of the per-call weight.
@@ -22,9 +22,15 @@ fn scalar(out: &[Value]) -> f64 {
     out[0].to_scalar().expect("scalar result")
 }
 
+/// Live versions in the session's repository: `[tier-0, tier-1]`.
+fn tier_versions(m: &Session) -> [usize; 2] {
+    let stats = m.repository().stats();
+    [stats.tier0_versions, stats.tier1_versions]
+}
+
 #[test]
 fn promotion_fires_at_threshold() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.service().set_audit(true);
     m.options.tier.threshold = 1;
     m.load_source(&loop_source("tier_hot")).unwrap();
@@ -36,7 +42,7 @@ fn promotion_fires_at_threshold() {
         .stats()
         .expect("promotion started the background pool");
     assert_eq!(stats.published, 1, "one hot version, one tier-1 publish");
-    assert_eq!(m.repository().tier_versions(), [1, 1]);
+    assert_eq!(tier_versions(&m), [1, 1]);
 
     // The next call dispatches the tier-1 version — bitwise the same.
     let again = scalar(&m.call("tier_hot", &[200.0f64.into()], 1).unwrap());
@@ -62,7 +68,7 @@ fn promotion_fires_at_threshold() {
 
 #[test]
 fn no_promotion_below_threshold() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     // One call of hot(50) scores ~16 + 50 ≪ the default 10_000.
     m.load_source(&loop_source("tier_cold")).unwrap();
     m.call("tier_cold", &[50.0f64.into()], 1).unwrap();
@@ -71,19 +77,19 @@ fn no_promotion_below_threshold() {
         m.background().stats().is_none(),
         "background pool started while cold"
     );
-    assert_eq!(m.repository().tier_versions(), [1, 0]);
+    assert_eq!(tier_versions(&m), [1, 0]);
 }
 
 #[test]
 fn promotion_disabled_by_options() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.options.tier.enabled = false;
     m.options.tier.threshold = 1;
     m.load_source(&loop_source("tier_off")).unwrap();
     m.call("tier_off", &[200.0f64.into()], 1).unwrap();
     m.background().wait();
     assert!(m.background().stats().is_none());
-    assert_eq!(m.repository().tier_versions(), [1, 0]);
+    assert_eq!(tier_versions(&m), [1, 0]);
 }
 
 #[test]
@@ -95,26 +101,26 @@ fn tier1_survives_cache_round_trip() {
 
     // Session 1: get hot, promote, flush tier-0 + tier-1 to disk.
     let first = {
-        let mut m = Majic::with_mode(ExecMode::Jit);
+        let mut m = Session::with_mode(ExecMode::Jit);
         m.options.tier.threshold = 1;
         m.attach_cache(&path);
         m.load_source(&src).unwrap();
         let out = scalar(&m.call("tier_warm", &[150.0f64.into()], 1).unwrap());
         m.background().wait();
-        assert_eq!(m.repository().tier_versions(), [1, 1]);
+        assert_eq!(tier_versions(&m), [1, 1]);
         out
     }; // drop saves the cache
 
     // Session 2: the manifest replays the signature through the
     // promotion path, and the first call dispatches the tier-1 version
     // without compiling anything in the session.
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     let report = m.attach_cache(&path);
     assert_eq!(report.loaded, 1, "both tiers share one signature entry");
     m.load_source(&src).unwrap();
     m.background().wait();
     assert_eq!(
-        m.repository().tier_versions(),
+        tier_versions(&m),
         [0, 1],
         "the replay compiled anything but one tier-1 version"
     );
@@ -151,7 +157,7 @@ fn redefinition_during_promotion_never_publishes_stale() {
     }
     let expected = |c: u32| f64::from(c) * (1.0 + 5050.0); // n = 100
 
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.options.tier.threshold = 1; // every first call promotes
     for round in 0..20u32 {
         let c = round % 3 + 1;
@@ -181,25 +187,25 @@ fn redefinition_during_promotion_never_publishes_stale() {
 
 #[test]
 fn unseen_signature_falls_back_to_tier0() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.options.tier.threshold = 1;
     // The loop result depends on the argument, so a wrong dispatch
     // would be visible in the output.
     m.load_source(&loop_source("tier_fallback")).unwrap();
     m.call("tier_fallback", &[300.0f64.into()], 1).unwrap();
     m.background().wait();
-    assert_eq!(m.repository().tier_versions(), [1, 1]);
+    assert_eq!(tier_versions(&m), [1, 1]);
 
     // Both existing versions were compiled for the constant signature
     // of 300.0; an argument outside that range is not admitted by the
     // tier-1 version, so dispatch must fall back to a fresh tier-0
     // compile — and still agree with the interpreter bit for bit.
     let compiled = scalar(&m.call("tier_fallback", &[77.0f64.into()], 1).unwrap());
-    let mut interp = Majic::with_mode(ExecMode::Interpret);
+    let mut interp = Session::with_mode(ExecMode::Interpret);
     interp.load_source(&loop_source("tier_fallback")).unwrap();
     let reference = scalar(&interp.call("tier_fallback", &[77.0f64.into()], 1).unwrap());
     assert_eq!(compiled.to_bits(), reference.to_bits());
-    let [t0, _t1] = m.repository().tier_versions();
+    let [t0, _t1] = tier_versions(&m);
     assert!(t0 >= 2, "no tier-0 fallback version was compiled");
 }
 
@@ -208,11 +214,12 @@ fn unseen_signature_falls_back_to_tier0() {
 /// whose statistics then count both jobs.
 #[test]
 fn promotion_rides_the_speculation_pool() {
-    let mut m = Majic::with_mode(ExecMode::Jit);
+    let mut m = Session::with_mode(ExecMode::Jit);
     m.service().set_audit(true);
     m.options.tier.threshold = 1;
     m.load_source(&loop_source("tier_shared")).unwrap();
-    m.speculate_background(2);
+    m.options.tier.workers = 2;
+    m.speculate_background();
     // Speculation guesses an integer `n`; a fractional argument misses
     // the speculative version whenever it lands, so this call JITs
     // tier-0 code, runs hot and is promoted.
@@ -234,7 +241,7 @@ fn promotion_rides_the_speculation_pool() {
     assert_eq!(stats.enqueued, 2, "one speculative and one promotion job");
     assert_eq!(stats.published, 2);
 
-    let mut interp = Majic::with_mode(ExecMode::Interpret);
+    let mut interp = Session::with_mode(ExecMode::Interpret);
     interp.load_source(&loop_source("tier_shared")).unwrap();
     let reference = scalar(&interp.call("tier_shared", &[200.5f64.into()], 1).unwrap());
     assert_eq!(compiled.to_bits(), reference.to_bits());

@@ -3,7 +3,7 @@
 //! next, and every failure mode (corruption, truncation, version skew,
 //! changed source) degrades to a correct cold start.
 
-use majic::{ExecMode, Majic, Value};
+use majic::{ExecMode, Session, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -36,11 +36,11 @@ impl Drop for TempFile {
     }
 }
 
-fn jit() -> Majic {
-    Majic::with_mode(ExecMode::Jit)
+fn jit() -> Session {
+    Session::with_mode(ExecMode::Jit)
 }
 
-fn call1(m: &mut Majic, f: &str, x: f64) -> f64 {
+fn call1(m: &mut Session, f: &str, x: f64) -> f64 {
     m.call(f, &[Value::scalar(x)], 1).unwrap()[0]
         .to_scalar()
         .unwrap()
@@ -233,7 +233,7 @@ fn sessions_that_never_promote_carry_the_manifest_unchanged() {
     // nothing: its save keeps one entry per signature, however often it
     // runs.
     for _ in 0..3 {
-        let mut m = Majic::with_mode(ExecMode::Mcc);
+        let mut m = Session::with_mode(ExecMode::Mcc);
         m.attach_cache(&t.path);
         m.load_source(POLY).unwrap();
         assert_eq!(m.cache_report().installed, 0, "{:?}", m.cache_report());
